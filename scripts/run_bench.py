@@ -40,10 +40,14 @@ def main(argv=None):
           f"{config.trials} trials per cell size")
     for cell in config.cell_sizes_m:
         entry = aggregate["per_cell"][repr(cell)]
+        # The aggregate has no length figure for a cell without a trial
+        # that both planners solved.
+        pct = entry.get("length_improvement_pct")
+        improvement = "n/a" if pct is None else f"{pct:+.3f}%"
         print(f"  cell {cell:g} m: fixed {entry['fixed_successes']:4d}  "
               f"adaptive {entry['adaptive_successes']:4d}  "
               f"joint {entry['joint_successes']:4d}  "
-              f"length improvement {entry['length_improvement_pct']:+.3f}%")
+              f"length improvement {improvement}")
     print(f"wrote {args.out_dir / 'records.csv'} and "
           f"{args.out_dir / 'aggregate.json'}")
     return 0

@@ -31,7 +31,6 @@ from .planner import (PlanRequest, jps_plan, path_to_json,
                       plan_with_refinement)
 from .tree import McrSpec, compute_depth
 from .tree import build as build_tree
-from .tree import occupied_leaves
 
 
 def _parse_domain(text: str) -> Aabb:
@@ -95,6 +94,8 @@ def _load_cloud_args(args) -> tuple[PointCloud, Aabb]:
 
 def _resolve_depth(args, domain: Aabb) -> int:
     if args.depth is not None:
+        if args.depth < 0:
+            raise InvalidSpec(f"--depth must be >= 0, got {args.depth}")
         return args.depth
     if args.epsilon_max_m is not None:
         mcr = McrSpec(args.epsilon_max_m, args.range_k)
@@ -141,10 +142,9 @@ def _cmd_build(args) -> int:
     t0 = perf_counter()
     tree = build_tree(cloud, domain, depth)
     elapsed = perf_counter() - t0
-    leaves = occupied_leaves(tree)
     print(json.dumps({
         "n_points": len(cloud), "dim": cloud.dim, "depth": depth,
-        "occupied_leaves": len(leaves), "build_seconds": elapsed,
+        "occupied_leaves": len(tree.leaves), "build_seconds": elapsed,
     }, sort_keys=True))
     return 0
 

@@ -8,8 +8,10 @@ Two formats:
 * binary: a little-endian uint64 point count followed by count * 3
   little-endian float64 values.
 
-Readers return 3-D clouds unless every third coordinate is exactly zero, in
-which case the cloud is treated as 2-D; pass dim to override the inference.
+Readers reject non-finite coordinates, naming the 1-based point row.  They
+return 3-D clouds unless every third coordinate is
+exactly zero, in which case the cloud is treated as 2-D; pass dim to
+override the inference.
 """
 from __future__ import annotations
 
@@ -33,6 +35,10 @@ def _as_three_columns(cloud: PointCloud) -> np.ndarray:
 
 
 def _shape_result(rows: np.ndarray, dim, path) -> PointCloud:
+    if not np.isfinite(rows).all():
+        row = int(np.argmin(np.isfinite(rows).all(axis=1))) + 1
+        raise CloudParseError(path, row,
+                              f"point row {row} has a non-finite coordinate")
     if dim is None:
         dim = 2 if (len(rows) and not rows[:, 2].any()) else 3
     if dim not in (2, 3):

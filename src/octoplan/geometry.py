@@ -69,16 +69,6 @@ class Aabb:
         q = np.asarray(p, dtype=float)
         return bool(np.all(q >= self.min) and np.all(q <= self.max))
 
-    def expanded_to(self, p) -> "Aabb":
-        q = np.asarray(p, dtype=float)
-        return Aabb(np.minimum(self.min, q), np.maximum(self.max, q))
-
-    def overlaps_open(self, other: "Aabb") -> bool:
-        """True when the open interiors intersect with positive measure."""
-        lo = np.maximum(self.min, other.min)
-        hi = np.minimum(self.max, other.max)
-        return bool(np.all(hi - lo > 0.0))
-
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -98,10 +88,6 @@ class PointCloud:
     @classmethod
     def empty(cls, dim: int) -> "PointCloud":
         return cls(np.empty((0, dim), dtype=float))
-
-    @classmethod
-    def from_list(cls, rows) -> "PointCloud":
-        return cls(np.asarray(rows, dtype=float).reshape(len(rows), -1))
 
     @property
     def dim(self) -> int:

@@ -10,14 +10,20 @@ each occupied cell's tight point bounds as per-cell metadata.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import PointOutOfDomain
+from .errors import InvalidSpec, PointOutOfDomain
 from .geometry import Aabb, PointCloud
 from .tree import OctoTree
+
+# Largest dense grid either rasterizer allocates: 2^28 cells is 256 MiB of
+# occupancy, a 16384^2 or 512^3 map.
+MAX_RASTER_CELLS = 1 << 28
 
 
 @dataclass
@@ -26,7 +32,10 @@ class UniformGridMap:
     cell_size: np.ndarray
     origin: np.ndarray
     occupancy: np.ndarray
-    leaf_bounds: dict[tuple[int, ...], Aabb] | None = None
+    # (grid indices, bmin, bmax) rows of the occupied cells of a
+    # tree-derived grid; None for grids rasterized from a bare cloud.
+    leaf_boxes: tuple[np.ndarray, np.ndarray, np.ndarray] | None = \
+        field(default=None, repr=False)
 
     def __post_init__(self):
         self.cell_size = np.asarray(self.cell_size, dtype=float)
@@ -71,6 +80,27 @@ class UniformGridMap:
     def occupied_count(self) -> int:
         return int(self.occupancy.sum())
 
+    @cached_property
+    def leaf_bounds(self) -> dict[tuple[int, ...], Aabb] | None:
+        """Tight point box of each occupied cell, keyed by grid index;
+        built from leaf_boxes on first read."""
+        if self.leaf_boxes is None:
+            return None
+        idx, bmin, bmax = self.leaf_boxes
+        return {tuple(i): Aabb._trusted(lo, hi)
+                for i, lo, hi in zip(idx.tolist(), bmin, bmax)}
+
+
+def _dense_grid(dims: tuple[int, ...]) -> np.ndarray:
+    """All-free occupancy array, refused before allocation when it would
+    exceed MAX_RASTER_CELLS."""
+    cells = math.prod(dims)
+    if cells > MAX_RASTER_CELLS:
+        raise InvalidSpec(
+            f"grid {'x'.join(map(str, dims))} has {cells} cells, over the "
+            f"{MAX_RASTER_CELLS}-cell raster budget")
+    return np.zeros(dims, dtype=bool)
+
 
 def _per_axis_cells(cell_size, dim: int) -> np.ndarray:
     c = np.asarray(cell_size, dtype=float)
@@ -90,7 +120,7 @@ def rasterize_fixed(cloud: PointCloud, domain: Aabb, cell_size) -> UniformGridMa
     cell = _per_axis_cells(cell_size, domain.dim)
     dims = tuple(int(np.ceil(e / c)) for e, c in zip(domain.edges, cell))
     dims = tuple(max(1, n) for n in dims)
-    occ = np.zeros(dims, dtype=bool)
+    occ = _dense_grid(dims)
     pts = cloud.points
     if pts.shape[0]:
         if pts.shape[1] != domain.dim:
@@ -111,20 +141,14 @@ def rasterize_adaptive(tree: OctoTree) -> UniformGridMap:
     tight point box so downstream users can see sub-cell extent."""
     dims = (1 << tree.depth,) * tree.dim
     cell = tree.domain.edges / float(1 << tree.depth)
-    occ = np.zeros(dims, dtype=bool)
-    bounds: dict[tuple[int, ...], Aabb] = {}
-    occupied = [leaf for leaf in tree.leaves if len(leaf.point_ids)]
-    if occupied:
-        idx = np.array([leaf.grid_index for leaf in occupied], dtype=np.int64)
-        occ[tuple(idx.T)] = True
-        # Bulk-copy the tight boxes so later insertions into the tree
-        # cannot mutate boxes already exported with this grid.
-        bmin = np.array([leaf.bound_min for leaf in occupied], dtype=float)
-        bmax = np.array([leaf.bound_max for leaf in occupied], dtype=float)
-        for i, leaf in enumerate(occupied):
-            bounds[leaf.grid_index] = Aabb._trusted(bmin[i], bmax[i])
+    occ = _dense_grid(dims)
+    occ[tuple(tree.index.T)] = True
+    # Copy the tight boxes so later insertions into the tree cannot mutate
+    # boxes already exported with this grid; the tree only ever replaces
+    # its index array.
+    boxes = (tree.index, tree.bmin.copy(), tree.bmax.copy())
     return UniformGridMap(dims, cell, tree.domain.min.copy(), occ,
-                          leaf_bounds=bounds)
+                          leaf_boxes=boxes)
 
 
 def gap_preserved(grid: UniformGridMap, corridor: Aabb) -> bool:

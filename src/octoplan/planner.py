@@ -287,6 +287,10 @@ def plan_with_refinement(tree: OctoTree, start_point, goal_point,
     """Plan on the tree's occupancy; on failure, split occupied leaves one
     level and retry, up to max_rounds extra depths.
 
+    Refinement deepens the caller's tree in place: after a call that used
+    r rounds, tree.depth has grown by r.  Rebuild or copy the tree first to
+    keep the original depth.
+
     Raises StartOrGoalOccupied when every attempted depth left an endpoint
     in an occupied cell, NoPathAtMaxDepth when all attempts failed for lack
     of a route.

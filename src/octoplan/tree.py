@@ -1,19 +1,23 @@
 """Adaptive 2^d-ary spatial subdivision tree over a fixed domain box.
 
-Every node owns an assigned orthant box (its split boundary) plus a tight
-bounding box of the points that actually passed through it.  Points live only
-in leaf nodes.  Subdivision always bisects every axis at the box midpoint;
-membership is half-open (a point exactly on a midpoint goes to the upper
-child), with the domain's maximal faces closed so the far corner stays
-insertable.
+The tree is a linear quadtree/octree (Gargantini, CACM 1982): one table of
+occupied leaves sorted by Morton code, with inner nodes implicit as code
+prefixes.  Each leaf row holds its code, a slice of one permutation of the
+point ids (points keep ascending input order within a leaf), and the tight
+bounding box of its points.  Grid indices and split boxes are derived from
+the code on demand.
 
-The same midpoint arithmetic (mid = 0.5 * (lo + hi), upper iff p >= mid) is
-used by the scalar insert path, the vectorized bulk build, and the one-level
-re-partition, so all three agree bit-for-bit on which leaf a point lands in.
+Subdivision always bisects every axis at the box midpoint; membership is
+half-open (a point exactly on a midpoint goes to the upper child), with the
+domain's maximal faces closed so the far corner stays insertable.  The same
+successive-midpoint arithmetic (mid = 0.5 * (lo + hi), upper iff p >= mid)
+places points in build, push_point and dynamic_partition and derives split
+boxes, so all of them agree bit-for-bit.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +26,8 @@ from .errors import DepthCapExceeded, InvalidSpec, PointOutOfDomain
 from .geometry import Aabb, PointCloud, as_point
 
 DEFAULT_DEPTH_CAP = 16
+# Leaf codes are int64 with depth * dim bits in use.
+_CODE_BITS = 62
 
 
 @dataclass(frozen=True)
@@ -63,47 +69,6 @@ def compute_depth(domain_edge_length: float, mcr: McrSpec,
     return min(cap, depth)
 
 
-class TreeNode:
-    __slots__ = ("parent", "children", "level", "grid_index",
-                 "split_min", "split_max", "bound_min", "bound_max",
-                 "point_ids")
-
-    def __init__(self, parent, level, grid_index, split_min, split_max):
-        self.parent = parent
-        self.children = None          # lazily a list of 2^d slots
-        self.level = level
-        self.grid_index = grid_index  # per-axis cell index at this level
-        self.split_min = split_min
-        self.split_max = split_max
-        self.bound_min = None         # tight bounds of points seen, or None
-        self.bound_max = None
-        self.point_ids = ()           # indices into the tree's point store
-
-    @property
-    def split_boundary(self) -> Aabb:
-        return Aabb(np.array(self.split_min, dtype=float),
-                    np.array(self.split_max, dtype=float))
-
-    @property
-    def node_boundary(self) -> Aabb | None:
-        if self.bound_min is None:
-            return None
-        return Aabb(np.array(self.bound_min, dtype=float),
-                    np.array(self.bound_max, dtype=float))
-
-    @property
-    def point_count(self) -> int:
-        return len(self.point_ids)
-
-    def expand_bound(self, p: np.ndarray):
-        if self.bound_min is None:
-            self.bound_min = p.copy()
-            self.bound_max = p.copy()
-        else:
-            np.minimum(self.bound_min, p, out=self.bound_min)
-            np.maximum(self.bound_max, p, out=self.bound_max)
-
-
 @dataclass(frozen=True)
 class LeafRecord:
     """Read-out of one occupied leaf."""
@@ -114,8 +79,91 @@ class LeafRecord:
     point_count: int
 
 
+class Leaf:
+    """Live view of one leaf of a tree, addressed by its Morton code.
+
+    Reads go to the tree's current table, so a view returned by push_point
+    sees later insertions into the same leaf.  Once dynamic_partition has
+    split the leaf, the view reports no points and no tight bounds.
+    """
+
+    __slots__ = ("tree", "code", "depth")
+
+    def __init__(self, tree: "OctoTree", code: int):
+        self.tree = tree
+        self.code = code
+        self.depth = tree.depth
+
+    def _row(self) -> int | None:
+        tree = self.tree
+        if tree.depth != self.depth:
+            return None
+        k = int(np.searchsorted(tree.codes, self.code))
+        if k < len(tree.codes) and tree.codes[k] == self.code:
+            return k
+        return None
+
+    @property
+    def grid_index(self) -> tuple[int, ...]:
+        idx = morton_decode(np.array([self.code]), self.depth, self.tree.dim)
+        return tuple(int(v) for v in idx[0])
+
+    @property
+    def split_boundary(self) -> Aabb:
+        lo, hi = _split_boxes(self.tree.domain, np.array([self.code]),
+                              self.depth)
+        return Aabb._trusted(lo[0], hi[0])
+
+    @property
+    def split_min(self) -> np.ndarray:
+        return self.split_boundary.min
+
+    @property
+    def split_max(self) -> np.ndarray:
+        return self.split_boundary.max
+
+    @property
+    def node_boundary(self) -> Aabb | None:
+        k = self._row()
+        if k is None:
+            return None
+        return Aabb._trusted(self.tree.bmin[k].copy(),
+                             self.tree.bmax[k].copy())
+
+    @property
+    def point_ids(self) -> np.ndarray:
+        k = self._row()
+        if k is None:
+            return np.empty(0, dtype=np.int64)
+        offsets = self.tree.offsets
+        return self.tree.order[offsets[k]:offsets[k + 1]]
+
+    @property
+    def point_count(self) -> int:
+        return len(self.point_ids)
+
+
+class _LeafSequence(Sequence):
+    """The tree's occupied leaves in Morton order, as views made on access."""
+
+    def __init__(self, tree: "OctoTree"):
+        self._tree = tree
+
+    def __len__(self) -> int:
+        return len(self._tree.codes)
+
+    def __getitem__(self, i: int) -> Leaf:
+        return self._tree.leaf(int(self._tree.codes[i]))
+
+
 class OctoTree:
-    """2^d-ary tree of fixed scalar depth over a domain box."""
+    """2^d-ary tree of fixed scalar depth over a domain box, stored as a
+    Morton-sorted table of occupied leaves.
+
+    Leaf k has code codes[k], owns the point ids
+    order[offsets[k]:offsets[k + 1]] and has tight bounds bmin[k], bmax[k],
+    grid index index[k] and split box split_lo[k], split_hi[k].
+    """
 
     def __init__(self, domain: Aabb, depth: int,
                  depth_cap: int = DEFAULT_DEPTH_CAP):
@@ -123,6 +171,8 @@ class OctoTree:
             raise ValueError(f"depth must be >= 0, got {depth}")
         if depth_cap < 0:
             raise ValueError(f"depth cap must be >= 0, got {depth_cap}")
+        if depth_cap * domain.dim > _CODE_BITS:
+            raise ValueError(f"depth cap {depth_cap} overflows int64 codes")
         if depth > depth_cap:
             raise DepthCapExceeded(f"depth {depth} exceeds cap {depth_cap}")
         if np.any(domain.edges <= 0):
@@ -131,11 +181,28 @@ class OctoTree:
         self.depth = depth
         self.depth_cap = depth_cap
         self.dim = domain.dim
-        self.root = TreeNode(None, 0, (0,) * self.dim,
-                             domain.min.copy(), domain.max.copy())
-        self.leaves: list[TreeNode] = []
         self._store = np.empty((0, self.dim), dtype=float)
         self._n = 0
+        self._set_table(np.empty(0, dtype=np.int64),
+                        np.empty(0, dtype=np.int64),
+                        np.empty((0, self.dim), dtype=float))
+
+    def _set_table(self, sorted_codes: np.ndarray, order: np.ndarray,
+                   sorted_pts: np.ndarray) -> None:
+        """Group point ids already sorted by leaf code into the leaf table."""
+        # Codes are non-negative, so a -1 ahead of them opens the first run.
+        starts = np.flatnonzero(np.diff(sorted_codes, prepend=-1))
+        self.codes = sorted_codes[starts]
+        self.order = order
+        self.offsets = np.r_[starts, len(sorted_codes)].astype(np.int64)
+        self.bmin = np.minimum.reduceat(sorted_pts, starts, axis=0)
+        self.bmax = np.maximum.reduceat(sorted_pts, starts, axis=0)
+        # Rasterizing scatters index and refining splits at the split-box
+        # midpoints, so both are derived once per table, not per use.
+        self.index = morton_decode(self.codes, self.depth, self.dim)
+        self.split_lo, self.split_hi = _split_boxes(self.domain, self.codes,
+                                                    self.depth)
+        self._views: dict[int, Leaf] = {}
 
     # ------------------------------------------------------------ points
 
@@ -147,12 +214,8 @@ class OctoTree:
         """All inserted points, insertion order, as one (n, d) view."""
         return self._store[:self._n]
 
-    def leaf_points(self, leaf: TreeNode) -> np.ndarray:
-        ids = np.asarray(leaf.point_ids, dtype=np.int64)
-        return self.points_array()[ids]
-
-    def depth_remaining(self, node: TreeNode) -> int:
-        return self.depth - node.level
+    def leaf_points(self, leaf: Leaf) -> np.ndarray:
+        return self.points_array()[leaf.point_ids]
 
     def _append_point(self, q: np.ndarray) -> int:
         if self._n == self._store.shape[0]:
@@ -164,267 +227,165 @@ class OctoTree:
         self._n += 1
         return self._n - 1
 
-    # ------------------------------------------------------------ descent
+    # ------------------------------------------------------------ leaves
 
-    def _child(self, node: TreeNode, orthant: int) -> TreeNode:
-        """Fetch or create the child in the given orthant (bit a = axis a)."""
-        if node.children is None:
-            node.children = [None] * (1 << self.dim)
-        child = node.children[orthant]
-        if child is None:
-            mid = 0.5 * (node.split_min + node.split_max)
-            lo = np.array(node.split_min, dtype=float)
-            hi = np.array(node.split_max, dtype=float)
-            gi = []
-            for a in range(self.dim):
-                bit = (orthant >> a) & 1
-                if bit:
-                    lo[a] = mid[a]
-                else:
-                    hi[a] = mid[a]
-                gi.append(node.grid_index[a] * 2 + bit)
-            child = TreeNode(node, node.level + 1, tuple(gi), lo, hi)
-            self._register_child(node, orthant, child)
-        return child
+    @property
+    def leaves(self) -> Sequence:
+        """Occupied leaves in Morton order."""
+        return _LeafSequence(self)
 
-    def _register_child(self, node: TreeNode, orthant: int, child: TreeNode):
-        if node.children is None:
-            node.children = [None] * (1 << self.dim)
-        node.children[orthant] = child
+    def leaf(self, code: int) -> Leaf:
+        """The view of the leaf with this code at the current depth; the
+        same object for the same leaf until the next partition."""
+        view = self._views.get(code)
+        if view is None:
+            view = self._views[code] = Leaf(self, code)
+        return view
 
 
-def _descend_indices(pts: np.ndarray, domain: Aabb, depth: int) -> np.ndarray:
-    """Per-axis cell index of each point at the given depth, computed by the
-    same successive-midpoint comparisons the scalar insert performs."""
+def _descend_codes(pts: np.ndarray, domain: Aabb, depth: int) -> np.ndarray:
+    """Morton code of each point's cell at the given depth, computed by the
+    successive-midpoint comparisons: one group of d bits per level, axis a
+    in bit a of the group."""
     n, d = pts.shape
-    lo = np.broadcast_to(domain.min, (n, d)).copy()
-    hi = np.broadcast_to(domain.max, (n, d)).copy()
-    idx = np.zeros((n, d), dtype=np.int64)
+    lo = np.tile(domain.min, (n, 1))
+    hi = np.tile(domain.max, (n, 1))
+    code = np.zeros(n, dtype=np.int64)
+    # Reuse one set of buffers across levels instead of fresh temporaries.
+    mid = np.empty_like(lo)
+    upper = np.empty((n, d), dtype=bool)
+    bit = np.empty(n, dtype=np.int64)
     for _ in range(depth):
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        np.greater_equal(pts, mid, out=upper)
+        code <<= d
+        for a in range(d):
+            np.copyto(bit, upper[:, a])
+            bit <<= a
+            code |= bit
+        np.copyto(lo, mid, where=upper)
+        np.logical_not(upper, out=upper)
+        np.copyto(hi, mid, where=upper)
+    return code
+
+
+def _split_boxes(domain: Aabb, codes: np.ndarray,
+                 depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split boxes (lo, hi rows) of the cells with these codes, halving the
+    domain by the same successive midpoints that place points."""
+    d = domain.dim
+    lo = np.tile(domain.min, (len(codes), 1))
+    hi = np.tile(domain.max, (len(codes), 1))
+    axes = np.arange(d)
+    for level in range(depth - 1, -1, -1):
+        upper = ((codes[:, None] >> (level * d + axes)) & 1).astype(bool)
         mid = 0.5 * (lo + hi)
-        upper = pts >= mid
-        idx = idx * 2 + upper
         lo = np.where(upper, mid, lo)
         hi = np.where(upper, hi, mid)
-    return idx
+    return lo, hi
 
 
 def build(cloud: PointCloud, domain: Aabb, depth: int,
           depth_cap: int = DEFAULT_DEPTH_CAP) -> OctoTree:
-    """Build a tree from a whole cloud at once (vectorized descent)."""
+    """Build a tree from a whole cloud at once: vectorized descent, one
+    stable sort by leaf code, tight bounds by reduceat."""
     tree = OctoTree(domain, depth, depth_cap)
     pts = np.ascontiguousarray(cloud.points, dtype=float)
     n = pts.shape[0]
     if n == 0:
         return tree
-    d = pts.shape[1]
-    if d != tree.dim:
-        raise ValueError(f"cloud dim {d} != domain dim {tree.dim}")
-    ok = (pts >= domain.min).all(axis=1) & (pts <= domain.max).all(axis=1)
-    if not ok.all():
+    if pts.shape[1] != tree.dim:
+        raise ValueError(f"cloud dim {pts.shape[1]} != domain dim {tree.dim}")
+    # Column by column: a reduction over axis 0 of an (n, 3) array is slow.
+    if any(pts[:, a].min() < domain.min[a] or pts[:, a].max() > domain.max[a]
+           for a in range(tree.dim)):
+        ok = (pts >= domain.min).all(axis=1) & (pts <= domain.max).all(axis=1)
         bad = int(np.argmin(ok))
         raise PointOutOfDomain(pts[bad], domain.min, domain.max, index=bad)
-
     tree._store = pts.copy()
     tree._n = n
-
-    axis_idx = _descend_indices(pts, domain, depth)
-    codes = morton_encode(axis_idx, depth)
+    codes = _descend_codes(pts, domain, depth)
     order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    starts = np.flatnonzero(np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])
-    sorted_pts = pts[order]
-
-    # Tight per-leaf bounds, grouped over the morton-sorted rows.
-    leaf_min = np.minimum.reduceat(sorted_pts, starts, axis=0)
-    leaf_max = np.maximum.reduceat(sorted_pts, starts, axis=0)
-    leaf_codes = sorted_codes[starts]
-    leaf_axis = axis_idx[order[starts]]
-
-    if depth == 0:
-        root = tree.root
-        root.point_ids = order
-        root.bound_min = leaf_min[0].copy()
-        root.bound_max = leaf_max[0].copy()
-        tree.leaves.append(root)
-        return tree
-
-    # Unique node codes per level, leaves upward, plus tight bounds pulled up.
-    codes_at = [None] * (depth + 1)
-    axis_at = [None] * (depth + 1)
-    min_at = [None] * (depth + 1)
-    max_at = [None] * (depth + 1)
-    codes_at[depth] = leaf_codes
-    axis_at[depth] = leaf_axis
-    min_at[depth] = leaf_min
-    max_at[depth] = leaf_max
-    for lv in range(depth, 0, -1):
-        parents = codes_at[lv] >> d
-        keep = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]])
-        codes_at[lv - 1] = parents[keep]
-        axis_at[lv - 1] = axis_at[lv][keep] >> 1
-        min_at[lv - 1] = np.minimum.reduceat(min_at[lv], keep, axis=0)
-        max_at[lv - 1] = np.maximum.reduceat(max_at[lv], keep, axis=0)
-
-    root = tree.root
-    root.bound_min = min_at[0][0].copy()
-    root.bound_max = max_at[0][0].copy()
-    nodes_prev = [root]
-    mask = (1 << d) - 1
-    for lv in range(1, depth + 1):
-        cs = codes_at[lv]
-        parent_pos = np.searchsorted(codes_at[lv - 1], cs >> d)
-        orthants = cs & mask
-        bits = ((orthants[:, None] >> np.arange(d)[None, :]) & 1).astype(bool)
-        plo = np.array([nodes_prev[i].split_min for i in parent_pos])
-        phi = np.array([nodes_prev[i].split_max for i in parent_pos])
-        pmid = 0.5 * (plo + phi)
-        los = np.where(bits, pmid, plo)
-        his = np.where(bits, phi, pmid)
-        axes = axis_at[lv]
-        mins = min_at[lv]
-        maxs = max_at[lv]
-        nodes_here = []
-        for i in range(len(cs)):
-            parent = nodes_prev[parent_pos[i]]
-            node = TreeNode(parent, lv, tuple(int(v) for v in axes[i]),
-                            los[i], his[i])
-            node.bound_min = mins[i]
-            node.bound_max = maxs[i]
-            tree._register_child(parent, int(orthants[i]), node)
-            nodes_here.append(node)
-        nodes_prev = nodes_here
-
-    ends = np.r_[starts[1:], n]
-    for i, node in enumerate(nodes_prev):
-        node.point_ids = order[starts[i]:ends[i]]
-        tree.leaves.append(node)
+    tree._set_table(codes[order], order, pts[order])
     return tree
 
 
-def push_point(tree: OctoTree, p) -> TreeNode:
-    """Insert one point, creating nodes lazily; returns the leaf it entered."""
+def push_point(tree: OctoTree, p) -> Leaf:
+    """Insert one point into the leaf table; returns the leaf it entered."""
     q = as_point(p)
     if q.shape[0] != tree.dim:
         raise ValueError(f"point dim {q.shape[0]} != tree dim {tree.dim}")
     if not tree.domain.contains(q):
         raise PointOutOfDomain(q, tree.domain.min, tree.domain.max)
-    node = tree.root
-    node.expand_bound(q)
-    for _ in range(tree.depth):
-        mid = 0.5 * (node.split_min + node.split_max)
-        orth = 0
-        for a in range(tree.dim):
-            if q[a] >= mid[a]:
-                orth |= 1 << a
-        node = tree._child(node, orth)
-        node.expand_bound(q)
+    code = int(_descend_codes(q[None, :], tree.domain, tree.depth)[0])
     pid = tree._append_point(q)
-    if len(node.point_ids) == 0:
-        tree.leaves.append(node)
-        node.point_ids = [pid]
+    k = int(np.searchsorted(tree.codes, code))
+    offsets = tree.offsets
+    if k < len(tree.codes) and tree.codes[k] == code:
+        # Ids grow with insertion, so appending keeps the leaf ascending.
+        tree.order = np.insert(tree.order, offsets[k + 1], pid)
+        tree.offsets = np.r_[offsets[:k + 1], offsets[k + 1:] + 1]
+        np.minimum(tree.bmin[k], q, out=tree.bmin[k])
+        np.maximum(tree.bmax[k], q, out=tree.bmax[k])
     else:
-        if not isinstance(node.point_ids, list):
-            node.point_ids = [int(i) for i in node.point_ids]
-        node.point_ids.append(pid)
-    return node
+        new = np.array([code])
+        lo, hi = _split_boxes(tree.domain, new, tree.depth)
+        tree.codes = np.insert(tree.codes, k, code)
+        tree.order = np.insert(tree.order, offsets[k], pid)
+        tree.offsets = np.r_[offsets[:k + 1], offsets[k:] + 1]
+        tree.bmin = np.insert(tree.bmin, k, q, axis=0)
+        tree.bmax = np.insert(tree.bmax, k, q, axis=0)
+        tree.index = np.insert(tree.index, k, morton_decode(
+            new, tree.depth, tree.dim), axis=0)
+        tree.split_lo = np.insert(tree.split_lo, k, lo, axis=0)
+        tree.split_hi = np.insert(tree.split_hi, k, hi, axis=0)
+    return tree.leaf(code)
 
 
 def dynamic_partition(tree: OctoTree) -> OctoTree:
-    """Deepen the tree by one level, re-splitting every occupied leaf.
+    """Deepen the tree by one level in place, re-splitting every occupied
+    leaf: each leaf's segment of point ids is stably re-sorted on one more
+    group of code bits.
 
-    Equivalent to rebuilding the same points at depth + 1: occupied-leaf set
-    and per-leaf point multisets match a fresh build exactly.
+    Equivalent to rebuilding the same points at depth + 1: occupied-leaf set,
+    per-leaf point ids and tight bounds match a fresh build exactly.
     """
     new_depth = tree.depth + 1
     if new_depth > tree.depth_cap:
         raise DepthCapExceeded(
             f"partition to depth {new_depth} exceeds cap {tree.depth_cap}")
-    old_leaves = [leaf for leaf in tree.leaves if len(leaf.point_ids)]
-    tree.leaves = []
-    tree.depth = new_depth
-    if not old_leaves:
-        return tree
+    counts = np.diff(tree.offsets)
+    mid = np.repeat(0.5 * (tree.split_lo + tree.split_hi), counts, axis=0)
+    pts = tree.points_array()[tree.order]
+    upper = pts >= mid
     d = tree.dim
-
-    counts = np.fromiter((len(leaf.point_ids) for leaf in old_leaves),
-                         dtype=np.int64, count=len(old_leaves))
-    ids = np.concatenate(
-        [np.asarray(leaf.point_ids, dtype=np.int64) for leaf in old_leaves])
-    owner = np.repeat(np.arange(len(old_leaves)), counts)
-    pts = tree.points_array()[ids]
-
-    plo = np.array([leaf.split_min for leaf in old_leaves], dtype=float)
-    phi = np.array([leaf.split_max for leaf in old_leaves], dtype=float)
-    pgi = np.array([leaf.grid_index for leaf in old_leaves], dtype=np.int64)
-    pmid = 0.5 * (plo + phi)
-
-    upper = pts >= pmid[owner]
-    orth = np.zeros(len(ids), dtype=np.int64)
+    codes = np.repeat(tree.codes << d, counts)
     for a in range(d):
-        orth |= upper[:, a].astype(np.int64) << a
-
-    key = (owner << d) | orth
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    sids = ids[order]
-    spts = pts[order]
-    starts = np.flatnonzero(np.r_[True, skey[1:] != skey[:-1]])
-    ends = np.r_[starts[1:], len(skey)]
-    gkey = skey[starts]
-    gowner = (gkey >> d).tolist()
-    gorth = (gkey & ((1 << d) - 1))
-    gmin = np.minimum.reduceat(spts, starts, axis=0)
-    gmax = np.maximum.reduceat(spts, starts, axis=0)
-
-    bits = ((gorth[:, None] >> np.arange(d)[None, :]) & 1).astype(bool)
-    parent_rows = np.asarray(gowner, dtype=np.int64)
-    clo = np.where(bits, pmid[parent_rows], plo[parent_rows])
-    chi = np.where(bits, phi[parent_rows], pmid[parent_rows])
-    cgi = (pgi[parent_rows] * 2 + bits).tolist()
-    gorth = gorth.tolist()
-    starts = starts.tolist()
-    ends = ends.tolist()
-
-    for i in range(len(gkey)):
-        parent = old_leaves[gowner[i]]
-        node = TreeNode(parent, new_depth, tuple(cgi[i]), clo[i], chi[i])
-        node.bound_min = gmin[i]
-        node.bound_max = gmax[i]
-        node.point_ids = sids[starts[i]:ends[i]]
-        tree._register_child(parent, gorth[i], node)
-        tree.leaves.append(node)
-    for leaf in old_leaves:
-        leaf.point_ids = ()
+        codes |= upper[:, a].astype(np.int64) << a
+    perm = np.argsort(codes, kind="stable")
+    tree.depth = new_depth
+    tree._set_table(codes[perm], tree.order[perm], pts[perm])
     return tree
 
 
 def occupied_leaves(tree: OctoTree) -> list[LeafRecord]:
     """Records for every occupied leaf, ordered by Morton code of the leaf's
     grid index (axis 0 in the least significant interleave slot)."""
-    keyed = []
-    for leaf in tree.leaves:
-        if not len(leaf.point_ids):
-            continue
-        keyed.append((morton_key(leaf.grid_index, tree.depth), leaf))
-    keyed.sort(key=lambda t: t[0])
-    return [
-        LeafRecord(
-            index=leaf.grid_index,
-            split_boundary=leaf.split_boundary,
-            node_boundary=leaf.node_boundary,
-            point_count=leaf.point_count,
-        )
-        for _, leaf in keyed
-    ]
+    # push_point updates tight bounds in place, so records get copies.
+    bmin, bmax = tree.bmin.copy(), tree.bmax.copy()
+    counts = np.diff(tree.offsets).tolist()
+    return [LeafRecord(index=tuple(i),
+                       split_boundary=Aabb._trusted(tree.split_lo[k],
+                                                    tree.split_hi[k]),
+                       node_boundary=Aabb._trusted(bmin[k], bmax[k]),
+                       point_count=counts[k])
+            for k, i in enumerate(tree.index.tolist())]
 
 
-def occupied_leaf_nodes(tree: OctoTree) -> list[TreeNode]:
+def occupied_leaf_nodes(tree: OctoTree) -> list[Leaf]:
     """Occupied leaves themselves, in the same Morton order as the records."""
-    keyed = [(morton_key(leaf.grid_index, tree.depth), leaf)
-             for leaf in tree.leaves if len(leaf.point_ids)]
-    keyed.sort(key=lambda t: t[0])
-    return [leaf for _, leaf in keyed]
+    return list(tree.leaves)
 
 
 def morton_key(index: tuple[int, ...], depth: int) -> int:
@@ -445,3 +406,12 @@ def morton_encode(idx: np.ndarray, depth: int) -> np.ndarray:
         for a in range(d):
             code |= ((idx[:, a] >> b) & 1) << (b * d + a)
     return code
+
+
+def morton_decode(codes: np.ndarray, depth: int, dim: int) -> np.ndarray:
+    """Inverse of morton_encode: the (n, dim) grid indices of the codes."""
+    idx = np.zeros((len(codes), dim), dtype=np.int64)
+    for b in range(depth):
+        for a in range(dim):
+            idx[:, a] |= ((codes >> (b * dim + a)) & 1) << b
+    return idx

@@ -1,9 +1,11 @@
 """Campaign bookkeeping and command-line behavior tests."""
 import csv
+import importlib.util
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from octoplan.bench import (CSV_COLUMNS, TIMING_COLUMNS, BenchConfig,
                             TrialRecord, aggregate_to_json, depth_for_cell,
                             records_to_csv, run_campaign)
 from octoplan.cli import main
-from octoplan.cloudio import write_xyz
+from octoplan.cloudio import write_binary, write_xyz
 from octoplan.errors import InvalidSpec
 from octoplan.geometry import PointCloud
 from octoplan.gridmap import grid_from_json
@@ -346,6 +348,45 @@ def test_cli_malformed_cloud_exits_2_naming_line(tmp_path, capsys):
     assert ":2:" in json.loads(err)["message"]
 
 
+def one_error_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    return json.loads(lines[0])
+
+
+def test_cli_non_finite_xyz_exits_2_naming_row(tmp_path, capsys):
+    bad = tmp_path / "bad.xyz"
+    bad.write_text("1 2 0\nnan 3 0\n")
+    code, _, err = run_cli(
+        capsys, "--out-dir", str(tmp_path),
+        "build", "--cloud", str(bad), "--depth", "2")
+    assert code == 2
+    payload = one_error_line(err)
+    assert payload["error"] == "cloudparseerror"
+    assert "row 2" in payload["message"]
+
+
+def test_cli_non_finite_binary_exits_2_naming_row(tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes((3).to_bytes(8, "little") + np.array(
+        [1.0, 2.0, 0.0, 3.0, 4.0, 0.0, 5.0, np.inf, 0.0], "<f8").tobytes())
+    code, _, err = run_cli(
+        capsys, "--out-dir", str(tmp_path),
+        "build", "--cloud", str(bad), "--depth", "2")
+    assert code == 2
+    payload = one_error_line(err)
+    assert payload["error"] == "cloudparseerror"
+    assert "row 3" in payload["message"]
+
+
+def test_cli_negative_depth_exits_2(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "--out-dir", str(tmp_path),
+        "build", "--perlin", "--domain", "0,0:8,8", "--depth", "-1")
+    assert code == 2
+    assert one_error_line(err)["error"] == "invalidspec"
+
+
 def test_cli_unknown_cloud_extension_exits_2(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "--out-dir", str(tmp_path),
@@ -412,3 +453,22 @@ def test_cli_runs_as_subprocess(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert json.loads(proc.stderr)["error"] == "cloudparseerror"
+
+
+def test_run_bench_script_prints_na_without_joint_success(tmp_path, capsys):
+    # With one trial and this seed no cell has a trial both planners
+    # solve, so the aggregate carries no length figure.
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_bench.py"
+    spec = importlib.util.spec_from_file_location("run_bench", script)
+    run_bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_bench)
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("trials = 1\ncampaign_seed = 2\n")
+    code = run_bench.main(["--config", str(cfg),
+                           "--out-dir", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert code == 0
+    cells = [line for line in out.splitlines() if "joint    0" in line]
+    assert len(cells) == 3
+    assert all(line.endswith("length improvement n/a") for line in cells)
+    assert (tmp_path / "out" / "aggregate.json").exists()

@@ -106,3 +106,20 @@ def test_binary_payload_size_mismatch(tmp_path):
     with pytest.raises(CloudParseError) as err:
         read_binary(path)
     assert "120" in str(err.value)
+
+
+def test_xyz_non_finite_names_row(tmp_path):
+    path = tmp_path / "pts.xyz"
+    path.write_text("1 2 0\n\n4 5 0\n4 inf 0\n")
+    with pytest.raises(CloudParseError) as err:
+        read_xyz(path)
+    assert err.value.line == 3
+
+
+def test_binary_non_finite_names_row(tmp_path):
+    pts = np.array([[0.0, 1.0, 2.0], [np.nan, 1.0, 2.0]])
+    path = tmp_path / "pts.bin"
+    path.write_bytes((2).to_bytes(8, "little") + pts.astype("<f8").tobytes())
+    with pytest.raises(CloudParseError) as err:
+        read_binary(path)
+    assert err.value.line == 2

@@ -1,10 +1,11 @@
 """Occupancy grid tests: rasterization, gap checks, serialization."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from octoplan.errors import PointOutOfDomain
+from octoplan.errors import InvalidSpec, PointOutOfDomain
 from octoplan.geometry import Aabb, PointCloud
 from octoplan.gridmap import (UniformGridMap, gap_preserved, grid_from_json,
                               grid_to_json, grid_to_pgm, pgm_from_text,
@@ -137,6 +138,23 @@ def test_adaptive_bounds_are_snapshots():
     before = grid.leaf_bounds[(0, 0)].max.copy()
     push_point(tree, (0.75, 0.75))
     assert np.array_equal(grid.leaf_bounds[(0, 0)].max, before)
+
+
+def test_rasterizers_refuse_grid_over_cell_budget():
+    # Depth 16 in 2-D is 2^32 cells, 4 GiB of occupancy; so is a 1e-4 m
+    # fixed cell over the 10 x 5 m domain (5e9 cells).
+    cloud = PointCloud(np.array([[0.5, 0.5]]))
+    tree = build(cloud, domain2(), depth=16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidSpec):
+            rasterize_adaptive(tree)
+        with pytest.raises(InvalidSpec):
+            rasterize_fixed(cloud, domain2(), 1e-4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_adaptive_and_fixed_agree_at_matched_cells():

@@ -228,6 +228,75 @@ def test_partition_equals_fresh_build(d):
         assert sorted(map(int, la.point_ids)) == sorted(map(int, lb.point_ids))
 
 
+def midpoint_coords(lo, hi, depth, rng, n):
+    """Lower faces of random cells at this depth on one axis, found by the
+    successive midpoints the tree splits at; all lie on split planes."""
+    out = []
+    for _ in range(n):
+        a, b = lo, hi
+        for _ in range(depth):
+            mid = 0.5 * (a + b)
+            if rng.integers(2):
+                a = mid
+            else:
+                b = mid
+        out.append(a)
+    return np.array(out)
+
+
+def tricky_cloud(rng, d, depth, n=400):
+    """Random cloud with coordinates snapped onto split midpoints down to
+    the given depth and onto the domain's max faces, plus repeated rows."""
+    origin = rng.uniform(-10.0, 10.0, size=d)
+    dom = Aabb(origin, origin + rng.uniform(3.0, 30.0, size=d))
+    pts = dom.min + rng.uniform(size=(n, d)) * dom.edges
+    for a in range(d):
+        snap = rng.uniform(size=n) < 0.3
+        pts[snap, a] = midpoint_coords(dom.min[a], dom.max[a], depth, rng,
+                                       int(snap.sum()))
+        pts[rng.uniform(size=n) < 0.05, a] = dom.max[a]
+    pts[-20:] = pts[rng.integers(0, n - 20, size=20)]
+    return dom, pts
+
+
+def assert_same_leaf_tables(a, b):
+    ra, rb = occupied_leaves(a), occupied_leaves(b)
+    assert [r.index for r in ra] == [r.index for r in rb]
+    for x, y in zip(ra, rb):
+        assert x.point_count == y.point_count
+        for box in ("split_boundary", "node_boundary"):
+            assert np.array_equal(getattr(x, box).min, getattr(y, box).min)
+            assert np.array_equal(getattr(x, box).max, getattr(y, box).max)
+    assert [leaf.point_ids.tolist() for leaf in a.leaves] == \
+        [leaf.point_ids.tolist() for leaf in b.leaves]
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("d", [2, 3])
+def test_two_partitions_equal_build_two_levels_deeper(d, seed):
+    rng = np.random.default_rng([d, seed])
+    depth = int(rng.integers(0, 5))
+    dom, pts = tricky_cloud(rng, d, depth + 2)
+    grown = build(PointCloud(pts), dom, depth=depth)
+    dynamic_partition(grown)
+    dynamic_partition(grown)
+    assert grown.depth == depth + 2
+    assert_same_leaf_tables(grown, build(PointCloud(pts), dom,
+                                         depth=depth + 2))
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("d", [2, 3])
+def test_push_point_tree_equals_bulk_build(d, seed):
+    rng = np.random.default_rng([d, seed, 1])
+    depth = int(rng.integers(0, 6))
+    dom, pts = tricky_cloud(rng, d, depth)
+    grown = OctoTree(dom, depth=depth)
+    for p in pts:
+        push_point(grown, p)
+    assert_same_leaf_tables(grown, build(PointCloud(pts), dom, depth=depth))
+
+
 def test_partition_respects_depth_cap():
     tree = build(PointCloud(np.array([[0.5, 0.5]])), unit_domain(2),
                  depth=2, depth_cap=2)
