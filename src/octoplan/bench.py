@@ -34,7 +34,7 @@ from .geometry import Aabb
 from .gridmap import rasterize_fixed
 from .mapgen import PerlinParams, derive_seed, gen_perlin_cloud
 from .planner import PlanRequest, jps_plan, plan_with_refinement
-from .tree import McrSpec
+from .tree import McrSpec, compute_depth
 from .tree import build as build_tree
 
 
@@ -164,17 +164,6 @@ class TrialRecord:
         return out
 
 
-def depth_for_cell(longest_edge: float, cell: float, cap: int = 16) -> int:
-    """Smallest depth whose cells along the longest edge are <= cell."""
-    ratio = longest_edge / cell
-    depth = max(0, math.ceil(math.log2(ratio)) if ratio > 1 else 0)
-    while 2.0 ** depth < ratio and depth < cap:
-        depth += 1
-    while depth > 0 and 2.0 ** (depth - 1) >= ratio:
-        depth -= 1
-    return min(depth, cap)
-
-
 def _draw_endpoints(grid, rng, min_dist, attempts):
     free = np.argwhere(~grid.occupancy)
     if len(free) < 2:
@@ -202,7 +191,7 @@ def run_trial_cell(cloud, domain, cell, trial_index, trial_seed, cell_index,
                    config) -> TrialRecord:
     """Bench one (world, nominal cell size) pair."""
     longest = float(domain.edges.max())
-    depth = depth_for_cell(longest, cell)
+    depth = compute_depth(longest, cell)
     eff_cells = domain.edges / 2.0 ** depth
 
     t0 = perf_counter()
@@ -255,7 +244,7 @@ def run_trial_cell(cloud, domain, cell, trial_index, trial_seed, cell_index,
     return record
 
 
-def run_campaign(config: BenchConfig, progress=None) -> tuple[list, dict]:
+def run_campaign(config: BenchConfig) -> tuple[list, dict]:
     """Run every (trial, cell size) pair; returns (records, aggregate)."""
     domain = config.domain
     records = []
@@ -272,8 +261,6 @@ def run_campaign(config: BenchConfig, progress=None) -> tuple[list, dict]:
         for cell_index, cell in enumerate(config.cell_sizes_m):
             records.append(run_trial_cell(
                 cloud, domain, cell, trial, trial_seed, cell_index, config))
-        if progress is not None:
-            progress(trial + 1, config.trials)
     return records, aggregate_records(config, records)
 
 

@@ -99,7 +99,7 @@ def _resolve_depth(args, domain: Aabb) -> int:
         return args.depth
     if args.epsilon_max_m is not None:
         mcr = McrSpec(args.epsilon_max_m, args.range_k)
-        return compute_depth(float(domain.edges.max()), mcr)
+        return compute_depth(float(domain.edges.max()), mcr.k * mcr.edge)
     raise InvalidSpec("provide --depth or --epsilon-max-m")
 
 
@@ -144,7 +144,7 @@ def _cmd_build(args) -> int:
     elapsed = perf_counter() - t0
     print(json.dumps({
         "n_points": len(cloud), "dim": cloud.dim, "depth": depth,
-        "occupied_leaves": len(tree.leaves), "build_seconds": elapsed,
+        "occupied_leaves": len(tree.codes), "build_seconds": elapsed,
     }, sort_keys=True))
     return 0
 

@@ -123,7 +123,8 @@ def downsample_tree(tree: OctoTree, workers: int = 1) -> DownsampleResult:
     if not leaves:
         return DownsampleResult(PointCloud.empty(tree.dim), 1.0, [],
                                 perf_counter() - t_start, 0.0, 0.0)
-    payloads = [(tree.leaf_points(leaf), leaf.split_boundary)
+    points = tree.points_array()
+    payloads = [(points[leaf.point_ids], leaf.split_boundary)
                 for leaf in leaves]
     total = sum(len(p) for p, _ in payloads)
 

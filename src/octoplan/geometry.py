@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, EmptyInput
+from .errors import DegenerateInput, EmptyInput, PointOutOfDomain
 
 # Absolute tolerance (coordinate units) for every hull-side predicate.
 HULL_EPS = 1e-9
@@ -68,6 +68,18 @@ class Aabb:
         """Closed-box membership on every axis."""
         q = np.asarray(p, dtype=float)
         return bool(np.all(q >= self.min) and np.all(q <= self.max))
+
+
+def require_inside(pts: np.ndarray, box: Aabb) -> None:
+    """Raise PointOutOfDomain naming the first row of a nonempty (n, d)
+    array that lies outside the closed box.  The scan goes column by
+    column: reducing a comparison of the whole (n, d) array over axis 1 is
+    an order of magnitude slower."""
+    if any(pts[:, a].min() < box.min[a] or pts[:, a].max() > box.max[a]
+           for a in range(box.dim)):
+        ok = (pts >= box.min).all(axis=1) & (pts <= box.max).all(axis=1)
+        bad = int(np.argmin(ok))
+        raise PointOutOfDomain(pts[bad], box.min, box.max, index=bad)
 
 
 @dataclass(frozen=True)

@@ -4,21 +4,20 @@ Cells are half-open boxes [origin + i*cell, origin + (i+1)*cell) per axis,
 with the map's far faces closed so sources that touch the domain's maximal
 corner stay representable.  A cell is occupied exactly when at least one
 point falls inside it; the adaptive path inherits this from the tree (a cell
-is occupied iff the matching leaf holds a point) and additionally carries
-each occupied cell's tight point bounds as per-cell metadata.
+is occupied iff the matching leaf holds a point).  Per-leaf boxes are read
+from the tree itself, through occupied_leaves.
 """
 from __future__ import annotations
 
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidSpec, PointOutOfDomain
-from .geometry import Aabb, PointCloud
+from .geometry import Aabb, PointCloud, require_inside
 from .tree import OctoTree
 
 # Largest dense grid either rasterizer allocates: 2^28 cells is 256 MiB of
@@ -32,10 +31,6 @@ class UniformGridMap:
     cell_size: np.ndarray
     origin: np.ndarray
     occupancy: np.ndarray
-    # (grid indices, bmin, bmax) rows of the occupied cells of a
-    # tree-derived grid; None for grids rasterized from a bare cloud.
-    leaf_boxes: tuple[np.ndarray, np.ndarray, np.ndarray] | None = \
-        field(default=None, repr=False)
 
     def __post_init__(self):
         self.cell_size = np.asarray(self.cell_size, dtype=float)
@@ -80,16 +75,6 @@ class UniformGridMap:
     def occupied_count(self) -> int:
         return int(self.occupancy.sum())
 
-    @cached_property
-    def leaf_bounds(self) -> dict[tuple[int, ...], Aabb] | None:
-        """Tight point box of each occupied cell, keyed by grid index;
-        built from leaf_boxes on first read."""
-        if self.leaf_boxes is None:
-            return None
-        idx, bmin, bmax = self.leaf_boxes
-        return {tuple(i): Aabb._trusted(lo, hi)
-                for i, lo, hi in zip(idx.tolist(), bmin, bmax)}
-
 
 def _dense_grid(dims: tuple[int, ...]) -> np.ndarray:
     """All-free occupancy array, refused before allocation when it would
@@ -125,10 +110,7 @@ def rasterize_fixed(cloud: PointCloud, domain: Aabb, cell_size) -> UniformGridMa
     if pts.shape[0]:
         if pts.shape[1] != domain.dim:
             raise ValueError(f"cloud dim {pts.shape[1]} != domain dim {domain.dim}")
-        ok = (pts >= domain.min).all(axis=1) & (pts <= domain.max).all(axis=1)
-        if not ok.all():
-            bad = int(np.argmin(ok))
-            raise PointOutOfDomain(pts[bad], domain.min, domain.max, index=bad)
+        require_inside(pts, domain)
         idx = np.floor((pts - domain.min) / cell).astype(np.int64)
         np.minimum(idx, np.asarray(dims) - 1, out=idx)
         occ[tuple(idx.T)] = True
@@ -137,18 +119,12 @@ def rasterize_fixed(cloud: PointCloud, domain: Aabb, cell_size) -> UniformGridMa
 
 def rasterize_adaptive(tree: OctoTree) -> UniformGridMap:
     """Depth-level occupancy of the tree: one cell per leaf slot, occupied
-    iff that leaf holds at least one point.  Occupied cells carry the leaf's
-    tight point box so downstream users can see sub-cell extent."""
+    iff that leaf holds at least one point."""
     dims = (1 << tree.depth,) * tree.dim
     cell = tree.domain.edges / float(1 << tree.depth)
     occ = _dense_grid(dims)
     occ[tuple(tree.index.T)] = True
-    # Copy the tight boxes so later insertions into the tree cannot mutate
-    # boxes already exported with this grid; the tree only ever replaces
-    # its index array.
-    boxes = (tree.index, tree.bmin.copy(), tree.bmax.copy())
-    return UniformGridMap(dims, cell, tree.domain.min.copy(), occ,
-                          leaf_boxes=boxes)
+    return UniformGridMap(dims, cell, tree.domain.min.copy(), occ)
 
 
 def gap_preserved(grid: UniformGridMap, corridor: Aabb) -> bool:

@@ -3,9 +3,11 @@
 The tree is a linear quadtree/octree (Gargantini, CACM 1982): one table of
 occupied leaves sorted by Morton code, with inner nodes implicit as code
 prefixes.  Each leaf row holds its code, a slice of one permutation of the
-point ids (points keep ascending input order within a leaf), and the tight
-bounding box of its points.  Grid indices and split boxes are derived from
-the code on demand.
+point ids (points keep ascending input order within a leaf), the tight
+bounding box of its points, and its grid index and split box.  Every table
+write goes through OctoTree._set_table, which derives the grid indices and
+split boxes from the codes once per table; occupied_leaves is the one
+read-out, as LeafRecord snapshots.
 
 Subdivision always bisects every axis at the box midpoint; membership is
 half-open (a point exactly on a midpoint goes to the upper child), with the
@@ -17,13 +19,12 @@ boxes, so all of them agree bit-for-bit.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DepthCapExceeded, InvalidSpec, PointOutOfDomain
-from .geometry import Aabb, PointCloud, as_point
+from .geometry import Aabb, PointCloud, as_point, require_inside
 
 DEFAULT_DEPTH_CAP = 16
 # Leaf codes are int64 with depth * dim bits in use.
@@ -50,14 +51,15 @@ class McrSpec:
         return 2.0 * self.epsilon_max
 
 
-def compute_depth(domain_edge_length: float, mcr: McrSpec,
+def compute_depth(longest_edge: float, cell_edge: float,
                   cap: int = DEFAULT_DEPTH_CAP) -> int:
-    """Smallest depth whose cells are no coarser than the safety-scaled
-    controllable region: minimal D with 2^D >= L / (k * edge), clamped to
-    [0, cap].  Non-cubic domains should pass their longest edge."""
-    if not (math.isfinite(domain_edge_length) and domain_edge_length > 0):
-        raise ValueError(f"domain edge must be positive, got {domain_edge_length}")
-    ratio = domain_edge_length / (mcr.k * mcr.edge)
+    """Smallest depth whose cells along the longest domain edge are no
+    coarser than cell_edge: minimal D with 2^D >= L / cell_edge, clamped to
+    [0, cap].  For a controllable region the cell edge is mcr.k * mcr.edge."""
+    for name, value in (("domain", longest_edge), ("cell", cell_edge)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} edge must be positive, got {value}")
+    ratio = longest_edge / cell_edge
     if ratio <= 1.0:
         return 0
     depth = max(0, math.ceil(math.log2(ratio)))
@@ -71,89 +73,17 @@ def compute_depth(domain_edge_length: float, mcr: McrSpec,
 
 @dataclass(frozen=True)
 class LeafRecord:
-    """Read-out of one occupied leaf."""
+    """Snapshot of one occupied leaf.  Every array is a copy, so later
+    pushes and partitions never reach a record already read."""
 
     index: tuple[int, ...]
     split_boundary: Aabb
     node_boundary: Aabb
-    point_count: int
-
-
-class Leaf:
-    """Live view of one leaf of a tree, addressed by its Morton code.
-
-    Reads go to the tree's current table, so a view returned by push_point
-    sees later insertions into the same leaf.  Once dynamic_partition has
-    split the leaf, the view reports no points and no tight bounds.
-    """
-
-    __slots__ = ("tree", "code", "depth")
-
-    def __init__(self, tree: "OctoTree", code: int):
-        self.tree = tree
-        self.code = code
-        self.depth = tree.depth
-
-    def _row(self) -> int | None:
-        tree = self.tree
-        if tree.depth != self.depth:
-            return None
-        k = int(np.searchsorted(tree.codes, self.code))
-        if k < len(tree.codes) and tree.codes[k] == self.code:
-            return k
-        return None
-
-    @property
-    def grid_index(self) -> tuple[int, ...]:
-        idx = morton_decode(np.array([self.code]), self.depth, self.tree.dim)
-        return tuple(int(v) for v in idx[0])
-
-    @property
-    def split_boundary(self) -> Aabb:
-        lo, hi = _split_boxes(self.tree.domain, np.array([self.code]),
-                              self.depth)
-        return Aabb._trusted(lo[0], hi[0])
-
-    @property
-    def split_min(self) -> np.ndarray:
-        return self.split_boundary.min
-
-    @property
-    def split_max(self) -> np.ndarray:
-        return self.split_boundary.max
-
-    @property
-    def node_boundary(self) -> Aabb | None:
-        k = self._row()
-        if k is None:
-            return None
-        return Aabb._trusted(self.tree.bmin[k].copy(),
-                             self.tree.bmax[k].copy())
-
-    @property
-    def point_ids(self) -> np.ndarray:
-        k = self._row()
-        if k is None:
-            return np.empty(0, dtype=np.int64)
-        offsets = self.tree.offsets
-        return self.tree.order[offsets[k]:offsets[k + 1]]
+    point_ids: np.ndarray
 
     @property
     def point_count(self) -> int:
         return len(self.point_ids)
-
-
-class _LeafSequence(Sequence):
-    """The tree's occupied leaves in Morton order, as views made on access."""
-
-    def __init__(self, tree: "OctoTree"):
-        self._tree = tree
-
-    def __len__(self) -> int:
-        return len(self._tree.codes)
-
-    def __getitem__(self, i: int) -> Leaf:
-        return self._tree.leaf(int(self._tree.codes[i]))
 
 
 class OctoTree:
@@ -202,7 +132,6 @@ class OctoTree:
         self.index = morton_decode(self.codes, self.depth, self.dim)
         self.split_lo, self.split_hi = _split_boxes(self.domain, self.codes,
                                                     self.depth)
-        self._views: dict[int, Leaf] = {}
 
     # ------------------------------------------------------------ points
 
@@ -214,9 +143,6 @@ class OctoTree:
         """All inserted points, insertion order, as one (n, d) view."""
         return self._store[:self._n]
 
-    def leaf_points(self, leaf: Leaf) -> np.ndarray:
-        return self.points_array()[leaf.point_ids]
-
     def _append_point(self, q: np.ndarray) -> int:
         if self._n == self._store.shape[0]:
             cap = max(16, 2 * self._store.shape[0])
@@ -227,20 +153,10 @@ class OctoTree:
         self._n += 1
         return self._n - 1
 
-    # ------------------------------------------------------------ leaves
-
     @property
-    def leaves(self) -> Sequence:
-        """Occupied leaves in Morton order."""
-        return _LeafSequence(self)
-
-    def leaf(self, code: int) -> Leaf:
-        """The view of the leaf with this code at the current depth; the
-        same object for the same leaf until the next partition."""
-        view = self._views.get(code)
-        if view is None:
-            view = self._views[code] = Leaf(self, code)
-        return view
+    def leaves(self) -> list[LeafRecord]:
+        """Occupied leaves in Morton order, as occupied_leaves records."""
+        return occupied_leaves(self)
 
 
 def _descend_codes(pts: np.ndarray, domain: Aabb, depth: int) -> np.ndarray:
@@ -297,12 +213,7 @@ def build(cloud: PointCloud, domain: Aabb, depth: int,
         return tree
     if pts.shape[1] != tree.dim:
         raise ValueError(f"cloud dim {pts.shape[1]} != domain dim {tree.dim}")
-    # Column by column: a reduction over axis 0 of an (n, 3) array is slow.
-    if any(pts[:, a].min() < domain.min[a] or pts[:, a].max() > domain.max[a]
-           for a in range(tree.dim)):
-        ok = (pts >= domain.min).all(axis=1) & (pts <= domain.max).all(axis=1)
-        bad = int(np.argmin(ok))
-        raise PointOutOfDomain(pts[bad], domain.min, domain.max, index=bad)
+    require_inside(pts, domain)
     tree._store = pts.copy()
     tree._n = n
     codes = _descend_codes(pts, domain, depth)
@@ -311,8 +222,9 @@ def build(cloud: PointCloud, domain: Aabb, depth: int,
     return tree
 
 
-def push_point(tree: OctoTree, p) -> Leaf:
-    """Insert one point into the leaf table; returns the leaf it entered."""
+def push_point(tree: OctoTree, p) -> LeafRecord:
+    """Insert one point into the leaf table; returns the record of the leaf
+    it entered."""
     q = as_point(p)
     if q.shape[0] != tree.dim:
         raise ValueError(f"point dim {q.shape[0]} != tree dim {tree.dim}")
@@ -320,27 +232,14 @@ def push_point(tree: OctoTree, p) -> Leaf:
         raise PointOutOfDomain(q, tree.domain.min, tree.domain.max)
     code = int(_descend_codes(q[None, :], tree.domain, tree.depth)[0])
     pid = tree._append_point(q)
-    k = int(np.searchsorted(tree.codes, code))
-    offsets = tree.offsets
-    if k < len(tree.codes) and tree.codes[k] == code:
-        # Ids grow with insertion, so appending keeps the leaf ascending.
-        tree.order = np.insert(tree.order, offsets[k + 1], pid)
-        tree.offsets = np.r_[offsets[:k + 1], offsets[k + 1:] + 1]
-        np.minimum(tree.bmin[k], q, out=tree.bmin[k])
-        np.maximum(tree.bmax[k], q, out=tree.bmax[k])
-    else:
-        new = np.array([code])
-        lo, hi = _split_boxes(tree.domain, new, tree.depth)
-        tree.codes = np.insert(tree.codes, k, code)
-        tree.order = np.insert(tree.order, offsets[k], pid)
-        tree.offsets = np.r_[offsets[:k + 1], offsets[k:] + 1]
-        tree.bmin = np.insert(tree.bmin, k, q, axis=0)
-        tree.bmax = np.insert(tree.bmax, k, q, axis=0)
-        tree.index = np.insert(tree.index, k, morton_decode(
-            new, tree.depth, tree.dim), axis=0)
-        tree.split_lo = np.insert(tree.split_lo, k, lo, axis=0)
-        tree.split_hi = np.insert(tree.split_hi, k, hi, axis=0)
-    return tree.leaf(code)
+    # Ids grow with insertion, so the slot after the leaf's last point
+    # keeps its ids ascending.
+    point_codes = np.repeat(tree.codes, np.diff(tree.offsets))
+    slot = int(np.searchsorted(point_codes, code, side="right"))
+    order = np.insert(tree.order, slot, pid)
+    tree._set_table(np.insert(point_codes, slot, code), order,
+                    tree.points_array()[order])
+    return _leaf_record(tree, int(np.searchsorted(tree.codes, code)))
 
 
 def dynamic_partition(tree: OctoTree) -> OctoTree:
@@ -369,23 +268,25 @@ def dynamic_partition(tree: OctoTree) -> OctoTree:
     return tree
 
 
+def _leaf_record(tree: OctoTree, k: int) -> LeafRecord:
+    lo, hi = tree.offsets[k], tree.offsets[k + 1]
+    return LeafRecord(
+        index=tuple(tree.index[k].tolist()),
+        split_boundary=Aabb._trusted(tree.split_lo[k].copy(),
+                                     tree.split_hi[k].copy()),
+        node_boundary=Aabb._trusted(tree.bmin[k].copy(), tree.bmax[k].copy()),
+        point_ids=tree.order[lo:hi].copy())
+
+
 def occupied_leaves(tree: OctoTree) -> list[LeafRecord]:
     """Records for every occupied leaf, ordered by Morton code of the leaf's
     grid index (axis 0 in the least significant interleave slot)."""
-    # push_point updates tight bounds in place, so records get copies.
-    bmin, bmax = tree.bmin.copy(), tree.bmax.copy()
-    counts = np.diff(tree.offsets).tolist()
-    return [LeafRecord(index=tuple(i),
-                       split_boundary=Aabb._trusted(tree.split_lo[k],
-                                                    tree.split_hi[k]),
-                       node_boundary=Aabb._trusted(bmin[k], bmax[k]),
-                       point_count=counts[k])
-            for k, i in enumerate(tree.index.tolist())]
+    return [_leaf_record(tree, k) for k in range(len(tree.codes))]
 
 
-def occupied_leaf_nodes(tree: OctoTree) -> list[Leaf]:
-    """Occupied leaves themselves, in the same Morton order as the records."""
-    return list(tree.leaves)
+# downsample_tree reads its leaves under this name, which traces of a
+# downsample run report as a layer of its own.
+occupied_leaf_nodes = occupied_leaves
 
 
 def morton_key(index: tuple[int, ...], depth: int) -> int:

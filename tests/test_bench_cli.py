@@ -1,23 +1,22 @@
 """Campaign bookkeeping and command-line behavior tests."""
 import csv
-import importlib.util
 import json
 import math
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from octoplan.bench import (CSV_COLUMNS, TIMING_COLUMNS, BenchConfig,
-                            TrialRecord, aggregate_to_json, depth_for_cell,
-                            records_to_csv, run_campaign)
+                            TrialRecord, aggregate_to_json, records_to_csv,
+                            run_campaign)
 from octoplan.cli import main
 from octoplan.cloudio import write_binary, write_xyz
 from octoplan.errors import InvalidSpec
 from octoplan.geometry import PointCloud
 from octoplan.gridmap import grid_from_json
+from octoplan.tree import compute_depth
 
 
 def strip_timing(csv_text):
@@ -73,13 +72,13 @@ def test_config_validation():
 # ----------------------------------------------------------- trial records
 
 
-def test_depth_for_cell_examples():
-    assert depth_for_cell(200.0, 2.6) == 7
-    assert depth_for_cell(200.0, 3.0) == 7
-    assert depth_for_cell(200.0, 3.4) == 6
-    assert depth_for_cell(16.0, 2.0) == 3
-    assert depth_for_cell(10.0, 20.0) == 0
-    assert depth_for_cell(1e9, 0.5, cap=10) == 10
+def test_compute_depth_campaign_cell_examples():
+    assert compute_depth(200.0, 2.6) == 7
+    assert compute_depth(200.0, 3.0) == 7
+    assert compute_depth(200.0, 3.4) == 6
+    assert compute_depth(16.0, 2.0) == 3
+    assert compute_depth(10.0, 20.0) == 0
+    assert compute_depth(1e9, 0.5, cap=10) == 10
 
 
 def test_record_row_formatting():
@@ -453,22 +452,3 @@ def test_cli_runs_as_subprocess(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert json.loads(proc.stderr)["error"] == "cloudparseerror"
-
-
-def test_run_bench_script_prints_na_without_joint_success(tmp_path, capsys):
-    # With one trial and this seed no cell has a trial both planners
-    # solve, so the aggregate carries no length figure.
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_bench.py"
-    spec = importlib.util.spec_from_file_location("run_bench", script)
-    run_bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run_bench)
-    cfg = tmp_path / "bench.cfg"
-    cfg.write_text("trials = 1\ncampaign_seed = 2\n")
-    code = run_bench.main(["--config", str(cfg),
-                           "--out-dir", str(tmp_path / "out")])
-    out = capsys.readouterr().out
-    assert code == 0
-    cells = [line for line in out.splitlines() if "joint    0" in line]
-    assert len(cells) == 3
-    assert all(line.endswith("length improvement n/a") for line in cells)
-    assert (tmp_path / "out" / "aggregate.json").exists()

@@ -11,7 +11,7 @@ from octoplan.gridmap import (UniformGridMap, gap_preserved, grid_from_json,
                               grid_to_json, grid_to_pgm, pgm_from_text,
                               rasterize_adaptive, rasterize_fixed, rle_decode,
                               rle_encode)
-from octoplan.tree import build, push_point
+from octoplan.tree import build, occupied_leaves
 
 
 def domain2(w=10.0, h=5.0):
@@ -107,7 +107,9 @@ def test_adaptive_single_point():
     assert np.allclose(grid.cell_size, 1.0)
     assert grid.occupied_count == 1
     assert grid.is_occupied((0, 0))
-    box = grid.leaf_bounds[(0, 0)]
+    [rec] = occupied_leaves(tree)
+    assert rec.index == (0, 0)
+    box = rec.node_boundary
     assert np.allclose(box.min, [0.5, 0.5]) and np.allclose(box.max, [0.5, 0.5])
 
 
@@ -116,7 +118,7 @@ def test_adaptive_empty_tree_all_free():
     tree = build(PointCloud(np.empty((0, 2))), dom, depth=3)
     grid = rasterize_adaptive(tree)
     assert grid.occupied_count == 0
-    assert grid.leaf_bounds == {}
+    assert occupied_leaves(tree) == []
 
 
 def test_adaptive_matches_floor_arithmetic_oracle():
@@ -128,16 +130,7 @@ def test_adaptive_matches_floor_arithmetic_oracle():
     expected = set(map(tuple, np.floor(pts).astype(int)))
     actual = set(zip(*np.nonzero(grid.occupancy)))
     assert actual == expected
-    assert set(grid.leaf_bounds) == expected
-
-
-def test_adaptive_bounds_are_snapshots():
-    dom = Aabb(np.zeros(2), np.full(2, 8.0))
-    tree = build(PointCloud(np.array([[0.25, 0.25]])), dom, depth=3)
-    grid = rasterize_adaptive(tree)
-    before = grid.leaf_bounds[(0, 0)].max.copy()
-    push_point(tree, (0.75, 0.75))
-    assert np.array_equal(grid.leaf_bounds[(0, 0)].max, before)
+    assert {rec.index for rec in occupied_leaves(tree)} == expected
 
 
 def test_rasterizers_refuse_grid_over_cell_budget():

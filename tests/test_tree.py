@@ -18,28 +18,34 @@ def unit_domain(d, edge=1.0):
 # ------------------------------------------------------------ compute_depth
 
 
+def mcr_cell(epsilon_max, k=2.0):
+    """Cell edge of a controllable region, as the CLI passes it."""
+    mcr = McrSpec(epsilon_max=epsilon_max, k=k)
+    return mcr.k * mcr.edge
+
+
 def test_compute_depth_power_of_two():
-    assert compute_depth(16.0, McrSpec(epsilon_max=0.5, k=2.0)) == 3
+    assert compute_depth(16.0, mcr_cell(0.5)) == 3
 
 
 def test_compute_depth_formula_arithmetic():
     # 200 / (2 * 1.5) = 66.67, so the ceiling of its log2 is 7.
-    assert compute_depth(200.0, McrSpec(epsilon_max=0.75, k=2.0)) == 7
+    assert compute_depth(200.0, mcr_cell(0.75)) == 7
 
 
 def test_compute_depth_clamps_to_zero():
-    assert compute_depth(8.0, McrSpec(epsilon_max=2.0, k=2.0)) == 0
+    assert compute_depth(8.0, mcr_cell(2.0)) == 0
 
 
 def test_compute_depth_clamps_to_cap():
-    assert compute_depth(1e9, McrSpec(epsilon_max=0.5, k=2.0)) == 16
-    assert compute_depth(1e9, McrSpec(epsilon_max=0.5, k=2.0), cap=4) == 4
+    assert compute_depth(1e9, mcr_cell(0.5)) == 16
+    assert compute_depth(1e9, mcr_cell(0.5), cap=4) == 4
 
 
 def test_compute_depth_exact_powers_have_no_rounding_slack():
     # With k * edge = 2, a domain of 2^n meters needs exactly n - 1 levels.
     for n in range(1, 12):
-        assert compute_depth(2.0 ** n, McrSpec(epsilon_max=0.5, k=2.0)) == n - 1
+        assert compute_depth(2.0 ** n, mcr_cell(0.5)) == n - 1
 
 
 def test_mcr_spec_validation():
@@ -81,9 +87,9 @@ def test_build_membership_scan():
     tree = build(PointCloud(pts), dom, depth=5)
     total = 0
     for leaf in tree.leaves:
-        grp = tree.leaf_points(leaf)
+        grp = tree.points_array()[leaf.point_ids]
         total += len(grp)
-        lo, hi = leaf.split_min, leaf.split_max
+        lo, hi = leaf.split_boundary.min, leaf.split_boundary.max
         assert np.all(grp >= lo)
         for a in range(2):
             closed = hi[a] == dom.max[a]
@@ -139,22 +145,22 @@ def test_build_matches_push_point_sequence():
 def test_midpoint_tie_goes_to_upper_orthant():
     tree = OctoTree(unit_domain(2, 2.0), depth=1)
     leaf = push_point(tree, [1.0, 1.0])
-    assert leaf.grid_index == (1, 1)
+    assert leaf.index == (1, 1)
 
 
 def test_identical_points_share_leaf():
     tree = OctoTree(unit_domain(2), depth=4)
     a = push_point(tree, [0.3, 0.3])
     b = push_point(tree, [0.3, 0.3])
-    assert a is b
-    assert a.point_count == 2
+    assert a.index == b.index
+    assert b.point_count == 2
 
 
 def test_domain_max_corner_lands_in_maximal_orthant():
     depth = 3
     tree = OctoTree(unit_domain(2, 8.0), depth=depth)
     leaf = push_point(tree, [8.0, 8.0])
-    assert leaf.grid_index == (2 ** depth - 1, 2 ** depth - 1)
+    assert leaf.index == (2 ** depth - 1, 2 ** depth - 1)
 
 
 def test_push_point_index_arithmetic_oracle():
@@ -173,7 +179,7 @@ def test_push_point_index_arithmetic_oracle():
                 idx = idx * 2 + bit
                 lo, hi = (mid, hi) if bit else (lo, mid)
             expect.append(idx)
-        assert leaf.grid_index == tuple(expect)
+        assert leaf.index == tuple(expect)
 
 
 def test_push_point_out_of_domain():
@@ -344,6 +350,56 @@ def test_occupied_leaves_morton_order():
     keys = [morton_key(r.index, tree.depth) for r in occupied_leaves(tree)]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+
+
+def assert_same_record(x, y):
+    assert x.index == y.index
+    assert x.point_ids.tolist() == y.point_ids.tolist()
+    assert x.point_count == y.point_count
+    for box in ("split_boundary", "node_boundary"):
+        assert np.array_equal(getattr(x, box).min, getattr(y, box).min)
+        assert np.array_equal(getattr(x, box).max, getattr(y, box).max)
+
+
+def test_records_are_snapshots_across_push_and_partition():
+    dom = unit_domain(2, 8.0)
+    tree = build(PointCloud(np.array([[0.25, 0.25], [0.5, 0.5]])), dom,
+                 depth=3)
+    before = occupied_leaves(tree)
+    kept = [(r.index, r.point_ids.copy(), r.split_boundary.min.copy(),
+             r.split_boundary.max.copy(), r.node_boundary.min.copy(),
+             r.node_boundary.max.copy()) for r in before]
+    # Grows the read leaf's tight box and point ids, then splits it.
+    push_point(tree, (0.75, 0.75))
+    dynamic_partition(tree)
+    assert len(occupied_leaves(tree)) == 2
+    for rec, (index, ids, slo, shi, nlo, nhi) in zip(before, kept):
+        assert rec.index == index
+        assert np.array_equal(rec.point_ids, ids)
+        assert np.array_equal(rec.split_boundary.min, slo)
+        assert np.array_equal(rec.split_boundary.max, shi)
+        assert np.array_equal(rec.node_boundary.min, nlo)
+        assert np.array_equal(rec.node_boundary.max, nhi)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_push_point_returns_matching_occupied_leaves_entry(d):
+    rng = np.random.default_rng([d, 17])
+    dom, pts = tricky_cloud(rng, d, depth=3, n=120)
+    tree = OctoTree(dom, depth=3)
+    for p in pts:
+        rec = push_point(tree, p)
+        match = [r for r in occupied_leaves(tree) if r.index == rec.index]
+        assert len(match) == 1
+        assert_same_record(rec, match[0])
+        assert rec.point_ids[-1] == tree.point_count - 1
+
+
+def test_package_exports_resolve():
+    import octoplan
+    missing = [name for name in octoplan.__all__
+               if not hasattr(octoplan, name)]
+    assert missing == []
 
 
 def test_morton_key_interleave():
