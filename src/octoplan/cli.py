@@ -265,6 +265,9 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.workers > 1:
+        raise InvalidSpec(
+            f"bench runs its worlds serially; --workers must be 1, got {args.workers}")
     if args.write_default_config:
         sys.stdout.write(bench_mod.BenchConfig().to_text())
         return 0
@@ -405,6 +408,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     os.makedirs(args.out_dir, exist_ok=True)
     try:
+        if args.workers < 1:
+            raise InvalidSpec(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except OctoplanError as exc:
         for klass, code in _EXIT_CODES:

@@ -63,9 +63,11 @@ class StartOrGoalOccupied(PlanningError):
 
     code = "start_or_goal_occupied"
 
-    def __init__(self, message, grid=None, rounds_attempted=0):
+    def __init__(self, message, grid=None, rounds_attempted=0,
+                 plan_seconds=0.0):
         self.grid = grid
         self.rounds_attempted = rounds_attempted
+        self.plan_seconds = plan_seconds
         super().__init__(message)
 
 
@@ -74,7 +76,9 @@ class NoPathAtMaxDepth(PlanningError):
 
     code = "no_path_at_max_depth"
 
-    def __init__(self, message, grid=None, rounds_attempted=0):
+    def __init__(self, message, grid=None, rounds_attempted=0,
+                 plan_seconds=0.0):
         self.grid = grid
         self.rounds_attempted = rounds_attempted
+        self.plan_seconds = plan_seconds
         super().__init__(message)

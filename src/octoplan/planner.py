@@ -9,6 +9,14 @@ runs are fully deterministic.
 jps_plan prunes the search to jump points; dijkstra_plan expands everything
 and exists to cross-check optimality, so it deliberately shares no pruning
 code with the JPS path.
+
+Before searching, jps_plan labels the 4-connected free components of the
+grid and returns None at once when start and goal lie in different ones.
+The check is exact: a diagonal step is legal only when both flanking
+cardinal cells are free, so it can be replaced by two cardinal steps
+through either of them, and 8-connected reachability under this motion
+model equals 4-connected reachability.  An impossible query then costs one
+labelling pass instead of an exhaustive search.
 """
 from __future__ import annotations
 
@@ -82,6 +90,44 @@ def _expand_segment(a, b):
     return out
 
 
+def free_components(occupancy) -> np.ndarray:
+    """Label the 4-connected free components of a 2-D occupancy grid.
+
+    Returns an int64 array shaped like the grid: -1 on occupied cells, and
+    on free cells the id of the cell's component (the smallest run id in
+    it).  The free runs along axis 1 are the nodes of a union-find; a run
+    is joined with every run of the next row along axis 0 that it touches.
+    """
+    free = ~np.asarray(occupancy, dtype=bool)
+    starts = free.copy()
+    starts[:, 1:] &= ~free[:, :-1]
+    run = np.cumsum(starts, axis=None).reshape(free.shape) - 1
+    # Two runs in adjacent rows overlap in one interval, so the first cell
+    # of each overlap gives every touching pair exactly once.
+    touch = free[:-1] & free[1:]
+    first = touch.copy()
+    first[:, 1:] &= ~touch[:, :-1]
+    parent = list(range(int(starts.sum())))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for a, b in zip(run[:-1][first].tolist(), run[1:][first].tolist()):
+        ra, rb = find(a), find(b)
+        if ra < rb:
+            parent[rb] = ra
+        elif rb < ra:
+            parent[ra] = rb
+    # Roots are the smallest run of their set, so parent[x] <= x and one
+    # ascending pass points every run at its root.
+    for x in range(len(parent)):
+        parent[x] = parent[parent[x]]
+    roots = np.asarray(parent, dtype=np.int64)
+    return np.where(free, roots[run] if len(parent) else run, -1)
+
+
 def jps_plan(grid: UniformGridMap, req: PlanRequest) -> GridPath | None:
     """Optimal path via jump point search, or None when disconnected."""
     _check_request(grid, req)
@@ -89,116 +135,140 @@ def jps_plan(grid: UniformGridMap, req: PlanRequest) -> GridPath | None:
     goal = (int(req.goal[0]), int(req.goal[1]))
     if start == goal:
         return GridPath((start,), 0.0)
+    labels = free_components(grid.occupancy)
+    if labels[start] != labels[goal]:
+        return None
 
-    occ = grid.occupancy
     w, h = grid.dims
     depth_bits = max(w - 1, h - 1).bit_length()
+    # Cell (i, j) is fr[(i + 1) * S + j + 1] in a row-major copy padded with
+    # a blocked border, so every neighbour of a grid cell is a valid index
+    # and a step along (di, dj) adds di * S + dj.
+    S = h + 2
+    fr = np.pad(~grid.occupancy, 1).astype(np.uint8).tobytes()
 
-    def free(i, j):
-        return 0 <= i < w and 0 <= j < h and not occ[i, j]
+    def flat(cell):
+        return (cell[0] + 1) * S + cell[1] + 1
 
-    def step_ok(i, j, di, dj):
-        if not free(i + di, j + dj):
+    def cell_of(p):
+        i, j = divmod(p, S)
+        return (i - 1, j - 1)
+
+    goal_p = flat(goal)
+
+    def step_ok(p, a, b):
+        if not fr[p + a + b]:
             return False
-        if di and dj:
-            return free(i + di, j) and free(i, j + dj)
+        if a and b:
+            return fr[p + a] and fr[p + b]
         return True
 
-    def jump(i, j, di, dj):
-        """Next jump point from (i, j) along (di, dj), or None."""
+    def straight(p, d, side):
+        """Next jump point from p along the cardinal step d, or None; side
+        is the flat step perpendicular to d."""
         while True:
-            if not step_ok(i, j, di, dj):
+            p += d
+            if not fr[p]:
                 return None
-            i, j = i + di, j + dj
-            if (i, j) == goal:
-                return (i, j)
-            if di and dj:
-                if jump(i, j, di, 0) is not None or jump(i, j, 0, dj) is not None:
-                    return (i, j)
-            elif di:
-                # Obstacle diagonally behind with an open cell beside it means
-                # the vertical detour has to pass through this cell.
-                if (free(i, j + 1) and not free(i - di, j + 1)) or \
-                   (free(i, j - 1) and not free(i - di, j - 1)):
-                    return (i, j)
-            else:
-                if (free(i + 1, j) and not free(i + 1, j - dj)) or \
-                   (free(i - 1, j) and not free(i - 1, j - dj)):
-                    return (i, j)
+            if p == goal_p:
+                return p
+            # Obstacle diagonally behind with an open cell beside it means
+            # the perpendicular detour has to pass through this cell.
+            if (fr[p + side] and not fr[p + side - d]) or \
+               (fr[p - side] and not fr[p - side - d]):
+                return p
 
-    def directions(node, parent):
-        if parent is None:
+    def jump(p, a, b):
+        """Next jump point from p along (a, b) = (di * S, dj), or None."""
+        if not a:
+            return straight(p, b, S)
+        if not b:
+            return straight(p, a, 1)
+        d = a + b
+        while True:
+            if not (fr[p + d] and fr[p + a] and fr[p + b]):
+                return None
+            p += d
+            if p == goal_p:
+                return p
+            if straight(p, a, 1) is not None or straight(p, b, S) is not None:
+                return p
+
+    def directions(p, parent_p):
+        if parent_p is None:
             dirs = []
             for di in (-1, 0, 1):
                 for dj in (-1, 0, 1):
-                    if (di or dj) and step_ok(node[0], node[1], di, dj):
-                        dirs.append((di, dj))
+                    if (di or dj) and step_ok(p, di * S, dj):
+                        dirs.append((di * S, dj))
             return dirs
-        i, j = node
-        di = (i > parent[0]) - (i < parent[0])
-        dj = (j > parent[1]) - (j < parent[1])
+        i, j = cell_of(p)
+        pi, pj = cell_of(parent_p)
+        a = ((i > pi) - (i < pi)) * S
+        b = (j > pj) - (j < pj)
         dirs = []
-        if di and dj:
-            if step_ok(i, j, di, 0):
-                dirs.append((di, 0))
-            if step_ok(i, j, 0, dj):
-                dirs.append((0, dj))
-            if step_ok(i, j, di, dj):
-                dirs.append((di, dj))
-        elif di:
-            if step_ok(i, j, di, 0):
-                dirs.append((di, 0))
-            for dj2 in (-1, 1):
-                if free(i, j + dj2) and not free(i - di, j + dj2):
-                    dirs.append((0, dj2))
-                    if step_ok(i, j, di, dj2):
-                        dirs.append((di, dj2))
+        if a and b:
+            if step_ok(p, a, 0):
+                dirs.append((a, 0))
+            if step_ok(p, 0, b):
+                dirs.append((0, b))
+            if step_ok(p, a, b):
+                dirs.append((a, b))
+        elif a:
+            if step_ok(p, a, 0):
+                dirs.append((a, 0))
+            for b2 in (-1, 1):
+                if fr[p + b2] and not fr[p - a + b2]:
+                    dirs.append((0, b2))
+                    if step_ok(p, a, b2):
+                        dirs.append((a, b2))
         else:
-            if step_ok(i, j, 0, dj):
-                dirs.append((0, dj))
-            for di2 in (-1, 1):
-                if free(i + di2, j) and not free(i + di2, j - dj):
-                    dirs.append((di2, 0))
-                    if step_ok(i, j, di2, dj):
-                        dirs.append((di2, dj))
+            if step_ok(p, 0, b):
+                dirs.append((0, b))
+            for a2 in (-S, S):
+                if fr[p + a2] and not fr[p + a2 - b]:
+                    dirs.append((a2, 0))
+                    if step_ok(p, a2, b):
+                        dirs.append((a2, b))
         return dirs
 
-    def morton(cell):
-        return morton_key(cell, depth_bits)
-
-    g = {start: 0.0}
-    parent = {start: None}
-    open_heap = [(_octile(start, goal), 0.0, morton(start), start)]
+    start_p = flat(start)
+    g = {start_p: 0.0}
+    parent = {start_p: None}
+    open_heap = [(_octile(start, goal), 0.0,
+                  morton_key(start, depth_bits), start_p)]
     closed = set()
     while open_heap:
-        f, neg_g, _, node = heapq.heappop(open_heap)
-        if node in closed:
+        f, neg_g, _, p = heapq.heappop(open_heap)
+        if p in closed:
             continue
-        closed.add(node)
-        if node == goal:
+        closed.add(p)
+        if p == goal_p:
             break
-        for d in directions(node, parent[node]):
-            jp = jump(node[0], node[1], d[0], d[1])
+        for a, b in directions(p, parent[p]):
+            jp = jump(p, a, b)
             if jp is None:
                 continue
-            seg = max(abs(jp[0] - node[0]), abs(jp[1] - node[1]))
-            cost = g[node] + (SQRT2 * seg if d[0] and d[1] else float(seg))
+            seg = (jp - p) // (a + b)
+            cost = g[p] + (SQRT2 * seg if a and b else float(seg))
             if jp not in g or cost < g[jp] - 1e-12:
                 g[jp] = cost
-                parent[jp] = node
+                parent[jp] = p
+                cell = cell_of(jp)
                 heapq.heappush(open_heap,
-                               (cost + _octile(jp, goal), -cost, morton(jp), jp))
-    if goal not in closed:
+                               (cost + _octile(cell, goal), -cost,
+                                morton_key(cell, depth_bits), jp))
+    if goal_p not in closed:
         return None
 
-    waypoints = [goal]
+    waypoints = [goal_p]
     while parent[waypoints[-1]] is not None:
         waypoints.append(parent[waypoints[-1]])
-    waypoints.reverse()
+    waypoints = [cell_of(p) for p in reversed(waypoints)]
     cells = [start]
     for a, b in zip(waypoints, waypoints[1:]):
         cells.extend(_expand_segment(a, b))
-    return GridPath(tuple(cells), g[goal])
+    return GridPath(tuple(cells), g[goal_p])
 
 
 def dijkstra_plan(grid: UniformGridMap, req: PlanRequest) -> GridPath | None:
@@ -293,7 +363,9 @@ def plan_with_refinement(tree: OctoTree, start_point, goal_point,
 
     Raises StartOrGoalOccupied when every attempted depth left an endpoint
     in an occupied cell, NoPathAtMaxDepth when all attempts failed for lack
-    of a route.
+    of a route.  Both carry plan_seconds, the search time summed over the
+    attempted depths exactly as RefinementResult.plan_seconds is; rasterize
+    and partition time is left out of it either way.
     """
     start_point = np.asarray(start_point, dtype=float)
     goal_point = np.asarray(goal_point, dtype=float)
@@ -325,10 +397,10 @@ def plan_with_refinement(tree: OctoTree, start_point, goal_point,
     if endpoint_free_somewhere:
         raise NoPathAtMaxDepth(
             f"no route after {rounds} refinement rounds",
-            grid=last_grid, rounds_attempted=rounds)
+            grid=last_grid, rounds_attempted=rounds, plan_seconds=elapsed)
     raise StartOrGoalOccupied(
         "start or goal cell stayed occupied at every attempted depth",
-        grid=last_grid, rounds_attempted=rounds)
+        grid=last_grid, rounds_attempted=rounds, plan_seconds=elapsed)
 
 
 def path_to_json(path: GridPath, grid: UniformGridMap) -> str:

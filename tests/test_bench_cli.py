@@ -4,16 +4,18 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
+import octoplan.bench as bench_mod
 from octoplan.bench import (CSV_COLUMNS, TIMING_COLUMNS, BenchConfig,
                             TrialRecord, aggregate_to_json, records_to_csv,
                             run_campaign)
 from octoplan.cli import main
 from octoplan.cloudio import write_binary, write_xyz
-from octoplan.errors import InvalidSpec
+from octoplan.errors import InvalidSpec, NoPathAtMaxDepth
 from octoplan.geometry import PointCloud
 from octoplan.gridmap import grid_from_json
 from octoplan.tree import compute_depth
@@ -117,6 +119,23 @@ def test_empty_world_trial_succeeds_both_ways():
     entry = aggregate["per_cell"]["2.0"]
     assert entry["joint_successes"] == 1
     assert entry["length_improvement_pct"] == 0.0
+
+
+def test_failed_adaptive_trial_records_search_time(monkeypatch):
+    # A failure reports its summed search time; the row must carry that,
+    # not the wall time of the whole refinement loop.
+    def failing_plan(tree, start, goal, max_rounds):
+        time.sleep(0.05)
+        raise NoPathAtMaxDepth("no route", rounds_attempted=2,
+                               plan_seconds=0.125)
+
+    monkeypatch.setattr(bench_mod, "plan_with_refinement", failing_plan)
+    config = small_config(domain_x_m=20.0, domain_y_m=15.0,
+                          cell_sizes_m=(2.0,), trials=1, noise_threshold=1.5)
+    records, _ = run_campaign(config)
+    assert not records[0].adaptive_success
+    assert records[0].adaptive_rounds == 2
+    assert records[0].adaptive_plan_seconds == 0.125
 
 
 def test_campaign_rerun_is_deterministic():
@@ -384,6 +403,30 @@ def test_cli_negative_depth_exits_2(tmp_path, capsys):
         "build", "--perlin", "--domain", "0,0:8,8", "--depth", "-1")
     assert code == 2
     assert one_error_line(err)["error"] == "invalidspec"
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_cli_workers_below_one_exits_2(tmp_path, capsys, workers):
+    code, out, err = run_cli(
+        capsys, "--workers", workers, "--out-dir", str(tmp_path),
+        "build", "--perlin", "--domain", "0,0:8,8", "--depth", "2")
+    assert code == 2
+    assert out == ""
+    payload = one_error_line(err)
+    assert payload["error"] == "invalidspec"
+    assert "--workers" in payload["message"]
+
+
+def test_cli_bench_workers_above_one_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "--workers", "2", "--out-dir", str(tmp_path),
+        "bench", "--trials", "1")
+    assert code == 2
+    assert out == ""
+    payload = one_error_line(err)
+    assert payload["error"] == "invalidspec"
+    assert "--workers" in payload["message"]
+    assert not (tmp_path / "records.csv").exists()
 
 
 def test_cli_unknown_cloud_extension_exits_2(tmp_path, capsys):

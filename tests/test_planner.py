@@ -1,18 +1,21 @@
 """Planner tests: JPS vs Dijkstra, legality checks, refinement rounds."""
 import json
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from octoplan.errors import (InvalidRequest, NoPathAtMaxDepth,
                              PointOutOfDomain, StartOrGoalOccupied)
 from octoplan.geometry import Aabb, PointCloud
 from octoplan.gridmap import UniformGridMap
-from octoplan.planner import (GridPath, PlanRequest, dijkstra_plan, jps_plan,
-                              path_to_json, plan_with_refinement,
-                              validate_path)
-from octoplan.tree import build
+import octoplan.planner as planner_mod
+from octoplan.planner import (GridPath, PlanRequest, dijkstra_plan,
+                              free_components, jps_plan, path_to_json,
+                              plan_with_refinement, validate_path)
+from octoplan.tree import build, dynamic_partition as real_partition
 
 SQRT2 = math.sqrt(2.0)
 
@@ -94,11 +97,13 @@ def test_planner_is_deterministic():
 
 
 def test_jps_matches_dijkstra_on_random_maps():
+    # Non-square shapes catch a flat lookup that swaps the two axes.
     rng = np.random.default_rng(123)
     solved = 0
-    for _ in range(120):
+    shapes = [(20, 20)] * 120 + [(7, 31), (31, 7), (1, 25), (25, 1)] * 30
+    for shape in shapes:
         density = float(rng.uniform(0.1, 0.4))
-        occ = rng.uniform(size=(20, 20)) < density
+        occ = rng.uniform(size=shape) < density
         grid = grid_from_occ(occ)
         free = np.argwhere(~occ)
         s = tuple(int(v) for v in free[rng.integers(len(free))])
@@ -114,6 +119,44 @@ def test_jps_matches_dijkstra_on_random_maps():
             validate_path(grid, slow)
             solved += 1
     assert solved >= 40
+
+
+def same_partition(a, b):
+    """True when two labelings group the cells of a grid identically."""
+    pairs = set(zip(a.ravel().tolist(), b.ravel().tolist()))
+    return len(pairs) == len(np.unique(a)) == len(np.unique(b))
+
+
+def diagonal_gap_grid():
+    # Columns 3 and 4 are a wall except (3, 3) and (4, 4), which touch only
+    # at a corner: without corner cutting the two halves stay apart.
+    occ = np.zeros((8, 8), dtype=bool)
+    occ[:, 3:5] = True
+    occ[3, 3] = occ[4, 4] = False
+    return occ
+
+
+def test_free_components_match_scipy_label():
+    rng = np.random.default_rng(7)
+    grids = [np.zeros((9, 13), dtype=bool), np.ones((4, 5), dtype=bool),
+             np.zeros((1, 1), dtype=bool), diagonal_gap_grid()]
+    for shape in [(1, 40), (40, 1), (17, 33), (33, 17), (64, 64)]:
+        for density in (0.0, 0.2, 0.4, 0.6, 0.9):
+            grids.append(rng.uniform(size=shape) < density)
+    for occ in grids:
+        labels = free_components(occ)
+        assert labels.shape == occ.shape
+        assert (labels[occ] == -1).all() and (labels[~occ] >= 0).all()
+        reference, _ = ndimage.label(~occ)  # 4-connectivity by default
+        assert same_partition(labels, reference)
+
+    occ = diagonal_gap_grid()
+    labels = free_components(occ)
+    assert labels[3, 3] != labels[4, 4]
+    assert len(np.unique(labels[~occ])) == 2
+    req = PlanRequest((0, 0), (7, 7))
+    assert jps_plan(grid_from_occ(occ), req) is None
+    assert dijkstra_plan(grid_from_occ(occ), req) is None
 
 
 # ----------------------------------------------------------- validate_path
@@ -220,13 +263,21 @@ def test_refinement_round_zero_when_map_already_open():
     assert result.grid.dims == (4, 4)
 
 
-def test_refinement_exhausts_on_solid_wall():
+def test_refinement_exhausts_on_solid_wall(monkeypatch):
+    # Each partition sleeps 0.1 s, so a failure time that counted anything
+    # beyond the searches would exceed 0.1 s.
+    def slow_partition(tree):
+        time.sleep(0.1)
+        real_partition(tree)
+
+    monkeypatch.setattr(planner_mod, "dynamic_partition", slow_partition)
     tree = build(wall_cloud(0.05), refinement_domain(), depth=2)
     with pytest.raises(NoPathAtMaxDepth) as err:
         plan_with_refinement(tree, (2.0, 8.0), (14.0, 8.0), max_rounds=2)
     assert err.value.rounds_attempted == 2
     assert err.value.grid.dims == (16, 16)
     assert err.value.code == "no_path_at_max_depth"
+    assert 0.0 < err.value.plan_seconds < 0.1
 
 
 def test_refinement_reports_occupied_endpoint():
@@ -237,6 +288,7 @@ def test_refinement_reports_occupied_endpoint():
         plan_with_refinement(tree, (0.5, 0.5), (14.0, 14.0), max_rounds=2)
     assert err.value.rounds_attempted == 2
     assert err.value.code == "start_or_goal_occupied"
+    assert err.value.plan_seconds == 0.0
 
 
 def test_refinement_rejects_point_outside_domain():
