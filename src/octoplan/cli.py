@@ -305,10 +305,12 @@ def _cmd_calibrate_perlin(args) -> int:
         return len(gen_perlin_cloud(params))
 
     lo, hi = 0.05, 4.0
-    while count_at(hi) < args.target and hi < 4096:
+    count = count_at(hi)
+    while count < args.target and hi < 4096:
         lo = hi
         hi *= 2.0
-    best = (hi, count_at(hi))
+        count = count_at(hi)
+    best = (hi, count)
     tol = max(1, int(args.target * args.tolerance_pct / 100.0))
     for _ in range(48):
         mid = 0.5 * (lo + hi)

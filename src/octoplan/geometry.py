@@ -195,6 +195,16 @@ def _hull_2d(pts: np.ndarray) -> list[int]:
     _expand_2d(pts, lo, hi, below, ring)
     ring.append(int(hi))
     _expand_2d(pts, hi, lo, above, ring)
+    # The expansion admits a point only when it is more than HULL_EPS
+    # outside an edge; hold the two extremes, which enter unconditionally,
+    # to the same rule against the chord of their ring neighbours.
+    for end in (int(lo), int(hi)):
+        k = ring.index(end)
+        chord = pts[ring[k - 1]], pts[ring[(k + 1) % len(ring)]]
+        if _side(*chord, pts[[end]])[0] >= -HULL_EPS:
+            if len(ring) == 3:
+                raise DegenerateInput("points are collinear within tolerance")
+            ring.pop(k)
     return ring
 
 

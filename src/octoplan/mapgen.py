@@ -1,11 +1,27 @@
 """Synthetic cloud generators: gradient-noise fields and shape surfaces.
 
-The noise path evaluates classic multi-octave gradient noise on a regular
-sample lattice and emits a point wherever the value clears a threshold.
-Gradients are unit vectors and the blend of corner contributions is bounded
-by sqrt(d)/2 (Jensen over the fade weights), so after scaling by 2/sqrt(d)
-single-octave values provably stay inside [-1, 1]; octave sums are divided
-by their amplitude total, which keeps the bound.
+The noise path evaluates classic multi-octave gradient noise (Perlin's
+"Improving Noise", 2002: quintic fade, doubled 256-entry permutation) on a
+regular sample lattice and emits a point wherever the value clears a
+threshold. Gradients are unit vectors and the blend of corner contributions
+is bounded by sqrt(d)/2 (Jensen over the fade weights), so after scaling by
+2/sqrt(d) single-octave values provably stay inside [-1, 1]; octave sums
+are divided by their amplitude total, which keeps the bound. The hash cell
+is wrapped to 0..255 in float before the integer cast, so no octave
+overflows; PerlinParams refuses an octave count whose top frequency would
+carry a domain coordinate to infinity.
+
+One kernel serves scattered points and lattices: its coordinate arguments
+are arrays that broadcast against each other. On the lattice each axis is
+passed as its own vector, shaped (n, 1) and (1, m) in 2-D, so floor,
+fraction and fade run once per axis value, and only the permutation hash,
+the gradient lookups and the blends run per sample. Broadcasting repeats
+operands without changing any float operation or its order, so values are
+bit-identical to evaluating every sample's coordinates. The lattice is
+evaluated in blocks of at most 2^16 samples (slabs along axis 0), each
+writing its threshold test into one bool keep mask, the only array as large
+as the lattice; lattices over MAX_RASTER_CELLS (2^28) samples are refused
+with InvalidSpec before anything is allocated.
 
 Shape clouds sample points exactly on analytic surfaces (cuboid, cylinder,
 arch, helix tube) on a parameter lattice with a deterministic in-surface
@@ -14,6 +30,7 @@ degenerate collinear runs.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -21,6 +38,7 @@ import numpy as np
 
 from .errors import InvalidSpec
 from .geometry import Aabb, PointCloud
+from .gridmap import MAX_RASTER_CELLS
 
 _MASK64 = (1 << 64) - 1
 
@@ -59,6 +77,18 @@ def _fade(t):
     return t * t * t * (t * (t * 6.0 - 15.0) + 10.0)
 
 
+def _axis(t: np.ndarray):
+    """Hash cell (mod 256), fraction and fade of one coordinate array.
+
+    Wrapping the floor in float before the cast keeps the cell exact for
+    any finite coordinate; past 2^53 every float is integral, the fraction
+    is 0 and the octave contributes nothing.
+    """
+    cell = np.floor(t)
+    frac = t - cell
+    return np.mod(cell, 256.0).astype(np.int64), frac, _fade(frac)
+
+
 _GRAD2 = np.asarray(
     [[1, 0], [-1, 0], [0, 1], [0, -1],
      [1, 1], [-1, 1], [1, -1], [-1, -1]], dtype=float)
@@ -74,66 +104,74 @@ _SCALE2 = 2.0 / math.sqrt(2.0)
 _SCALE3 = 2.0 / math.sqrt(3.0)
 
 
-def _noise2(perm: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    xi = np.floor(x).astype(np.int64)
-    yi = np.floor(y).astype(np.int64)
-    xf = x - xi
-    yf = y - yi
-    xi &= 255
-    yi &= 255
-    u = _fade(xf)
-    v = _fade(yf)
+def _hash_tables(seed: int, d: int):
+    """The seed's doubled permutation, and per gradient component one
+    contiguous vector indexed by the last hash lookup's argument: the
+    gradient table composed with that lookup (perm & 7 or perm % 12)."""
+    perm = _permutation(seed)
+    grad, pick = (_GRAD2, perm & 7) if d == 2 else (_GRAD3, perm % 12)
+    return perm, [grad[pick, c] for c in range(d)]
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
+    """a + t * (b - a), written into b; IEEE + and * commute, so the
+    in-place order gives the same bits."""
+    b -= a
+    b *= t
+    b += a
+    return b
+
+
+def _noise2(perm: np.ndarray, grads, x: np.ndarray,
+            y: np.ndarray) -> np.ndarray:
+    gx, gy = grads
+    xi, xf, u = _axis(x)
+    yi, yf, v = _axis(y)
 
     def corner(ox, oy):
-        h = perm[perm[xi + ox] + yi + oy] & 7
-        g = _GRAD2[h]
-        return g[:, 0] * (xf - ox) + g[:, 1] * (yf - oy)
+        h = perm[xi + ox] + (yi + oy)
+        n = gx[h]
+        n *= xf - ox
+        t = gy[h]
+        t *= yf - oy
+        n += t
+        return n
 
-    n00 = corner(0, 0)
-    n10 = corner(1, 0)
-    n01 = corner(0, 1)
-    n11 = corner(1, 1)
-    nx0 = n00 + u * (n10 - n00)
-    nx1 = n01 + u * (n11 - n01)
-    return _SCALE2 * (nx0 + v * (nx1 - nx0))
+    nx0 = _lerp(corner(0, 0), corner(1, 0), u)
+    nx1 = _lerp(corner(0, 1), corner(1, 1), u)
+    out = _lerp(nx0, nx1, v)
+    out *= _SCALE2
+    return out
 
 
-def _noise3(perm: np.ndarray, x: np.ndarray, y: np.ndarray,
+def _noise3(perm: np.ndarray, grads, x: np.ndarray, y: np.ndarray,
             z: np.ndarray) -> np.ndarray:
-    xi = np.floor(x).astype(np.int64)
-    yi = np.floor(y).astype(np.int64)
-    zi = np.floor(z).astype(np.int64)
-    xf = x - xi
-    yf = y - yi
-    zf = z - zi
-    xi &= 255
-    yi &= 255
-    zi &= 255
-    u = _fade(xf)
-    v = _fade(yf)
-    w = _fade(zf)
+    gx, gy, gz = grads
+    xi, xf, u = _axis(x)
+    yi, yf, v = _axis(y)
+    zi, zf, w = _axis(z)
 
     def corner(ox, oy, oz):
-        h = perm[perm[perm[xi + ox] + yi + oy] + zi + oz] % 12
-        g = _GRAD3[h]
-        return (g[:, 0] * (xf - ox) + g[:, 1] * (yf - oy)
-                + g[:, 2] * (zf - oz))
+        h = perm[perm[xi + ox] + (yi + oy)] + (zi + oz)
+        n = gx[h]
+        n *= xf - ox
+        t = gy[h]
+        t *= yf - oy
+        n += t
+        t = gz[h]
+        t *= zf - oz
+        n += t
+        return n
 
-    n000 = corner(0, 0, 0)
-    n100 = corner(1, 0, 0)
-    n010 = corner(0, 1, 0)
-    n110 = corner(1, 1, 0)
-    n001 = corner(0, 0, 1)
-    n101 = corner(1, 0, 1)
-    n011 = corner(0, 1, 1)
-    n111 = corner(1, 1, 1)
-    nx00 = n000 + u * (n100 - n000)
-    nx10 = n010 + u * (n110 - n010)
-    nx01 = n001 + u * (n101 - n001)
-    nx11 = n011 + u * (n111 - n011)
-    nxy0 = nx00 + v * (nx10 - nx00)
-    nxy1 = nx01 + v * (nx11 - nx01)
-    return _SCALE3 * (nxy0 + w * (nxy1 - nxy0))
+    nx00 = _lerp(corner(0, 0, 0), corner(1, 0, 0), u)
+    nx10 = _lerp(corner(0, 1, 0), corner(1, 1, 0), u)
+    nx01 = _lerp(corner(0, 0, 1), corner(1, 0, 1), u)
+    nx11 = _lerp(corner(0, 1, 1), corner(1, 1, 1), u)
+    nxy0 = _lerp(nx00, nx10, v)
+    nxy1 = _lerp(nx01, nx11, v)
+    out = _lerp(nxy0, nxy1, w)
+    out *= _SCALE3
+    return out
 
 
 @dataclass(frozen=True)
@@ -142,7 +180,8 @@ class PerlinParams:
 
     frequency is in lattice cycles per metre; samples_per_meter sets the
     emission lattice pitch; threshold in [-1, 1] picks the occupied fraction
-    (-1 emits every sample).
+    (-1 emits every sample). The top octave's frequency times the domain's
+    largest absolute coordinate must stay finite.
     """
 
     seed: int
@@ -165,44 +204,84 @@ class PerlinParams:
                 f"samples_per_meter must be positive, got {self.samples_per_meter}")
         if np.any(self.domain.edges <= 0):
             raise InvalidSpec("noise domain must have positive extent")
+        try:
+            top = math.ldexp(self.frequency, self.octaves - 1)
+        except OverflowError:
+            top = math.inf
+        reach = float(np.abs([self.domain.min, self.domain.max]).max())
+        if not math.isfinite(top * reach):
+            raise InvalidSpec(
+                f"{self.octaves} octaves overflow: the top frequency times "
+                f"the domain's largest coordinate is not finite")
 
 
-def multi_octave_noise(params: PerlinParams, coords: np.ndarray) -> np.ndarray:
-    """Noise values at metric coordinates, one row per sample."""
-    perm = _permutation(params.seed)
-    d = coords.shape[1]
-    total = np.zeros(coords.shape[0], dtype=float)
+def _octave_sum(params: PerlinParams, tables,
+                axes: list[np.ndarray]) -> np.ndarray:
+    """Normalised octave sum over coordinate arrays that broadcast together."""
+    noise = _noise2 if len(axes) == 2 else _noise3
+    total = np.zeros(np.broadcast_shapes(*(a.shape for a in axes)))
     amp = 1.0
     amp_sum = 0.0
     freq = params.frequency
     for _ in range(params.octaves):
-        scaled = coords * freq
-        if d == 2:
-            total += amp * _noise2(perm, scaled[:, 0], scaled[:, 1])
-        else:
-            total += amp * _noise3(perm, scaled[:, 0], scaled[:, 1], scaled[:, 2])
+        total += amp * noise(*tables, *(a * freq for a in axes))
         amp_sum += amp
         amp *= params.persistence
         freq *= 2.0
     return total / amp_sum
 
 
+def multi_octave_noise(params: PerlinParams, coords: np.ndarray) -> np.ndarray:
+    """Noise values at metric coordinates, one row per sample; the same
+    kernel as gen_perlin_cloud, fed the columns instead of lattice axes."""
+    d = coords.shape[1]
+    return _octave_sum(params, _hash_tables(params.seed, d),
+                       [coords[:, a] for a in range(d)])
+
+
 def _lattice_axes(domain: Aabb, spm: float) -> list[np.ndarray]:
-    axes = []
-    for a in range(domain.dim):
-        n = int(math.floor(domain.edges[a] * spm))
-        n = max(1, n)
-        axes.append(domain.min[a] + (np.arange(n) + 0.5) / spm)
-    return axes
+    """Cell-centred sample coordinates along each axis; a lattice over
+    MAX_RASTER_CELLS samples is refused before any axis is allocated.
+    Axis lengths are clamped at 2^62 so an infinite span stays an int."""
+    sizes = [max(1, math.floor(min(float(e) * spm, 2.0 ** 62)))
+             for e in domain.edges]
+    if math.prod(sizes) > MAX_RASTER_CELLS:
+        raise InvalidSpec(
+            f"sample lattice {'x'.join(map(str, sizes))} is over the "
+            f"{MAX_RASTER_CELLS}-sample budget")
+    return [lo + (np.arange(n) + 0.5) / spm
+            for lo, n in zip(domain.min, sizes)]
+
+
+# Samples per evaluation block: the noise temporaries stay a few MiB.
+_BLOCK_SAMPLES = 1 << 16
+
+
+def _blocks(shape: tuple[int, ...]):
+    """Boxes of at most _BLOCK_SAMPLES samples tiling a lattice: whole
+    trailing axes and a slab of axis 0 unless a row alone is larger."""
+    step = []
+    room = _BLOCK_SAMPLES
+    for n in reversed(shape):
+        step.insert(0, max(1, min(n, room)))
+        room //= step[0]
+    for start in itertools.product(*(range(0, n, s)
+                                     for n, s in zip(shape, step))):
+        yield tuple(slice(b, b + s) for b, s in zip(start, step))
 
 
 def gen_perlin_cloud(params: PerlinParams) -> PointCloud:
     """Sample the noise field on its lattice and keep cells >= threshold."""
     axes = _lattice_axes(params.domain, params.samples_per_meter)
-    grids = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([g.ravel() for g in grids], axis=1)
-    values = multi_octave_noise(params, coords)
-    return PointCloud(coords[values >= params.threshold])
+    d = len(axes)
+    tables = _hash_tables(params.seed, d)
+    keep = np.zeros(tuple(len(a) for a in axes), dtype=bool)
+    for box in _blocks(keep.shape):
+        parts = [a[s].reshape([-1 if j == k else 1 for j in range(d)])
+                 for k, (a, s) in enumerate(zip(axes, box))]
+        keep[box] = _octave_sum(params, tables, parts) >= params.threshold
+    hit = np.nonzero(keep)
+    return PointCloud(np.stack([a[i] for a, i in zip(axes, hit)], axis=1))
 
 
 # ------------------------------------------------------------------ shapes

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import octoplan.bench as bench_mod
+import octoplan.cli as cli_mod
+import octoplan.mapgen as mapgen_mod
 from octoplan.bench import (CSV_COLUMNS, TIMING_COLUMNS, BenchConfig,
                             TrialRecord, aggregate_to_json, records_to_csv,
                             run_campaign)
@@ -484,6 +486,53 @@ def test_cli_calibrate_perlin(tmp_path, capsys):
     report = json.loads(out)
     assert abs(report["count"] - 2000) <= 0.10 * 2000
     assert report["samples_per_meter"] > 0
+
+
+def test_cli_build_perlin_over_lattice_budget_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "--out-dir", str(tmp_path),
+        "build", "--perlin", "--domain", "0,0:1000000,1000000",
+        "--depth", "3")
+    assert code == 2
+    assert out == ""
+    payload = one_error_line(err)
+    assert payload["error"] == "invalidspec"
+    assert "budget" in payload["message"]
+
+
+def test_cli_calibrate_perlin_stops_at_lattice_budget(tmp_path, capsys,
+                                                      monkeypatch):
+    # 30 m at 4 samples/m is 14,400 samples; doubling to 8/m needs 57,600,
+    # over the shrunken budget, long before the target is reached.
+    monkeypatch.setattr(mapgen_mod, "MAX_RASTER_CELLS", 20000)
+    code, out, err = run_cli(
+        capsys, "--out-dir", str(tmp_path),
+        "calibrate-perlin", "--domain", "0,0:30,30", "--target", "1000000")
+    assert code == 2
+    assert out == ""
+    assert one_error_line(err)["error"] == "invalidspec"
+
+
+@pytest.mark.parametrize("target", ["100", "2000", "30000"])
+def test_cli_calibrate_perlin_evaluates_each_rate_once(tmp_path, capsys,
+                                                       monkeypatch, target):
+    # 100 points need no doubling, 2000 one and 30000 three before the
+    # bisection; the rate that ends the doubling must not be counted again.
+    rates = []
+
+    def counting(params):
+        rates.append(params.samples_per_meter)
+        return mapgen_mod.gen_perlin_cloud(params)
+
+    monkeypatch.setattr(cli_mod, "gen_perlin_cloud", counting)
+    code, out, _ = run_cli(
+        capsys, "--seed", "4", "--out-dir", str(tmp_path),
+        "calibrate-perlin", "--domain", "0,0:30,30",
+        "--target", target, "--tolerance-pct", "5")
+    assert code == 0
+    assert len(rates) == len(set(rates))
+    report = json.loads(out)
+    assert report["samples_per_meter"] in rates
 
 
 def test_cli_runs_as_subprocess(tmp_path):

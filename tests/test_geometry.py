@@ -99,6 +99,21 @@ def test_duplicate_points_are_harmless():
     assert vertex_set(hull) == {(0, 0), (4, 0), (4, 3), (0, 3)}
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_2d_extreme_within_tolerance_of_its_chord_is_dropped(sign):
+    # The lowest-x point (highest-x when mirrored) sits 4.5e-301 outside
+    # the edge x = 0 between its ring neighbours: inside HULL_EPS, so it is
+    # no vertex, like any other point that close to an edge.
+    pts = np.array([[0.0, 0.0], [0.0, -2.0], [1.0, 0.0],
+                    [-4.4805173e-301, -1.0]]) * [sign, 1.0]
+    hull = quickhull(PointCloud(pts))
+    assert vertex_set(hull) == {tuple(p) for p in pts[:3]}
+    for p in pts:
+        assert contains(hull, p)
+    with pytest.raises(DegenerateInput):
+        quickhull(PointCloud(pts[[0, 1, 3]]))
+
+
 def test_too_few_points_raise_empty_input():
     with pytest.raises(EmptyInput):
         quickhull(PointCloud(np.empty((0, 2))))

@@ -1,13 +1,17 @@
 """Map generator tests: noise fields, analytic shapes, volume solids."""
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import octoplan.mapgen as mapgen_mod
+from octoplan.bench import BenchConfig
 from octoplan.errors import InvalidSpec
 from octoplan.geometry import Aabb, PointCloud
 from octoplan.mapgen import (PerlinParams, ShapeSpec, demo_scene_specs,
-                             gen_perlin_cloud, gen_shape_cloud,
+                             derive_seed, gen_perlin_cloud, gen_shape_cloud,
                              gen_solid_cloud, multi_octave_noise, scene_cloud,
                              shape_surface_area, solid_cloud_near,
                              solid_domain)
@@ -96,6 +100,111 @@ def test_perlin_params_validation():
         PerlinParams(seed=1, domain=noise_domain(), frequency=-1.0)
     with pytest.raises(InvalidSpec):
         PerlinParams(seed=1, domain=noise_domain(), samples_per_meter=0.0)
+
+
+def test_noise_bound_holds_at_high_octave_counts():
+    # Scaled coordinates pass 2^63 from octave 63 on this domain; the
+    # hash cell must wrap in float instead of overflowing the int cast.
+    rng = np.random.default_rng(4)
+    for d in (2, 3):
+        coords = rng.uniform(-100.0, 100.0, size=(1000, d))
+        dom = Aabb(np.full(d, -100.0), np.full(d, 100.0))
+        for octaves in (64, 70, 500):
+            values = multi_octave_noise(
+                PerlinParams(seed=13, domain=dom, octaves=octaves), coords)
+            assert np.all(np.isfinite(values))
+            assert np.all(np.abs(values) <= 1.0)
+
+
+def test_overflowing_octave_count_is_rejected():
+    # 0.03 * 2^1019 * 100 is finite; 0.03 * 2^1099 is not, nor is
+    # 0.03 * 2^1019 times a coordinate of 1e10 (a negative minimum counts).
+    small = Aabb(np.zeros(2), np.full(2, 100.0))
+    far = Aabb(np.array([-1e10, 0.0]), np.array([0.0, 1.0]))
+    PerlinParams(seed=1, domain=small, octaves=1020)
+    for domain, octaves in ((small, 1100), (far, 1020), (small, 10 ** 9)):
+        with pytest.raises(InvalidSpec, match="octaves"):
+            PerlinParams(seed=1, domain=domain, octaves=octaves)
+
+
+def campaign_world_params(trial):
+    config = BenchConfig()
+    return PerlinParams(
+        seed=derive_seed(config.campaign_seed, trial), domain=config.domain,
+        frequency=config.noise_frequency_per_m, octaves=config.noise_octaves,
+        persistence=config.noise_persistence,
+        threshold=config.noise_threshold,
+        samples_per_meter=config.samples_per_meter)
+
+
+@pytest.mark.parametrize("params,digest", [
+    (campaign_world_params(0),
+     "0427f8671479d6c3dbe32ac72d4f229834b26b216eb50aacd6072e40cd542fb8"),
+    (PerlinParams(seed=7, domain=Aabb(np.array([-3.0, 2.0, 1.0]),
+                                      np.array([37.0, 32.0, 21.0])),
+                  samples_per_meter=2.0, threshold=0.0),
+     "8121f0d2674e5a26b4ff5da5fc23a20487284df61f15a33fe9abaa45839e4a5f"),
+], ids=["campaign-world-0", "3d"])
+def test_perlin_cloud_golden_digest(params, digest):
+    # Digests of the points' bytes as every earlier release generated them.
+    points = gen_perlin_cloud(params).points
+    assert points.dtype == np.float64 and points.flags.c_contiguous
+    assert hashlib.sha256(points.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("lo,hi", [
+    # 300 x 300: slabs of 218 rows, so the last slab is partial.
+    ((-37.3, -12.1), (112.9, 138.2)),
+    # one sample on axis 0 (edge below 1/spm).
+    ((-5.0, 3.0), (-4.8, 90.0)),
+    # 80000 x 1: slabs of 65536 rows.
+    ((0.0, 0.0), (40000.0, 0.1)),
+    # 7 x 100 x 100: slabs of 6 rows.
+    ((-3.5, 0.0, -10.0), (0.0, 50.0, 40.0)),
+    # 1 x 300 x 300: one row is over 2^16 samples, so axis 1 is cut too.
+    ((-2.2, -3.0, -1.0), (-1.9, 147.0, 149.0)),
+])
+def test_lattice_cloud_equals_noise_on_explicit_coordinates(lo, hi):
+    domain = Aabb(np.array(lo), np.array(hi))
+    params = PerlinParams(seed=21, domain=domain, threshold=0.0,
+                          samples_per_meter=2.0)
+    cloud = gen_perlin_cloud(params)
+    axes = [a + (np.arange(max(1, math.floor(e * 2.0))) + 0.5) / 2.0
+            for a, e in zip(domain.min, domain.edges)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    coords = np.stack([g.ravel() for g in grids], axis=1)
+    expected = coords[multi_octave_noise(params, coords) >= 0.0]
+    assert 0 < len(expected) < len(coords)
+    assert cloud.points.tobytes() == expected.tobytes()
+
+
+def test_perlin_lattice_over_budget_is_refused_before_allocating():
+    # 4e6 x 4e6 samples would be 16 TB of keep mask alone.
+    huge = PerlinParams(seed=1, domain=Aabb(np.zeros(2), np.full(2, 1e6)))
+    # 1e10 m at 1e300 samples/m overflows to an infinite axis length.
+    endless = PerlinParams(seed=1, domain=Aabb(np.zeros(3), np.full(3, 1e10)),
+                           samples_per_meter=1e300)
+    tracemalloc.start()
+    try:
+        for params in (huge, endless):
+            with pytest.raises(InvalidSpec, match="budget"):
+                gen_perlin_cloud(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_perlin_lattice_budget_is_inclusive(monkeypatch):
+    monkeypatch.setattr(mapgen_mod, "MAX_RASTER_CELLS", 400)
+    fits = Aabb(np.zeros(2), np.array([10.0, 10.0]))
+    over = Aabb(np.zeros(2), np.array([10.0, 10.5]))
+    params = PerlinParams(seed=2, domain=fits, samples_per_meter=2.0,
+                          threshold=-1.0)
+    assert len(gen_perlin_cloud(params)) == 400
+    with pytest.raises(InvalidSpec, match="20x21"):
+        gen_perlin_cloud(PerlinParams(seed=2, domain=over,
+                                      samples_per_meter=2.0))
 
 
 # ------------------------------------------------------------------ shapes
