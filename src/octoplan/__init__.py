@@ -11,7 +11,7 @@ from .errors import (CloudParseError, DegenerateInput, DepthCapExceeded,
                      NoPathAtMaxDepth, OctoplanError, PlanningError,
                      PointOutOfDomain, StartOrGoalOccupied)
 from .geometry import (Aabb, ConvexHull, PointCloud, aabb_of, contains,
-                       hull_volume, quickhull, strictly_inside)
+                       quickhull, strictly_inside)
 from .gridmap import (UniformGridMap, gap_preserved, grid_from_json,
                       grid_to_json, grid_to_pgm, rasterize_adaptive,
                       rasterize_fixed, rle_decode, rle_encode)
@@ -22,8 +22,7 @@ from .planner import (GridPath, PlanRequest, RefinementResult, dijkstra_plan,
                       jps_plan, path_to_json, plan_with_refinement,
                       validate_path)
 from .tree import (LeafRecord, McrSpec, OctoTree, build, compute_depth,
-                   dynamic_partition, morton_key, occupied_leaves,
-                   push_point)
+                   dynamic_partition, morton_key, occupied_leaves)
 
 __all__ = [
     "Aabb", "BenchConfig", "CloudParseError", "ConvexHull",
@@ -36,11 +35,11 @@ __all__ = [
     "compute_depth", "contains", "convexify_leaf", "dijkstra_plan",
     "downsample_tree", "dynamic_partition", "export_mesh", "gap_preserved",
     "gen_perlin_cloud", "gen_shape_cloud", "gen_solid_cloud",
-    "grid_from_json", "grid_to_json", "grid_to_pgm", "hull_volume",
-    "jps_plan", "morton_key", "multi_octave_noise", "occupied_leaves",
-    "path_to_json", "plan_with_refinement", "push_point", "quickhull",
-    "rasterize_adaptive", "rasterize_fixed", "read_binary", "read_xyz",
-    "rle_decode", "rle_encode", "run_campaign", "scene_cloud",
-    "solid_cloud_near", "solid_domain", "strictly_inside", "validate_path",
-    "voxel_filter", "write_binary", "write_xyz",
+    "grid_from_json", "grid_to_json", "grid_to_pgm", "jps_plan",
+    "morton_key", "multi_octave_noise", "occupied_leaves", "path_to_json",
+    "plan_with_refinement", "quickhull", "rasterize_adaptive",
+    "rasterize_fixed", "read_binary", "read_xyz", "rle_decode", "rle_encode",
+    "run_campaign", "scene_cloud", "solid_cloud_near", "solid_domain",
+    "strictly_inside", "validate_path", "voxel_filter", "write_binary",
+    "write_xyz",
 ]

@@ -29,7 +29,7 @@ from .gridmap import (grid_to_json, grid_to_pgm, rasterize_adaptive,
 from .mapgen import PerlinParams, gen_perlin_cloud, scene_cloud
 from .planner import (PlanRequest, jps_plan, path_to_json,
                       plan_with_refinement)
-from .tree import McrSpec, compute_depth
+from .tree import DEFAULT_DEPTH_CAP, McrSpec, compute_depth
 from .tree import build as build_tree
 
 
@@ -94,8 +94,9 @@ def _load_cloud_args(args) -> tuple[PointCloud, Aabb]:
 
 def _resolve_depth(args, domain: Aabb) -> int:
     if args.depth is not None:
-        if args.depth < 0:
-            raise InvalidSpec(f"--depth must be >= 0, got {args.depth}")
+        if not 0 <= args.depth <= DEFAULT_DEPTH_CAP:
+            raise InvalidSpec(f"--depth must be in [0, {DEFAULT_DEPTH_CAP}],"
+                              f" got {args.depth}")
         return args.depth
     if args.epsilon_max_m is not None:
         mcr = McrSpec(args.epsilon_max_m, args.range_k)

@@ -529,15 +529,3 @@ def strictly_inside(hull: ConvexHull, pts: np.ndarray) -> np.ndarray:
     n = n[keep] / norm[keep, None]
     c = np.einsum("ij,ij->i", n, v[tri[keep, 0]])
     return np.all(pts @ n.T - c[None, :] < -HULL_EPS, axis=1)
-
-
-def hull_volume(hull: ConvexHull) -> float:
-    """Signed volume (3-D) or signed area (2-D); positive for valid output."""
-    if hull.dim == 2:
-        v = hull.vertices
-        nxt = np.roll(v, -1, axis=0)
-        return float(0.5 * np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]))
-    v = hull.vertices
-    tri = hull.faces
-    a, b, c = v[tri[:, 0]], v[tri[:, 1]], v[tri[:, 2]]
-    return float(np.sum(np.einsum("ij,ij->i", a, np.cross(b, c))) / 6.0)

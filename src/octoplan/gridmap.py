@@ -259,21 +259,3 @@ def grid_to_pgm(grid: UniformGridMap, path_cells=None) -> str:
         lines.append(" ".join(str(int(v)) for v in shade[:, j]))
     return "\n".join(lines) + "\n"
 
-
-def pgm_from_text(text: str) -> np.ndarray:
-    """Parse a P2 raster back into the integer shade array (w, h)."""
-    tokens = []
-    for line in text.splitlines():
-        body = line.split("#", 1)[0].strip()
-        if body:
-            tokens.extend(body.split())
-    if not tokens or tokens[0] != "P2":
-        raise ValueError("not a P2 raster")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    vals = np.asarray([int(t) for t in tokens[4:]], dtype=np.int64)
-    if vals.size != w * h or maxval != 255:
-        raise ValueError("raster payload does not match its header")
-    shade = np.empty((w, h), dtype=np.int64)
-    for k in range(h):
-        shade[:, h - 1 - k] = vals[k * w:(k + 1) * w]
-    return shade

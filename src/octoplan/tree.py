@@ -1,20 +1,19 @@
 """Adaptive 2^d-ary spatial subdivision tree over a fixed domain box.
 
 The tree is a linear quadtree/octree (Gargantini, CACM 1982): one table of
-occupied leaves sorted by Morton code, with inner nodes implicit as code
-prefixes.  Each leaf row holds its code, a slice of one permutation of the
-point ids (points keep ascending input order within a leaf), the tight
-bounding box of its points, and its grid index and split box.  Every table
-write goes through OctoTree._set_table, which derives the grid indices and
-split boxes from the codes once per table; occupied_leaves is the one
-read-out, as LeafRecord snapshots.
+occupied leaves sorted by Morton code, inner nodes implicit as code
+prefixes.  A leaf row holds its code, its grid index and a slice of one
+permutation of the point ids (ascending within a leaf).  OctoTree._set_table
+writes the table; occupied_leaves reads it and computes each leaf's tight
+box, which no other caller needs.
 
-Subdivision always bisects every axis at the box midpoint; membership is
-half-open (a point exactly on a midpoint goes to the upper child), with the
-domain's maximal faces closed so the far corner stays insertable.  The same
-successive-midpoint arithmetic (mid = 0.5 * (lo + hi), upper iff p >= mid)
-places points in build, push_point and dynamic_partition and derives split
-boxes, so all of them agree bit-for-bit.
+Every axis is halved at mid = 0.5 * (lo + hi); a point on a midpoint goes to
+the upper half, and the domain's maximal faces are closed.  The rule treats
+each axis alone, so the cell faces at depth D are one table per axis of
+2^D + 1 non-decreasing boundaries (_boundaries).  build places a coordinate
+by a binary search in it, a leaf's split box is the two entries around its
+index, and dynamic_partition splits at entry 2 * index + 1 of the depth
+D + 1 table: the cells the per-level comparisons (upper iff p >= mid) reach.
 """
 from __future__ import annotations
 
@@ -23,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthCapExceeded, InvalidSpec, PointOutOfDomain
-from .geometry import Aabb, PointCloud, as_point, require_inside
+from .errors import DepthCapExceeded, InvalidSpec
+from .geometry import Aabb, PointCloud, require_inside
 
+# Bounds every boundary table at 2^16 + 1 entries per axis and keeps codes
+# (depth * dim bits, dim <= 3) well inside int64.
 DEFAULT_DEPTH_CAP = 16
-# Leaf codes are int64 with depth * dim bits in use.
-_CODE_BITS = 62
 
 
 @dataclass(frozen=True)
@@ -71,10 +70,29 @@ def compute_depth(longest_edge: float, cell_edge: float,
     return min(cap, depth)
 
 
+def _boundaries(domain: Aabb, depth: int) -> np.ndarray:
+    """Cell faces of a depth-level tree, one row of 2^depth + 1 per axis:
+    entry k of row a is the lower face of the cells with index k on axis a.
+    Each level keeps the previous faces and adds 0.5 * (lo + hi) between
+    every adjacent pair."""
+    faces = np.column_stack([domain.min, domain.max])
+    # Under half the float range lo + hi is finite, so no row decreases.
+    if np.abs(faces).max() > np.finfo(float).max / 2:
+        raise ValueError("domain midpoints overflow float64")
+    for _ in range(depth):
+        finer = np.empty((faces.shape[0], 2 * faces.shape[1] - 1))
+        finer[:, 0::2] = faces
+        finer[:, 1::2] = 0.5 * (faces[:, :-1] + faces[:, 1:])
+        faces = finer
+    return faces
+
+
 @dataclass(frozen=True)
 class LeafRecord:
-    """Snapshot of one occupied leaf.  Every array is a copy, so later
-    pushes and partitions never reach a record already read."""
+    """Snapshot of one occupied leaf: grid index, split box (the boundary
+    table entries around the index), tight box and point ids.  No array is
+    shared with the tree, so a later partition never reaches a record
+    already read."""
 
     index: tuple[int, ...]
     split_boundary: Aabb
@@ -90,19 +108,18 @@ class OctoTree:
     """2^d-ary tree of fixed scalar depth over a domain box, stored as a
     Morton-sorted table of occupied leaves.
 
-    Leaf k has code codes[k], owns the point ids
-    order[offsets[k]:offsets[k + 1]] and has tight bounds bmin[k], bmax[k],
-    grid index index[k] and split box split_lo[k], split_hi[k].
+    Leaf k has code codes[k] and grid index index[k] and owns the point ids
+    order[offsets[k]:offsets[k + 1]].  boundaries[a] holds the cell faces on
+    axis a (_boundaries).
     """
 
     def __init__(self, domain: Aabb, depth: int,
                  depth_cap: int = DEFAULT_DEPTH_CAP):
+        if not 0 <= depth_cap <= DEFAULT_DEPTH_CAP:
+            raise ValueError(f"depth cap must be in [0, {DEFAULT_DEPTH_CAP}],"
+                             f" got {depth_cap}")
         if depth < 0:
             raise ValueError(f"depth must be >= 0, got {depth}")
-        if depth_cap < 0:
-            raise ValueError(f"depth cap must be >= 0, got {depth_cap}")
-        if depth_cap * domain.dim > _CODE_BITS:
-            raise ValueError(f"depth cap {depth_cap} overflows int64 codes")
         if depth > depth_cap:
             raise DepthCapExceeded(f"depth {depth} exceeds cap {depth_cap}")
         if np.any(domain.edges <= 0):
@@ -111,47 +128,28 @@ class OctoTree:
         self.depth = depth
         self.depth_cap = depth_cap
         self.dim = domain.dim
-        self._store = np.empty((0, self.dim), dtype=float)
-        self._n = 0
-        self._set_table(np.empty(0, dtype=np.int64),
-                        np.empty(0, dtype=np.int64),
-                        np.empty((0, self.dim), dtype=float))
+        self.boundaries = _boundaries(domain, depth)
+        self._points = np.empty((0, self.dim))
+        self._points.flags.writeable = False
+        none = np.empty(0, dtype=np.int64)
+        self._set_table(none, none, none, np.empty((0, self.dim), np.int64))
 
     def _set_table(self, sorted_codes: np.ndarray, order: np.ndarray,
-                   sorted_pts: np.ndarray) -> None:
-        """Group point ids already sorted by leaf code into the leaf table."""
-        # Codes are non-negative, so a -1 ahead of them opens the first run.
-        starts = np.flatnonzero(np.diff(sorted_codes, prepend=-1))
+                   starts: np.ndarray, index: np.ndarray) -> None:
+        """Group point ids sorted by leaf code into the leaf table: leaf k
+        starts at row starts[k] of order and has grid index index[k]."""
         self.codes = sorted_codes[starts]
+        self.index = index
         self.order = order
-        self.offsets = np.r_[starts, len(sorted_codes)].astype(np.int64)
-        self.bmin = np.minimum.reduceat(sorted_pts, starts, axis=0)
-        self.bmax = np.maximum.reduceat(sorted_pts, starts, axis=0)
-        # Rasterizing scatters index and refining splits at the split-box
-        # midpoints, so both are derived once per table, not per use.
-        self.index = morton_decode(self.codes, self.depth, self.dim)
-        self.split_lo, self.split_hi = _split_boxes(self.domain, self.codes,
-                                                    self.depth)
-
-    # ------------------------------------------------------------ points
+        self.offsets = np.r_[starts, len(order)].astype(np.int64)
 
     @property
     def point_count(self) -> int:
-        return self._n
+        return len(self._points)
 
     def points_array(self) -> np.ndarray:
-        """All inserted points, insertion order, as one (n, d) view."""
-        return self._store[:self._n]
-
-    def _append_point(self, q: np.ndarray) -> int:
-        if self._n == self._store.shape[0]:
-            cap = max(16, 2 * self._store.shape[0])
-            grown = np.empty((cap, self.dim), dtype=float)
-            grown[: self._n] = self._store[: self._n]
-            self._store = grown
-        self._store[self._n] = q
-        self._n += 1
-        return self._n - 1
+        """The build's points, input order, as one read-only (n, d) array."""
+        return self._points
 
     @property
     def leaves(self) -> list[LeafRecord]:
@@ -159,129 +157,79 @@ class OctoTree:
         return occupied_leaves(self)
 
 
-def _descend_codes(pts: np.ndarray, domain: Aabb, depth: int) -> np.ndarray:
-    """Morton code of each point's cell at the given depth, computed by the
-    successive-midpoint comparisons: one group of d bits per level, axis a
-    in bit a of the group."""
-    n, d = pts.shape
-    lo = np.tile(domain.min, (n, 1))
-    hi = np.tile(domain.max, (n, 1))
-    code = np.zeros(n, dtype=np.int64)
-    # Reuse one set of buffers across levels instead of fresh temporaries.
-    mid = np.empty_like(lo)
-    upper = np.empty((n, d), dtype=bool)
-    bit = np.empty(n, dtype=np.int64)
-    for _ in range(depth):
-        np.add(lo, hi, out=mid)
-        mid *= 0.5
-        np.greater_equal(pts, mid, out=upper)
-        code <<= d
-        for a in range(d):
-            np.copyto(bit, upper[:, a])
-            bit <<= a
-            code |= bit
-        np.copyto(lo, mid, where=upper)
-        np.logical_not(upper, out=upper)
-        np.copyto(hi, mid, where=upper)
-    return code
-
-
-def _split_boxes(domain: Aabb, codes: np.ndarray,
-                 depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split boxes (lo, hi rows) of the cells with these codes, halving the
-    domain by the same successive midpoints that place points."""
-    d = domain.dim
-    lo = np.tile(domain.min, (len(codes), 1))
-    hi = np.tile(domain.max, (len(codes), 1))
-    axes = np.arange(d)
-    for level in range(depth - 1, -1, -1):
-        upper = ((codes[:, None] >> (level * d + axes)) & 1).astype(bool)
-        mid = 0.5 * (lo + hi)
-        lo = np.where(upper, mid, lo)
-        hi = np.where(upper, hi, mid)
-    return lo, hi
+def _run_starts(sorted_codes: np.ndarray) -> np.ndarray:
+    # Codes are non-negative, so a -1 ahead of them opens the first run.
+    return np.flatnonzero(np.diff(sorted_codes, prepend=-1))
 
 
 def build(cloud: PointCloud, domain: Aabb, depth: int,
           depth_cap: int = DEFAULT_DEPTH_CAP) -> OctoTree:
-    """Build a tree from a whole cloud at once: vectorized descent, one
-    stable sort by leaf code, tight bounds by reduceat."""
+    """Build a tree from a whole cloud at once: a binary search per axis in
+    the boundary table and one stable sort by leaf code.  The tree keeps its
+    own read-only copy of the points."""
     tree = OctoTree(domain, depth, depth_cap)
-    pts = np.ascontiguousarray(cloud.points, dtype=float)
-    n = pts.shape[0]
-    if n == 0:
+    pts = np.array(cloud.points, dtype=float)
+    if pts.shape[0] == 0:
         return tree
     if pts.shape[1] != tree.dim:
         raise ValueError(f"cloud dim {pts.shape[1]} != domain dim {tree.dim}")
     require_inside(pts, domain)
-    tree._store = pts.copy()
-    tree._n = n
-    codes = _descend_codes(pts, domain, depth)
+    pts.flags.writeable = False
+    tree._points = pts
+    index = np.column_stack([np.searchsorted(faces[1:-1], coord, side="right")
+                             for faces, coord in zip(tree.boundaries, pts.T)])
+    codes = morton_encode(index, depth)
     order = np.argsort(codes, kind="stable")
-    tree._set_table(codes[order], order, pts[order])
+    codes = codes[order]
+    starts = _run_starts(codes)
+    tree._set_table(codes, order, starts, index[order[starts]])
     return tree
 
 
-def push_point(tree: OctoTree, p) -> LeafRecord:
-    """Insert one point into the leaf table; returns the record of the leaf
-    it entered."""
-    q = as_point(p)
-    if q.shape[0] != tree.dim:
-        raise ValueError(f"point dim {q.shape[0]} != tree dim {tree.dim}")
-    if not tree.domain.contains(q):
-        raise PointOutOfDomain(q, tree.domain.min, tree.domain.max)
-    code = int(_descend_codes(q[None, :], tree.domain, tree.depth)[0])
-    pid = tree._append_point(q)
-    # Ids grow with insertion, so the slot after the leaf's last point
-    # keeps its ids ascending.
-    point_codes = np.repeat(tree.codes, np.diff(tree.offsets))
-    slot = int(np.searchsorted(point_codes, code, side="right"))
-    order = np.insert(tree.order, slot, pid)
-    tree._set_table(np.insert(point_codes, slot, code), order,
-                    tree.points_array()[order])
-    return _leaf_record(tree, int(np.searchsorted(tree.codes, code)))
-
-
 def dynamic_partition(tree: OctoTree) -> OctoTree:
-    """Deepen the tree by one level in place, re-splitting every occupied
-    leaf: each leaf's segment of point ids is stably re-sorted on one more
-    group of code bits.
-
-    Equivalent to rebuilding the same points at depth + 1: occupied-leaf set,
-    per-leaf point ids and tight bounds match a fresh build exactly.
-    """
+    """Deepen the tree by one level in place: each leaf's segment of point
+    ids is stably re-sorted on one more group of code bits, giving the table
+    a fresh build at depth + 1 would give."""
     new_depth = tree.depth + 1
     if new_depth > tree.depth_cap:
         raise DepthCapExceeded(
             f"partition to depth {new_depth} exceeds cap {tree.depth_cap}")
+    faces = _boundaries(tree.domain, new_depth)
+    axes = np.arange(tree.dim)
     counts = np.diff(tree.offsets)
-    mid = np.repeat(0.5 * (tree.split_lo + tree.split_hi), counts, axis=0)
-    pts = tree.points_array()[tree.order]
-    upper = pts >= mid
-    d = tree.dim
-    codes = np.repeat(tree.codes << d, counts)
-    for a in range(d):
+    # Leaf index i splits at the new face 2 * i + 1 of the finer table.
+    upper = tree.points_array()[tree.order] >= np.repeat(
+        faces[axes, 2 * tree.index + 1], counts, axis=0)
+    codes = np.repeat(tree.codes << tree.dim, counts)
+    for a in range(tree.dim):
         codes |= upper[:, a].astype(np.int64) << a
     perm = np.argsort(codes, kind="stable")
+    codes = codes[perm]
+    starts = _run_starts(codes)
+    first = perm[starts]
+    parent = np.searchsorted(tree.offsets, first, side="right") - 1
     tree.depth = new_depth
-    tree._set_table(codes[perm], tree.order[perm], pts[perm])
+    tree.boundaries = faces
+    tree._set_table(codes, tree.order[perm], starts,
+                    2 * tree.index[parent] + upper[first])
     return tree
-
-
-def _leaf_record(tree: OctoTree, k: int) -> LeafRecord:
-    lo, hi = tree.offsets[k], tree.offsets[k + 1]
-    return LeafRecord(
-        index=tuple(tree.index[k].tolist()),
-        split_boundary=Aabb._trusted(tree.split_lo[k].copy(),
-                                     tree.split_hi[k].copy()),
-        node_boundary=Aabb._trusted(tree.bmin[k].copy(), tree.bmax[k].copy()),
-        point_ids=tree.order[lo:hi].copy())
 
 
 def occupied_leaves(tree: OctoTree) -> list[LeafRecord]:
     """Records for every occupied leaf, ordered by Morton code of the leaf's
     grid index (axis 0 in the least significant interleave slot)."""
-    return [_leaf_record(tree, k) for k in range(len(tree.codes))]
+    axes = np.arange(tree.dim)
+    lo = tree.boundaries[axes, tree.index]
+    hi = tree.boundaries[axes, tree.index + 1]
+    pts = tree.points_array()[tree.order]
+    bmin = np.minimum.reduceat(pts, tree.offsets[:-1], axis=0)
+    bmax = np.maximum.reduceat(pts, tree.offsets[:-1], axis=0)
+    ids = np.split(tree.order.copy(), tree.offsets[1:-1])
+    return [LeafRecord(index=tuple(index),
+                       split_boundary=Aabb._trusted(lo[k], hi[k]),
+                       node_boundary=Aabb._trusted(bmin[k], bmax[k]),
+                       point_ids=ids[k])
+            for k, index in enumerate(tree.index.tolist())]
 
 
 # downsample_tree reads its leaves under this name, which traces of a
@@ -307,12 +255,3 @@ def morton_encode(idx: np.ndarray, depth: int) -> np.ndarray:
         for a in range(d):
             code |= ((idx[:, a] >> b) & 1) << (b * d + a)
     return code
-
-
-def morton_decode(codes: np.ndarray, depth: int, dim: int) -> np.ndarray:
-    """Inverse of morton_encode: the (n, dim) grid indices of the codes."""
-    idx = np.zeros((len(codes), dim), dtype=np.int64)
-    for b in range(depth):
-        for a in range(dim):
-            idx[:, a] |= ((codes >> (b * dim + a)) & 1) << b
-    return idx

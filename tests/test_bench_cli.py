@@ -407,6 +407,20 @@ def test_cli_negative_depth_exits_2(tmp_path, capsys):
     assert one_error_line(err)["error"] == "invalidspec"
 
 
+def test_cli_depth_above_cap_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "--out-dir", str(tmp_path),
+        "build", "--scene-points", "2000", "--depth", "17")
+    assert code == 2
+    assert out == ""
+    assert one_error_line(err)["error"] == "invalidspec"
+    code, out, _ = run_cli(
+        capsys, "--out-dir", str(tmp_path),
+        "build", "--perlin", "--domain", "0,0:8,8", "--depth", "16")
+    assert code == 0
+    assert json.loads(out)["depth"] == 16
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_cli_workers_below_one_exits_2(tmp_path, capsys, workers):
     code, out, err = run_cli(

@@ -15,7 +15,19 @@ from scipy.spatial import ConvexHull as SciHull
 
 from octoplan.errors import DegenerateInput, EmptyInput
 from octoplan.geometry import (Aabb, PointCloud, aabb_of, as_point, contains,
-                               hull_volume, quickhull, strictly_inside)
+                               quickhull, strictly_inside)
+
+
+def hull_volume(hull):
+    """Signed volume (3-D) or signed area (2-D); positive for valid output."""
+    if hull.dim == 2:
+        v = hull.vertices
+        nxt = np.roll(v, -1, axis=0)
+        return float(0.5 * np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]))
+    v = hull.vertices
+    tri = hull.faces
+    a, b, c = v[tri[:, 0]], v[tri[:, 1]], v[tri[:, 2]]
+    return float(np.sum(np.einsum("ij,ij->i", a, np.cross(b, c))) / 6.0)
 
 
 def bary_contains(points, p, tol=1e-9):

@@ -8,9 +8,8 @@ import pytest
 from octoplan.errors import InvalidSpec, PointOutOfDomain
 from octoplan.geometry import Aabb, PointCloud
 from octoplan.gridmap import (UniformGridMap, gap_preserved, grid_from_json,
-                              grid_to_json, grid_to_pgm, pgm_from_text,
-                              rasterize_adaptive, rasterize_fixed, rle_decode,
-                              rle_encode)
+                              grid_to_json, grid_to_pgm, rasterize_adaptive,
+                              rasterize_fixed, rle_decode, rle_encode)
 from octoplan.tree import build, occupied_leaves
 
 
@@ -288,6 +287,25 @@ def test_pgm_text_layout_and_values():
     # Rows print top-down, so the j = 1 row comes first.
     assert lines[3] == "255 0 0"
     assert lines[4] == "0 0 0"
+
+
+def pgm_from_text(text):
+    """Parse a P2 raster back into the integer shade array (w, h)."""
+    tokens = []
+    for line in text.splitlines():
+        body = line.split("#", 1)[0].strip()
+        if body:
+            tokens.extend(body.split())
+    if not tokens or tokens[0] != "P2":
+        raise ValueError("not a P2 raster")
+    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    vals = np.asarray([int(t) for t in tokens[4:]], dtype=np.int64)
+    if vals.size != w * h or maxval != 255:
+        raise ValueError("raster payload does not match its header")
+    shade = np.empty((w, h), dtype=np.int64)
+    for k in range(h):
+        shade[:, h - 1 - k] = vals[k * w:(k + 1) * w]
+    return shade
 
 
 def test_pgm_path_overlay_and_round_trip():

@@ -1,4 +1,6 @@
-"""Subdivision tree tests: depth selection, insertion, partition, read-out."""
+"""Subdivision tree tests: depth selection, placement, partition, read-out."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,13 +8,91 @@ from hypothesis import strategies as st
 
 from octoplan.errors import (DepthCapExceeded, InvalidSpec, PointOutOfDomain)
 from octoplan.geometry import Aabb, PointCloud
-from octoplan.tree import (McrSpec, OctoTree, build, compute_depth,
-                           dynamic_partition, morton_encode, morton_key,
-                           occupied_leaves, push_point)
+from octoplan.tree import (DEFAULT_DEPTH_CAP, McrSpec, OctoTree, build,
+                           compute_depth, dynamic_partition, morton_encode,
+                           morton_key, occupied_leaves)
 
 
 def unit_domain(d, edge=1.0):
     return Aabb(np.zeros(d), np.full(d, float(edge)))
+
+
+# -------------------------------------------------------------------- oracle
+# The placement rule spelled out level by level, independent of the tree's
+# boundary tables: a descent places points, and two walks over the code bits
+# recover grid indices and split boxes.
+
+
+def descend_codes(pts, domain, depth):
+    """Morton code of each point's cell at the given depth, computed by the
+    successive-midpoint comparisons: one group of d bits per level, axis a
+    in bit a of the group."""
+    n, d = pts.shape
+    lo = np.tile(domain.min, (n, 1))
+    hi = np.tile(domain.max, (n, 1))
+    code = np.zeros(n, dtype=np.int64)
+    for _ in range(depth):
+        mid = 0.5 * (lo + hi)
+        upper = pts >= mid
+        code <<= d
+        for a in range(d):
+            code |= upper[:, a].astype(np.int64) << a
+        lo = np.where(upper, mid, lo)
+        hi = np.where(upper, hi, mid)
+    return code
+
+
+def decode_index(codes, depth, dim):
+    """The (n, dim) grid indices of the codes, bit by bit."""
+    idx = np.zeros((len(codes), dim), dtype=np.int64)
+    for b in range(depth):
+        for a in range(dim):
+            idx[:, a] |= ((codes >> (b * dim + a)) & 1) << b
+    return idx
+
+
+def split_boxes(domain, codes, depth):
+    """Split boxes (lo, hi rows) of the cells with these codes, halving the
+    domain at the successive midpoints the code bits choose."""
+    d = domain.dim
+    lo = np.tile(domain.min, (len(codes), 1))
+    hi = np.tile(domain.max, (len(codes), 1))
+    axes = np.arange(d)
+    for level in range(depth - 1, -1, -1):
+        upper = ((codes[:, None] >> (level * d + axes)) & 1).astype(bool)
+        mid = 0.5 * (lo + hi)
+        lo = np.where(upper, mid, lo)
+        hi = np.where(upper, hi, mid)
+    return lo, hi
+
+
+def pushed_leaves(pts, domain, depth):
+    """Leaf code -> point ids, pushing one point at a time down the
+    descent."""
+    leaves = {}
+    for i, p in enumerate(pts):
+        code = int(descend_codes(p[None, :], domain, depth)[0])
+        leaves.setdefault(code, []).append(i)
+    return leaves
+
+
+def assert_matches_oracle(tree, pts):
+    """Codes, grid indices, split boxes, point ids and tight boxes equal the
+    oracle's for the same points, domain and depth."""
+    leaves = pushed_leaves(pts, tree.domain, tree.depth)
+    codes = np.array(sorted(leaves), dtype=np.int64)
+    index = decode_index(codes, tree.depth, tree.dim)
+    lo, hi = split_boxes(tree.domain, codes, tree.depth)
+    recs = occupied_leaves(tree)
+    assert tree.codes.tolist() == codes.tolist()
+    assert [r.index for r in recs] == [tuple(i) for i in index.tolist()]
+    for k, rec in enumerate(recs):
+        ids = leaves[int(codes[k])]
+        assert rec.point_ids.tolist() == ids
+        assert np.array_equal(rec.split_boundary.min, lo[k])
+        assert np.array_equal(rec.split_boundary.max, hi[k])
+        assert np.array_equal(rec.node_boundary.min, pts[ids].min(axis=0))
+        assert np.array_equal(rec.node_boundary.max, pts[ids].max(axis=0))
 
 
 # ------------------------------------------------------------ compute_depth
@@ -127,49 +207,86 @@ def test_build_matches_push_point_sequence():
     rng = np.random.default_rng(8)
     dom = unit_domain(3, 4.0)
     pts = rng.uniform(0, 4, (300, 3))
-    bulk = build(PointCloud(pts), dom, depth=3)
-    inc = OctoTree(dom, depth=3)
-    for p in pts:
-        push_point(inc, p)
-    ra, rb = occupied_leaves(bulk), occupied_leaves(inc)
-    assert [r.index for r in ra] == [r.index for r in rb]
-    assert [r.point_count for r in ra] == [r.point_count for r in rb]
-    for a, b in zip(ra, rb):
-        assert np.array_equal(a.node_boundary.min, b.node_boundary.min)
-        assert np.array_equal(a.node_boundary.max, b.node_boundary.max)
+    assert_matches_oracle(build(PointCloud(pts), dom, depth=3), pts)
 
 
-# ---------------------------------------------------------------- push_point
+def test_points_array_is_read_only():
+    tree = build(PointCloud(np.array([[0.5, 0.5]])), unit_domain(2), depth=2)
+    with pytest.raises(ValueError):
+        tree.points_array()[0, 0] = 0.25
+    assert not OctoTree(unit_domain(2), depth=2).points_array().flags.writeable
+
+
+def test_build_keeps_its_own_copy_of_the_points():
+    cloud = PointCloud(np.array([[0.25, 0.25], [0.75, 0.75]]))
+    tree = build(cloud, unit_domain(2), depth=1)
+    cloud.points[:] = 0.9
+    assert tree.points_array().tolist() == [[0.25, 0.25], [0.75, 0.75]]
+    dynamic_partition(tree)
+    recs = occupied_leaves(tree)
+    assert [r.index for r in recs] == [(1, 1), (3, 3)]
+    assert recs[0].node_boundary.min.tolist() == [0.25, 0.25]
+
+
+def test_depth_cap_above_limit_is_refused_before_allocating():
+    dom = unit_domain(2)
+    cloud = PointCloud(np.array([[0.5, 0.5]]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="depth cap"):
+            OctoTree(dom, depth=0, depth_cap=DEFAULT_DEPTH_CAP + 1)
+        with pytest.raises(ValueError, match="depth cap"):
+            build(cloud, dom, depth=31, depth_cap=31)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_domain_whose_midpoints_overflow_is_refused():
+    big = np.finfo(float).max / 2
+    faces = OctoTree(Aabb(np.full(2, -big), np.full(2, big)),
+                     depth=16).boundaries
+    assert np.isfinite(faces).all() and np.all(np.diff(faces, axis=1) > 0)
+    with pytest.raises(ValueError, match="overflow"):
+        OctoTree(Aabb(np.full(2, 1e308), np.full(2, 1.7e308)), depth=1)
+
+
+# ----------------------------------------------------------------- placement
 
 
 def test_midpoint_tie_goes_to_upper_orthant():
-    tree = OctoTree(unit_domain(2, 2.0), depth=1)
-    leaf = push_point(tree, [1.0, 1.0])
-    assert leaf.index == (1, 1)
+    tree = build(PointCloud(np.array([[1.0, 1.0]])), unit_domain(2, 2.0),
+                 depth=1)
+    assert [r.index for r in occupied_leaves(tree)] == [(1, 1)]
 
 
 def test_identical_points_share_leaf():
-    tree = OctoTree(unit_domain(2), depth=4)
-    a = push_point(tree, [0.3, 0.3])
-    b = push_point(tree, [0.3, 0.3])
-    assert a.index == b.index
-    assert b.point_count == 2
+    tree = build(PointCloud(np.array([[0.3, 0.3], [0.3, 0.3]])),
+                 unit_domain(2), depth=4)
+    recs = occupied_leaves(tree)
+    assert len(recs) == 1
+    assert recs[0].point_ids.tolist() == [0, 1]
 
 
 def test_domain_max_corner_lands_in_maximal_orthant():
     depth = 3
-    tree = OctoTree(unit_domain(2, 8.0), depth=depth)
-    leaf = push_point(tree, [8.0, 8.0])
-    assert leaf.index == (2 ** depth - 1, 2 ** depth - 1)
+    tree = build(PointCloud(np.array([[8.0, 8.0]])), unit_domain(2, 8.0),
+                 depth=depth)
+    assert [r.index for r in occupied_leaves(tree)] == \
+        [(2 ** depth - 1, 2 ** depth - 1)]
 
 
 def test_push_point_index_arithmetic_oracle():
+    """Each point's leaf index is what pushing it alone down the midpoints
+    by hand gives."""
     rng = np.random.default_rng(5)
     depth = 4
-    dom = unit_domain(2, 16.0)
-    tree = OctoTree(dom, depth=depth)
-    for p in rng.uniform(0, 16, (200, 2)):
-        leaf = push_point(tree, p)
+    pts = rng.uniform(0, 16, (200, 2))
+    tree = build(PointCloud(pts), unit_domain(2, 16.0), depth=depth)
+    leaf_of = {int(i): rec.index for rec in occupied_leaves(tree)
+               for i in rec.point_ids}
+    for i, p in enumerate(pts):
         expect = []
         for a in range(2):
             lo, hi, idx = 0.0, 16.0, 0
@@ -179,13 +296,7 @@ def test_push_point_index_arithmetic_oracle():
                 idx = idx * 2 + bit
                 lo, hi = (mid, hi) if bit else (lo, mid)
             expect.append(idx)
-        assert leaf.index == tuple(expect)
-
-
-def test_push_point_out_of_domain():
-    tree = OctoTree(unit_domain(2), depth=2)
-    with pytest.raises(PointOutOfDomain):
-        push_point(tree, [1.5, 0.5])
+        assert leaf_of[i] == tuple(expect)
 
 
 # --------------------------------------------------------- dynamic_partition
@@ -251,18 +362,27 @@ def midpoint_coords(lo, hi, depth, rng, n):
 
 
 def tricky_cloud(rng, d, depth, n=400):
-    """Random cloud with coordinates snapped onto split midpoints down to
-    the given depth and onto the domain's max faces, plus repeated rows."""
+    """Random domain and snapped_points in it."""
     origin = rng.uniform(-10.0, 10.0, size=d)
     dom = Aabb(origin, origin + rng.uniform(3.0, 30.0, size=d))
-    pts = dom.min + rng.uniform(size=(n, d)) * dom.edges
+    return dom, snapped_points(rng, dom, depth, n)
+
+
+def snapped_points(rng, dom, depth, n):
+    """Random points with coordinates snapped onto split midpoints down to
+    the given depth and onto the domain's max faces, plus repeated rows."""
+    d = dom.dim
+    pts = np.clip(dom.min + rng.uniform(size=(n, d)) * dom.edges,
+                  dom.min, dom.max)
     for a in range(d):
         snap = rng.uniform(size=n) < 0.3
         pts[snap, a] = midpoint_coords(dom.min[a], dom.max[a], depth, rng,
                                        int(snap.sum()))
         pts[rng.uniform(size=n) < 0.05, a] = dom.max[a]
-    pts[-20:] = pts[rng.integers(0, n - 20, size=20)]
-    return dom, pts
+    repeats = min(20, n // 2)
+    if repeats:
+        pts[-repeats:] = pts[rng.integers(0, n - repeats, size=repeats)]
+    return pts
 
 
 def assert_same_leaf_tables(a, b):
@@ -294,13 +414,70 @@ def test_two_partitions_equal_build_two_levels_deeper(d, seed):
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("d", [2, 3])
 def test_push_point_tree_equals_bulk_build(d, seed):
+    """build equals the oracle that pushes one point at a time."""
     rng = np.random.default_rng([d, seed, 1])
     depth = int(rng.integers(0, 6))
     dom, pts = tricky_cloud(rng, d, depth)
-    grown = OctoTree(dom, depth=depth)
-    for p in pts:
-        push_point(grown, p)
-    assert_same_leaf_tables(grown, build(PointCloud(pts), dom, depth=depth))
+    assert_matches_oracle(build(PointCloud(pts), dom, depth=depth), pts)
+
+
+def test_build_depth_16_in_2d_matches_oracle():
+    rng = np.random.default_rng(16)
+    dom, pts = tricky_cloud(rng, 2, 16, n=300)
+    assert_matches_oracle(build(PointCloud(pts), dom, depth=16), pts)
+    tree = build(PointCloud(pts), dom, depth=15)
+    assert_matches_oracle(tree, pts)
+    dynamic_partition(tree)
+    assert_matches_oracle(tree, pts)
+
+
+def test_ulp_domain_with_repeated_boundaries_matches_oracle():
+    # 1e-6 m at 1e6 m is about 8,600 ulps, so from depth 14 on neighbouring
+    # boundaries coincide and some cells are empty intervals.
+    dom = Aabb(np.full(2, 1e6), np.full(2, 1e6 + 1e-6))
+    rng = np.random.default_rng(6)
+    pts = snapped_points(rng, dom, 16, 300)
+    tree = build(PointCloud(pts), dom, depth=15)
+    assert np.any(np.diff(tree.boundaries, axis=1) == 0)
+    assert np.all(np.diff(tree.boundaries, axis=1) >= 0)
+    assert_matches_oracle(tree, pts)
+    dynamic_partition(tree)
+    assert_matches_oracle(tree, pts)
+
+
+def oracle_domain(rng, kind, d):
+    """A domain of one kind: negative, tiny (an edge of 1e-12 to 1e-9),
+    ulp (1 to 63 ulps wide at 1e6) or mixed signs."""
+    if kind == "negative":
+        hi = -rng.uniform(0.5, 50.0, size=d)
+        return Aabb(hi - rng.uniform(1.0, 100.0, size=d), hi)
+    if kind == "tiny":
+        lo = rng.uniform(-1.0, 1.0, size=d)
+        return Aabb(lo, lo + rng.uniform(1e-12, 1e-9, size=d))
+    if kind == "ulp":
+        lo = 1e6 + rng.uniform(0.0, 1.0, size=d)
+        return Aabb(lo, lo + rng.integers(1, 64, size=d) * np.spacing(lo))
+    lo = rng.uniform(-10.0, 10.0, size=d)
+    return Aabb(lo, lo + rng.uniform(3.0, 30.0, size=d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    depth=st.integers(min_value=0, max_value=DEFAULT_DEPTH_CAP),
+    kind=st.sampled_from(["mixed", "negative", "tiny", "ulp"]),
+    n=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+)
+def test_tables_match_descent_oracle(d, depth, kind, n, seed):
+    rng = np.random.default_rng(seed)
+    dom = oracle_domain(rng, kind, d)
+    pts = snapped_points(rng, dom, min(depth + 1, DEFAULT_DEPTH_CAP), n)
+    tree = build(PointCloud(pts), dom, depth=depth)
+    assert_matches_oracle(tree, pts)
+    if depth < DEFAULT_DEPTH_CAP:
+        dynamic_partition(tree)
+        assert_matches_oracle(tree, pts)
 
 
 def test_partition_respects_depth_cap():
@@ -320,14 +497,11 @@ def test_partition_empty_tree():
 def test_conservation_through_mixed_mutations():
     rng = np.random.default_rng(21)
     dom = unit_domain(2, 6.0)
-    tree = build(PointCloud(rng.uniform(0, 6, (500, 2))), dom, depth=3)
-    for p in rng.uniform(0, 6, (40, 2)):
-        push_point(tree, p)
-    dynamic_partition(tree)
-    for p in rng.uniform(0, 6, (17, 2)):
-        push_point(tree, p)
-    dynamic_partition(tree)
-    assert sum(r.point_count for r in occupied_leaves(tree)) == 557
+    tree = build(PointCloud(rng.uniform(0, 6, (557, 2))), dom, depth=3)
+    for _ in range(2):
+        dynamic_partition(tree)
+        ids = np.concatenate([r.point_ids for r in occupied_leaves(tree)])
+        assert sorted(ids.tolist()) == list(range(557))
 
 
 # ------------------------------------------------------------ read-out / misc
@@ -352,25 +526,15 @@ def test_occupied_leaves_morton_order():
     assert len(set(keys)) == len(keys)
 
 
-def assert_same_record(x, y):
-    assert x.index == y.index
-    assert x.point_ids.tolist() == y.point_ids.tolist()
-    assert x.point_count == y.point_count
-    for box in ("split_boundary", "node_boundary"):
-        assert np.array_equal(getattr(x, box).min, getattr(y, box).min)
-        assert np.array_equal(getattr(x, box).max, getattr(y, box).max)
-
-
-def test_records_are_snapshots_across_push_and_partition():
+def test_records_are_snapshots_across_partitions():
     dom = unit_domain(2, 8.0)
-    tree = build(PointCloud(np.array([[0.25, 0.25], [0.5, 0.5]])), dom,
-                 depth=3)
+    tree = build(PointCloud(np.array([[0.25, 0.25], [0.5, 0.5],
+                                      [0.75, 0.75]])), dom, depth=3)
     before = occupied_leaves(tree)
     kept = [(r.index, r.point_ids.copy(), r.split_boundary.min.copy(),
              r.split_boundary.max.copy(), r.node_boundary.min.copy(),
              r.node_boundary.max.copy()) for r in before]
-    # Grows the read leaf's tight box and point ids, then splits it.
-    push_point(tree, (0.75, 0.75))
+    # Splits the read leaf, shrinking its split box, tight box and ids.
     dynamic_partition(tree)
     assert len(occupied_leaves(tree)) == 2
     for rec, (index, ids, slo, shi, nlo, nhi) in zip(before, kept):
@@ -380,19 +544,6 @@ def test_records_are_snapshots_across_push_and_partition():
         assert np.array_equal(rec.split_boundary.max, shi)
         assert np.array_equal(rec.node_boundary.min, nlo)
         assert np.array_equal(rec.node_boundary.max, nhi)
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_push_point_returns_matching_occupied_leaves_entry(d):
-    rng = np.random.default_rng([d, 17])
-    dom, pts = tricky_cloud(rng, d, depth=3, n=120)
-    tree = OctoTree(dom, depth=3)
-    for p in pts:
-        rec = push_point(tree, p)
-        match = [r for r in occupied_leaves(tree) if r.index == rec.index]
-        assert len(match) == 1
-        assert_same_record(rec, match[0])
-        assert rec.point_ids[-1] == tree.point_count - 1
 
 
 def test_package_exports_resolve():
