@@ -223,9 +223,8 @@ def export_mesh(meshes: list, path) -> None:
                 z = row[2] if verts.shape[1] == 3 else 0.0
                 fh.write(f"v {row[0]!r} {row[1]!r} {z!r}\n")
             if verts.shape[1] == 3:
-                for face in np.asarray(mesh.faces, dtype=np.int64):
-                    fh.write(f"f {base + face[0]} {base + face[1]} "
-                             f"{base + face[2]}\n")
+                faces = np.asarray(mesh.faces, dtype=np.int64) + base
+                fh.writelines(f"f {a} {b} {c}\n" for a, b, c in faces.tolist())
             else:
                 loop = " ".join(str(base + v) for v in range(len(verts)))
                 fh.write(f"l {loop} {base}\n")

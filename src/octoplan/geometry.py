@@ -1,9 +1,32 @@
 """Geometric primitives: points, boxes, convex hulls.
 
 Hulls are built with a quickhull that works in 2-D (divide and conquer on
-edges) and 3-D (conflict lists over triangular faces).  All tolerance checks
-use a single absolute epsilon in coordinate units, so callers at metric scale
-get nanometre-level slack.
+edges) and 3-D (conflict lists over triangular faces; Barber, Dobkin &
+Huhdanpaa, ACM TOMS 22(4), 1996).  All tolerance checks use a single
+absolute epsilon in coordinate units, so callers at metric scale get
+nanometre-level slack.
+
+The 3-D hull keeps its faces in flat parallel lists indexed by face id:
+vertex triple, plane tuple (nx, ny, nz, off), alive flag, conflict list and
+visit stamp, with directed edges keyed as the integer u * n + v.  Every
+per-face access is a scalar read, which is cheaper from a Python list than
+from a numpy array.  The decisions are fixed, so a hull is a function of its
+input bytes alone:
+
+- plane and side tests use the scalar expression nx*x + ny*y + nz*z - off,
+  in that order;
+- the visible flood is depth-first, and horizon edges, and with them the
+  new faces, come in the order the flood met them;
+- the face queue is last-in, first-out, and a point equally far outside two
+  faces goes to the earlier one;
+- a batch of candidates is assigned by one matmul exactly when it has at
+  least 4,096 point-face products.  A BLAS product may round differently
+  from the scalar loop, and one ulp can move a point to another face, so
+  moving that threshold changes hulls.
+
+Leaves of a downsample are hulled by the thousand, mostly with under fifty
+points each, so this per-face interpreter work is most of a downsample's
+time.
 """
 from __future__ import annotations
 
@@ -136,9 +159,23 @@ class ConvexHull:
         return self.vertices.shape[1]
 
 
+_NEG_ZERO = np.float64(-0.0).view(np.int64)
+
+
 def _dedupe_rows(pts: np.ndarray) -> np.ndarray:
-    """Unique rows in lexicographic order (exact coordinate equality)."""
-    return np.unique(pts, axis=0)
+    """Unique rows in lexicographic order (exact coordinate equality), the
+    same array as np.unique(pts, axis=0).
+
+    A stable lexsort keeps the first of equal rows.  np.unique keeps an
+    unspecified one, which shows only when equal rows differ in the sign of
+    a zero, so a cloud holding a negative zero goes through np.unique."""
+    if (pts.view(np.int64) == _NEG_ZERO).any():
+        return np.unique(pts, axis=0)
+    srt = pts[np.lexsort(pts.T[::-1])]
+    keep = np.empty(len(srt), dtype=bool)
+    keep[0] = True
+    np.any(srt[1:] != srt[:-1], axis=1, out=keep[1:])
+    return srt[keep]
 
 
 def quickhull(cloud: PointCloud) -> ConvexHull:
@@ -236,17 +273,6 @@ def _expand_2d(pts, iu, iv, cand, ring):
 # ---------------------------------------------------------------- 3-D hull
 
 
-class _Face:
-    __slots__ = ("verts", "normal", "offset", "conflicts", "alive")
-
-    def __init__(self, verts, normal, offset):
-        self.verts = verts          # (i, j, k) indices, outward orientation
-        self.normal = normal        # unit normal as a float triple
-        self.offset = offset        # plane offset: normal . x = offset
-        self.conflicts = None       # indices of points strictly outside
-        self.alive = True
-
-
 def _plane_rows(pa, pb, pc):
     """Unit normal and offset of the plane through three point rows.
 
@@ -338,141 +364,135 @@ def _hull_3d(pts: np.ndarray) -> ConvexHull:
         i0, i1, i2, i3 = _initial_simplex_small(rows)
     else:
         i0, i1, i2, i3 = _initial_simplex(pts)
-    interior = (
-        (rows[i0][0] + rows[i1][0] + rows[i2][0] + rows[i3][0]) / 4.0,
-        (rows[i0][1] + rows[i1][1] + rows[i2][1] + rows[i3][1]) / 4.0,
-        (rows[i0][2] + rows[i1][2] + rows[i2][2] + rows[i3][2]) / 4.0,
-    )
+    cx = (rows[i0][0] + rows[i1][0] + rows[i2][0] + rows[i3][0]) / 4.0
+    cy = (rows[i0][1] + rows[i1][1] + rows[i2][1] + rows[i3][1]) / 4.0
+    cz = (rows[i0][2] + rows[i1][2] + rows[i2][2] + rows[i3][2]) / 4.0
 
-    faces: list[_Face] = []
-    edge_owner: dict[tuple[int, int], _Face] = {}
+    # Face f is entry f of each table.  `owner` maps the directed edge
+    # u -> v, keyed u * n_pts + v, to the face last created with it.  An
+    # entry of a dead face is never deleted: the flood checks `alive`, and
+    # the horizon test needs no check, as only live faces carry the stamp
+    # of the current apex.
+    tri: list[tuple[int, int, int]] = []
+    plane: list[tuple[float, float, float, float]] = []
+    alive: list[bool] = []
+    conf: list[list[int] | None] = []
+    stamp: list[int] = []
+    owner: dict[int, int] = {}
 
-    def add_face(a, b, c):
-        normal, offset = _plane_rows(rows[a], rows[b], rows[c])
-        if normal is None:
-            # Sliver triangle; keep it with a null plane.
-            normal = (0.0, 0.0, 0.0)
-            offset = 0.0
-        elif (normal[0] * interior[0] + normal[1] * interior[1]
-              + normal[2] * interior[2]) > offset:
-            # Same plane, opposite winding: negation is exact.
-            b, c = c, b
-            normal = (-normal[0], -normal[1], -normal[2])
-            offset = -offset
-        f = _Face((a, b, c), normal, offset)
-        faces.append(f)
-        for u, v in ((a, b), (b, c), (c, a)):
-            edge_owner[(u, v)] = f
-        return f
-
-    def drop_face(f):
-        f.alive = False
-        a, b, c = f.verts
-        for u, v in ((a, b), (b, c), (c, a)):
-            if edge_owner.get((u, v)) is f:
-                del edge_owner[(u, v)]
-
-    first = [add_face(i0, i1, i2), add_face(i0, i1, i3),
-             add_face(i0, i2, i3), add_face(i1, i2, i3)]
-
+    new = [(i0, i1, i2), (i0, i1, i3), (i0, i2, i3), (i1, i2, i3)]
     seed = {i0, i1, i2, i3}
     cand = [i for i in range(n_pts) if i not in seed]
-    _assign_conflicts(pts, rows, first, cand)
+    queue: list[int] = []
+    while True:
+        start = len(tri)
+        for a, b, c in new:
+            normal, off = _plane_rows(rows[a], rows[b], rows[c])
+            if normal is None:
+                # Sliver triangle; keep it with a null plane.
+                pl = (0.0, 0.0, 0.0, 0.0)
+            else:
+                nx, ny, nz = normal
+                if nx * cx + ny * cy + nz * cz > off:
+                    # Same plane, opposite winding: negation is exact.
+                    b, c = c, b
+                    pl = (-nx, -ny, -nz, -off)
+                else:
+                    pl = (nx, ny, nz, off)
+            f = len(tri)
+            tri.append((a, b, c))
+            plane.append(pl)
+            alive.append(True)
+            stamp.append(-1)
+            owner[a * n_pts + b] = f
+            owner[b * n_pts + c] = f
+            owner[c * n_pts + a] = f
+        buckets = _assign_conflicts(pts, rows, plane[start:], cand)
+        conf.extend(buckets)
+        queue += [f for f, mine in enumerate(buckets, start) if mine]
 
-    queue = [f for f in first if f.conflicts]
-    while queue:
+        while queue and not alive[queue[-1]]:
+            queue.pop()
+        if not queue:
+            break
         face = queue.pop()
-        if not face.alive or not face.conflicts:
-            continue
-        nx, ny, nz = face.normal
+        nx, ny, nz, _ = plane[face]
         best = -math.inf
         p = -1
-        for i in face.conflicts:
+        for i in conf[face]:
             r = rows[i]
             rel = nx * r[0] + ny * r[1] + nz * r[2]
             if rel > best:
                 best, p = rel, i
         px, py, pz = rows[p]
 
-        # Flood out from `face` to every face visible from p.
+        # Depth-first flood from `face` to every face visible from p.  Each
+        # point is an apex once, so p itself stamps the faces seen.
+        stamp[face] = p
         visible = [face]
-        seen = {id(face)}
         stack = [face]
         while stack:
-            f = stack.pop()
-            a, b, c = f.verts
-            for u, v in ((a, b), (b, c), (c, a)):
-                g = edge_owner.get((v, u))
-                if g is None or id(g) in seen or not g.alive:
+            a, b, c = tri[stack.pop()]
+            for g in (owner.get(b * n_pts + a), owner.get(c * n_pts + b),
+                      owner.get(a * n_pts + c)):
+                if g is None or stamp[g] == p or not alive[g]:
                     continue
-                gn = g.normal
-                if (gn[0] * px + gn[1] * py + gn[2] * pz
-                        - g.offset > HULL_EPS):
-                    seen.add(id(g))
+                gx, gy, gz, go = plane[g]
+                if gx * px + gy * py + gz * pz - go > HULL_EPS:
+                    stamp[g] = p
                     visible.append(g)
                     stack.append(g)
 
-        horizon: list[tuple[int, int]] = []
-        for f in visible:
-            a, b, c = f.verts
-            for u, v in ((a, b), (b, c), (c, a)):
-                g = edge_owner.get((v, u))
-                if g is None or not g.alive or id(g) not in seen:
-                    horizon.append((u, v))
-
+        new = []
         orphan = set()
         for f in visible:
-            if f.conflicts:
-                orphan.update(f.conflicts)
+            a, b, c = tri[f]
+            for u, v in ((a, b), (b, c), (c, a)):
+                g = owner.get(v * n_pts + u)
+                if g is None or stamp[g] != p:
+                    new.append((u, v, p))
+            if conf[f]:
+                orphan.update(conf[f])
+            alive[f] = False
         orphan.discard(p)
-        for f in visible:
-            drop_face(f)
+        cand = sorted(orphan)
 
-        fresh = [add_face(u, v, p) for u, v in horizon]
-        _assign_conflicts(pts, rows, fresh, sorted(orphan))
-        queue.extend(f for f in fresh if f.conflicts)
-
-    live = [f for f in faces if f.alive]
-    used = sorted({i for f in live for i in f.verts})
-    remap = {old: new for new, old in enumerate(used)}
-    verts = pts[used]
-    tri = np.array([[remap[i] for i in f.verts] for f in live], dtype=np.int64)
-    tri = np.array(sorted(_canon_tri(t) for t in tri), dtype=np.int64)
-    return ConvexHull(verts, tri)
+    # Canonical output: live vertices renumbered in ascending order, each
+    # triangle rotated to start at its smallest index, rows sorted.
+    live = np.array([t for t, ok in zip(tri, alive) if ok], dtype=np.int64)
+    used = np.unique(live)
+    faces = np.searchsorted(used, live)
+    turn = (np.argmin(faces, axis=1)[:, None] + np.arange(3)) % 3
+    faces = np.take_along_axis(faces, turn, axis=1)
+    faces = faces[np.lexsort((faces[:, 2], faces[:, 1], faces[:, 0]))]
+    return ConvexHull(pts[used], faces)
 
 
-def _canon_tri(t):
-    """Rotate a triangle so its smallest index comes first (orientation kept)."""
-    i = int(np.argmin(t))
-    return (int(t[i]), int(t[(i + 1) % 3]), int(t[(i + 2) % 3]))
-
-
-def _assign_conflicts(pts, rows, faces, cand):
-    """Attach each candidate point to the face it lies furthest outside of
-    (ties to the earliest face)."""
-    if not len(cand) or not faces:
-        for f in faces:
-            f.conflicts = None
-        return
-    if len(cand) * len(faces) >= 4096:
-        normals = np.array([f.normal for f in faces])
-        offsets = np.array([f.offset for f in faces])
+def _assign_conflicts(pts, rows, planes, cand):
+    """Conflict list of each plane (None when empty): every candidate goes
+    to the plane it lies furthest outside of, ties to the earliest."""
+    if not cand or not planes:
+        return [None] * len(planes)
+    if len(cand) * len(planes) >= 4096:
+        table = np.array(planes)
+        # A C-ordered (k, 3) operand, as np.array of the normals alone gives.
+        normals = np.ascontiguousarray(table[:, :3])
         cand_arr = np.asarray(cand, dtype=np.int64)
-        rel = pts[cand_arr] @ normals.T - offsets
+        rel = pts[cand_arr] @ normals.T - table[:, 3]
         best = np.argmax(rel, axis=1)
         outside = rel[np.arange(len(cand_arr)), best] > HULL_EPS
-        for fi, f in enumerate(faces):
+        buckets = []
+        for fi in range(len(planes)):
             mine = cand_arr[(best == fi) & outside]
-            f.conflicts = mine.tolist() if mine.size else None
-        return
-    buckets = [None] * len(faces)
+            buckets.append(mine.tolist() if mine.size else None)
+        return buckets
+    buckets = [None] * len(planes)
     for i in cand:
         x, y, z = rows[i]
         best = HULL_EPS
         at = -1
-        for fi, f in enumerate(faces):
-            n = f.normal
-            rel = n[0] * x + n[1] * y + n[2] * z - f.offset
+        for fi, (nx, ny, nz, off) in enumerate(planes):
+            rel = nx * x + ny * y + nz * z - off
             if rel > best:
                 best, at = rel, fi
         if at >= 0:
@@ -480,8 +500,7 @@ def _assign_conflicts(pts, rows, faces, cand):
                 buckets[at] = [i]
             else:
                 buckets[at].append(i)
-    for fi, f in enumerate(faces):
-        f.conflicts = buckets[fi]
+    return buckets
 
 
 # ---------------------------------------------------------------- queries

@@ -1,5 +1,6 @@
 """Campaign bookkeeping and command-line behavior tests."""
 import csv
+import hashlib
 import json
 import math
 import subprocess
@@ -264,6 +265,27 @@ def test_cli_downsample_convex(tmp_path, capsys):
     metrics = (tmp_path / "metrics.csv").read_text().splitlines()
     assert metrics[0] == "input_size,retained,retention_rate,elapsed_ms"
     assert metrics[1].startswith("500,")
+
+
+def test_cli_downsample_convex_writes_golden_artifacts(tmp_path, capsys):
+    # Digests of the files written by the quickhull with one object per
+    # face; any change to a hull decision changes them.
+    cloud_path = tmp_path / "solids.bin"
+    write_binary(mapgen_mod.solid_cloud_near(20_000), cloud_path)
+    code, _, _ = run_cli(
+        capsys, "--out-dir", str(tmp_path),
+        "downsample", "--cloud", str(cloud_path),
+        "--domain", "0,0,0:20,20,20", "--depth", "5",
+        "--method", "convex", "--mesh-out", "hulls.obj")
+    assert code == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("retained.xyz", "hulls.obj")}
+    assert digests == {
+        "retained.xyz":
+            "85d4205db82b9c1b7eb33a009af6155509a045c50d5675a24049841ed8ce68db",
+        "hulls.obj":
+            "a0590804a208b56c6862403b4306bca98788f51e6c9fcb871d3e0da975d47f78",
+    }
 
 
 def test_cli_downsample_voxel(tmp_path, capsys):
