@@ -30,7 +30,7 @@ from time import perf_counter
 import numpy as np
 
 from .errors import DegenerateInput, EmptyInput, InvalidSpec
-from .geometry import (Aabb, ConvexHull, PointCloud, quickhull,
+from .geometry import (Aabb, ConvexHull, PointCloud, _dedupe_rows, quickhull,
                        strictly_inside)
 from .tree import OctoTree, occupied_leaf_nodes
 
@@ -56,7 +56,7 @@ def convexify_leaf(points, split_boundary: Aabb | None = None) -> np.ndarray:
         raise EmptyInput("convexify_leaf needs a nonempty (n, d) array")
     d = pts.shape[1]
     if len(pts) <= 2 * d:
-        return np.unique(pts, axis=0)
+        return _dedupe_rows(pts)
 
     seed_idx = np.unique(np.concatenate(
         [np.argmin(pts, axis=0), np.argmax(pts, axis=0)]))
@@ -65,7 +65,7 @@ def convexify_leaf(points, split_boundary: Aabb | None = None) -> np.ndarray:
         seed_hull = quickhull(PointCloud(extremes))
         survivors = pts[~strictly_inside(seed_hull, pts)]
     except (EmptyInput, DegenerateInput):
-        return np.unique(pts, axis=0)
+        return _dedupe_rows(pts)
 
     if split_boundary is not None:
         center = split_boundary.center()
@@ -92,7 +92,7 @@ def convexify_leaf(points, split_boundary: Aabb | None = None) -> np.ndarray:
             kept.append(sub)
             continue
         kept.append(verts)
-    return np.unique(np.vstack(kept), axis=0)
+    return _dedupe_rows(np.vstack(kept))
 
 
 def _leaf_job(args):
