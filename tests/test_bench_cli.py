@@ -318,6 +318,33 @@ def test_cli_plan_fixed(tmp_path, capsys):
     assert (tmp_path / "path.pgm").exists()
 
 
+@pytest.mark.parametrize("mode_args, digests", [
+    (("--mode", "fixed", "--cell", "1.0"), {
+        "path.json":
+            "5e9084963093beed1cdcc10c8ab71622d93f4cff8b817c7dcc45221ca60f644e",
+        "path.pgm":
+            "87067b7aaf298a8fe66561d2e70edb17fa7558b0f8b8b927fe05a48bc54c221e",
+    }),
+    (("--mode", "adaptive", "--depth", "6"), {
+        "path.json":
+            "982a613806e915a69874266670391298ef4ff50b6bcdb5dfaf157036c6ac1bff",
+        "path.pgm":
+            "8cdeb1158e17441c3bbd29036b09da03a5ea2eae3e56452178d30626d90247e9",
+    }),
+], ids=["fixed", "adaptive"])
+def test_cli_plan_writes_golden_artifacts(tmp_path, capsys, mode_args,
+                                          digests):
+    # Digests of the files written by the cell-by-cell JPS scan on a seeded
+    # noise map; any change to a search decision or tie-break changes them.
+    code, _, _ = run_cli(
+        capsys, "--seed", "7", "--out-dir", str(tmp_path),
+        "plan", "--perlin", "--domain", "0,0:64,48", *mode_args,
+        "--start", "1.5,1.5", "--goal", "62.5,46.5")
+    assert code == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in digests} == digests
+
+
 def test_cli_plan_adaptive_uses_refinement(tmp_path, capsys):
     cloud = wall_file(tmp_path, 0.5, gap=(8.0, 10.0))
     code, out, _ = run_cli(

@@ -1,10 +1,14 @@
-"""Planner tests: JPS vs Dijkstra, legality checks, refinement rounds."""
+"""Planner tests: JPS vs Dijkstra and vs a cell-by-cell scan, legality checks,
+refinement rounds."""
+import heapq
 import json
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from octoplan.errors import (InvalidRequest, NoPathAtMaxDepth,
@@ -12,10 +16,12 @@ from octoplan.errors import (InvalidRequest, NoPathAtMaxDepth,
 from octoplan.geometry import Aabb, PointCloud
 from octoplan.gridmap import UniformGridMap
 import octoplan.planner as planner_mod
-from octoplan.planner import (GridPath, PlanRequest, dijkstra_plan,
+from octoplan.planner import (GridPath, PlanRequest, _check_request,
+                              _expand_segment, _octile, dijkstra_plan,
                               free_components, jps_plan, path_to_json,
                               plan_with_refinement, validate_path)
-from octoplan.tree import build, dynamic_partition as real_partition
+from octoplan.tree import (build, dynamic_partition as real_partition,
+                           morton_key)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -157,6 +163,228 @@ def test_free_components_match_scipy_label():
     req = PlanRequest((0, 0), (7, 7))
     assert jps_plan(grid_from_occ(occ), req) is None
     assert dijkstra_plan(grid_from_occ(occ), req) is None
+
+
+# ------------------------------------------ oracle: the cell-by-cell scan
+
+
+def cell_by_cell_jps_plan(grid, req):
+    """Jump point search whose straight scans step one cell at a time: the
+    reference that the stop-table scans must match decision for decision."""
+    _check_request(grid, req)
+    start = (int(req.start[0]), int(req.start[1]))
+    goal = (int(req.goal[0]), int(req.goal[1]))
+    if start == goal:
+        return GridPath((start,), 0.0)
+    labels = free_components(grid.occupancy)
+    if labels[start] != labels[goal]:
+        return None
+
+    w, h = grid.dims
+    depth_bits = max(w - 1, h - 1).bit_length()
+    # Cell (i, j) is fr[(i + 1) * S + j + 1] in a row-major copy padded with
+    # a blocked border, so every neighbour of a grid cell is a valid index
+    # and a step along (di, dj) adds di * S + dj.
+    S = h + 2
+    fr = np.pad(~grid.occupancy, 1).astype(np.uint8).tobytes()
+
+    def flat(cell):
+        return (cell[0] + 1) * S + cell[1] + 1
+
+    def cell_of(p):
+        i, j = divmod(p, S)
+        return (i - 1, j - 1)
+
+    goal_p = flat(goal)
+
+    def step_ok(p, a, b):
+        if not fr[p + a + b]:
+            return False
+        if a and b:
+            return fr[p + a] and fr[p + b]
+        return True
+
+    def straight(p, d, side):
+        """Next jump point from p along the cardinal step d, or None; side
+        is the flat step perpendicular to d."""
+        while True:
+            p += d
+            if not fr[p]:
+                return None
+            if p == goal_p:
+                return p
+            # Obstacle diagonally behind with an open cell beside it means
+            # the perpendicular detour has to pass through this cell.
+            if (fr[p + side] and not fr[p + side - d]) or \
+               (fr[p - side] and not fr[p - side - d]):
+                return p
+
+    def jump(p, a, b):
+        """Next jump point from p along (a, b) = (di * S, dj), or None."""
+        if not a:
+            return straight(p, b, S)
+        if not b:
+            return straight(p, a, 1)
+        d = a + b
+        while True:
+            if not (fr[p + d] and fr[p + a] and fr[p + b]):
+                return None
+            p += d
+            if p == goal_p:
+                return p
+            if straight(p, a, 1) is not None or straight(p, b, S) is not None:
+                return p
+
+    def directions(p, parent_p):
+        if parent_p is None:
+            dirs = []
+            for di in (-1, 0, 1):
+                for dj in (-1, 0, 1):
+                    if (di or dj) and step_ok(p, di * S, dj):
+                        dirs.append((di * S, dj))
+            return dirs
+        i, j = cell_of(p)
+        pi, pj = cell_of(parent_p)
+        a = ((i > pi) - (i < pi)) * S
+        b = (j > pj) - (j < pj)
+        dirs = []
+        if a and b:
+            if step_ok(p, a, 0):
+                dirs.append((a, 0))
+            if step_ok(p, 0, b):
+                dirs.append((0, b))
+            if step_ok(p, a, b):
+                dirs.append((a, b))
+        elif a:
+            if step_ok(p, a, 0):
+                dirs.append((a, 0))
+            for b2 in (-1, 1):
+                if fr[p + b2] and not fr[p - a + b2]:
+                    dirs.append((0, b2))
+                    if step_ok(p, a, b2):
+                        dirs.append((a, b2))
+        else:
+            if step_ok(p, 0, b):
+                dirs.append((0, b))
+            for a2 in (-S, S):
+                if fr[p + a2] and not fr[p + a2 - b]:
+                    dirs.append((a2, 0))
+                    if step_ok(p, a2, b):
+                        dirs.append((a2, b))
+        return dirs
+
+    start_p = flat(start)
+    g = {start_p: 0.0}
+    parent = {start_p: None}
+    open_heap = [(_octile(start, goal), 0.0,
+                  morton_key(start, depth_bits), start_p)]
+    closed = set()
+    while open_heap:
+        f, neg_g, _, p = heapq.heappop(open_heap)
+        if p in closed:
+            continue
+        closed.add(p)
+        if p == goal_p:
+            break
+        for a, b in directions(p, parent[p]):
+            jp = jump(p, a, b)
+            if jp is None:
+                continue
+            seg = (jp - p) // (a + b)
+            cost = g[p] + (SQRT2 * seg if a and b else float(seg))
+            if jp not in g or cost < g[jp] - 1e-12:
+                g[jp] = cost
+                parent[jp] = p
+                cell = cell_of(jp)
+                heapq.heappush(open_heap,
+                               (cost + _octile(cell, goal), -cost,
+                                morton_key(cell, depth_bits), jp))
+    if goal_p not in closed:
+        return None
+
+    waypoints = [goal_p]
+    while parent[waypoints[-1]] is not None:
+        waypoints.append(parent[waypoints[-1]])
+    waypoints = [cell_of(p) for p in reversed(waypoints)]
+    cells = [start]
+    for a, b in zip(waypoints, waypoints[1:]):
+        cells.extend(_expand_segment(a, b))
+    return GridPath(tuple(cells), g[goal_p])
+
+
+def forced_cells(occ):
+    """Free cells where a straight scan in some cardinal direction stops for
+    a forced neighbour: an open cell beside it whose cell diagonally behind
+    is blocked or off the grid."""
+    w, h = occ.shape
+
+    def open_(i, j):
+        return 0 <= i < w and 0 <= j < h and not occ[i, j]
+
+    cells = []
+    for i in range(w):
+        for j in range(h):
+            if open_(i, j) and any(
+                    open_(i + s * dj, j + s * di)
+                    and not open_(i + s * dj - di, j + s * di - dj)
+                    for di, dj in ((0, 1), (0, -1), (1, 0), (-1, 0))
+                    for s in (1, -1)):
+                cells.append((i, j))
+    return cells
+
+
+GRID_SHAPES = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 40)),
+    st.tuples(st.integers(1, 40), st.just(1)),
+    st.tuples(st.integers(2, 24), st.integers(2, 24)),
+)
+
+
+@st.composite
+def planning_cases(draw):
+    """A grid with a start and a goal drawn toward the scans' edge cases:
+    1xN and Nx1 grids, all-free grids, fully walled rows and columns, and
+    goals on the start's row, column or diagonal, on a forced-neighbour
+    cell, or on the start itself."""
+    w, h = draw(GRID_SHAPES)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.1, 0.25, 0.4]))
+    occ = rng.uniform(size=(w, h)) < density
+    for i in draw(st.lists(st.integers(0, w - 1), max_size=2)):
+        occ[i, :] = True
+    for j in draw(st.lists(st.integers(0, h - 1), max_size=2)):
+        occ[:, j] = True
+    if occ.all():
+        occ[w // 2, h // 2] = False
+    free = [tuple(c) for c in np.argwhere(~occ).tolist()]
+    start = draw(st.sampled_from(free))
+    on_line = {
+        "row": lambda c: c[0] == start[0],
+        "column": lambda c: c[1] == start[1],
+        "diagonal": lambda c: abs(c[0] - start[0]) == abs(c[1] - start[1]),
+    }
+    kind = draw(st.sampled_from(["any", "row", "column", "diagonal",
+                                 "forced", "start"]))
+    if kind == "start":
+        goals = [start]
+    elif kind == "forced":
+        goals = forced_cells(occ)
+    elif kind in on_line:
+        goals = [c for c in free if on_line[kind](c)]
+    else:
+        goals = free
+    return occ, start, draw(st.sampled_from(goals or free))
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=planning_cases())
+def test_jps_matches_cell_by_cell_oracle(case):
+    # Same nodes, same cost, same None: the stop tables may not change a
+    # single decision of the search.
+    occ, start, goal = case
+    grid = grid_from_occ(occ)
+    req = PlanRequest(start, goal)
+    assert jps_plan(grid, req) == cell_by_cell_jps_plan(grid, req)
 
 
 # ----------------------------------------------------------- validate_path
