@@ -22,7 +22,7 @@ from .planner import (GridPath, PlanRequest, RefinementResult, dijkstra_plan,
                       jps_plan, path_to_json, plan_with_refinement,
                       validate_path)
 from .tree import (LeafRecord, McrSpec, OctoTree, build, compute_depth,
-                   dynamic_partition, morton_key, occupied_leaves)
+                   dynamic_partition, occupied_leaves)
 
 __all__ = [
     "Aabb", "BenchConfig", "CloudParseError", "ConvexHull",
@@ -36,7 +36,7 @@ __all__ = [
     "downsample_tree", "dynamic_partition", "export_mesh", "gap_preserved",
     "gen_perlin_cloud", "gen_shape_cloud", "gen_solid_cloud",
     "grid_from_json", "grid_to_json", "grid_to_pgm", "jps_plan",
-    "morton_key", "multi_octave_noise", "occupied_leaves", "path_to_json",
+    "multi_octave_noise", "occupied_leaves", "path_to_json",
     "plan_with_refinement", "quickhull", "rasterize_adaptive",
     "rasterize_fixed", "read_binary", "read_xyz", "rle_decode", "rle_encode",
     "run_campaign", "scene_cloud", "solid_cloud_near", "solid_domain",

@@ -18,18 +18,29 @@ through either of them, and 8-connected reachability under this motion
 model equals 4-connected reachability.  An impossible query then costs one
 labelling pass instead of an exhaustive search.
 
-A reachable query then builds four stop tables with numpy, one per
-cardinal scan direction, from the padded free grid (block-based scanning,
-after Harabor & Grastien, ICAPS 2014).  A table marks the cells where a
-straight scan in its direction ends: blocked cells, the goal, and free
-cells with a forced neighbour.  East and west tables are row-major, south
-and north tables column-major, so each straight scan is one bytes.find or
+The search also scans four stop tables, one per cardinal scan direction,
+built with numpy from the padded free grid (block-based scanning, after
+Harabor & Grastien, ICAPS 2014).  A table marks the cells where a straight
+scan in its direction ends: blocked cells, the goal, and free cells with a
+forced neighbour.  East and west tables are row-major, south and north
+tables column-major, so each straight scan is one bytes.find or
 bytes.rfind instead of a cell-by-cell loop; the diagonal walk stays a loop
-that runs the two scans from every cell it enters.  The tables hold one
-byte per padded cell each, 4 bytes per cell in all, against the 8 per cell
-of the int64 labels.  Heap tie-break keys come from two lists, one per
-axis, whose bitwise or is the cell's Morton key.  Every jump point, heap
-entry, path and cost is the same as the cell-by-cell scan gives.
+that runs the two scans from every cell it enters.  Heap tie-break keys
+come from two lists, one per axis, whose bitwise or is the cell's Morton
+key.  Every jump point, heap entry, path and cost is the same as the
+cell-by-cell scan gives.
+
+None of these tables depends on the query, so, as in JPS+ (Harabor &
+Grastien, ICAPS 2014), they are built once per map and reused: a one-entry
+memo holds the int32 component labels, the padded free bytes, the four
+stop tables without any goal, and the two key lists.  Its key is the
+grid's content, the occupancy's shape and bytes, so an equal raster hits
+whichever grid object carries it, and an in-place edit, a refined raster
+or another map misses.  Only one map is held: a miss drops the old entry
+before it builds the new one.  Each query copies the four tables and
+marks its goal in the copies, so the shared tables never carry a goal.
+The entry takes about 10 bytes per cell: 4 of labels, 4 of stop tables,
+1 of free bytes and 1 of key.
 """
 from __future__ import annotations
 
@@ -106,15 +117,17 @@ def _expand_segment(a, b):
 def free_components(occupancy) -> np.ndarray:
     """Label the 4-connected free components of a 2-D occupancy grid.
 
-    Returns an int64 array shaped like the grid: -1 on occupied cells, and
+    Returns an int32 array shaped like the grid: -1 on occupied cells, and
     on free cells the id of the cell's component (the smallest run id in
     it).  The free runs along axis 1 are the nodes of a union-find; a run
     is joined with every run of the next row along axis 0 that it touches.
+    int32 holds the run ids of any grid under 2^31 cells, far above the
+    2^28-cell raster budget.
     """
     free = ~np.asarray(occupancy, dtype=bool)
     starts = free.copy()
     starts[:, 1:] &= ~free[:, :-1]
-    run = np.cumsum(starts, axis=None).reshape(free.shape) - 1
+    run = np.cumsum(starts, axis=None, dtype=np.int32).reshape(free.shape) - 1
     # Two runs in adjacent rows overlap in one interval, so the first cell
     # of each overlap gives every touching pair exactly once.
     touch = free[:-1] & free[1:]
@@ -137,18 +150,19 @@ def free_components(occupancy) -> np.ndarray:
     # ascending pass points every run at its root.
     for x in range(len(parent)):
         parent[x] = parent[parent[x]]
-    roots = np.asarray(parent, dtype=np.int64)
+    roots = np.asarray(parent, dtype=np.int32)
     return np.where(free, roots[run] if len(parent) else run, -1)
 
 
-def _stop_tables(free: np.ndarray, goal: tuple[int, int]) -> list[bytes]:
+def _stop_tables(free: np.ndarray) -> tuple[bytes, ...]:
     """Stop tables of the east, west, south and north straight scans.
 
     free is the padded free grid.  A table holds 1 where a scan in its
-    direction stops: blocked cells, the goal, and free cells with a forced
-    neighbour, i.e. an open cell beside the scan line whose cell diagonally
-    behind is blocked.  East and west tables are row-major, south and north
-    column-major, so every scan reads a contiguous run of bytes.
+    direction stops on this map whatever the query: blocked cells, and
+    free cells with a forced neighbour, i.e. an open cell beside the scan
+    line whose cell diagonally behind is blocked.  East and west tables
+    are row-major, south and north column-major, so every scan reads a
+    contiguous run of bytes.  The goal is marked per query, in copies.
     """
     w, h = free.shape[0] - 2, free.shape[1] - 2
 
@@ -160,9 +174,38 @@ def _stop_tables(free: np.ndarray, goal: tuple[int, int]) -> list[bytes]:
         stop = ~free
         stop[1:-1, 1:-1] |= ((at(dj, di) & ~at(dj - di, di - dj))
                              | (at(-dj, -di) & ~at(-dj - di, -di - dj)))
-        stop[goal] = True
         tables.append((stop if di == 0 else stop.T).tobytes())
-    return tables
+    return tuple(tables)
+
+
+# The memo of _map_tables: None, or one tuple (shape, occupancy bytes,
+# labels, padded free bytes, stop tables, key_i, key_j), replaced whole.
+_map_memo = None
+
+
+def _map_tables(occupancy: np.ndarray) -> tuple:
+    """The query-independent search tables of one map, built on a miss."""
+    global _map_memo
+    shape, data = occupancy.shape, occupancy.tobytes()
+    memo = _map_memo
+    if memo is not None and memo[0] == shape and memo[1] == data:
+        return memo
+    # Drop the old map's tables first, so two maps are never held at once.
+    memo = _map_memo = None
+    w, h = shape
+    labels = free_components(occupancy)
+    free = np.pad(~occupancy, 1)
+    # Tie-break keys by padded row and column.  The Morton key is separable
+    # by axis, so key_i[i + 1] | key_j[j + 1] is the cell's Morton key at
+    # depth max(w - 1, h - 1).bit_length() (the interleave of morton_encode),
+    # and bit b of axis 1 sits one place above bit b of axis 0.
+    axis = np.arange(max(w, h))
+    keys = morton_encode(np.column_stack([axis, np.zeros_like(axis)]),
+                         max(w - 1, h - 1).bit_length())
+    _map_memo = (shape, data, labels, free.tobytes(),
+                 _stop_tables(free), [0] + keys.tolist(),
+                 [0] + (keys << 1).tolist())
+    return _map_memo
 
 
 def jps_plan(grid: UniformGridMap, req: PlanRequest) -> GridPath | None:
@@ -172,7 +215,7 @@ def jps_plan(grid: UniformGridMap, req: PlanRequest) -> GridPath | None:
     goal = (int(req.goal[0]), int(req.goal[1]))
     if start == goal:
         return GridPath((start,), 0.0)
-    labels = free_components(grid.occupancy)
+    _, _, labels, fr, stops, key_i, key_j = _map_tables(grid.occupancy)
     if labels[start] != labels[goal]:
         return None
 
@@ -182,19 +225,11 @@ def jps_plan(grid: UniformGridMap, req: PlanRequest) -> GridPath | None:
     # and a step along (di, dj) adds di * S + dj.  The column-major copies
     # put the same cell at (j + 1) * W + i + 1.
     S, W = h + 2, w + 2
-    free = np.pad(~grid.occupancy, 1)
-    fr = free.tobytes()
     gi, gj = goal[0] + 1, goal[1] + 1
     goal_p = gi * S + gj
-    east, west, south, north = _stop_tables(free, (gi, gj))
-    # Tie-break keys by padded row and column.  The Morton key is separable
-    # by axis, so key_i[i + 1] | key_j[j + 1] == morton_key((i, j), depth),
-    # and bit b of axis 1 sits one place above bit b of axis 0.
-    axis = np.arange(max(w, h))
-    keys = morton_encode(np.column_stack([axis, np.zeros_like(axis)]),
-                         max(w - 1, h - 1).bit_length())
-    key_i = [0] + keys.tolist()
-    key_j = [0] + (keys << 1).tolist()
+    east, west, south, north = (bytearray(t) for t in stops)
+    east[goal_p] = west[goal_p] = 1
+    south[gj * W + gi] = north[gj * W + gi] = 1
 
     # Each scan returns the first stop cell past p along its direction, or
     # None when that cell is blocked.  The border is blocked, so a scan

@@ -237,18 +237,9 @@ def occupied_leaves(tree: OctoTree) -> list[LeafRecord]:
 occupied_leaf_nodes = occupied_leaves
 
 
-def morton_key(index: tuple[int, ...], depth: int) -> int:
-    """Interleave per-axis index bits: bit b of axis a lands at b*d + a."""
-    d = len(index)
-    code = 0
-    for b in range(depth):
-        for a in range(d):
-            code |= ((index[a] >> b) & 1) << (b * d + a)
-    return code
-
-
 def morton_encode(idx: np.ndarray, depth: int) -> np.ndarray:
-    """Vectorized morton_key over an (n, d) index array."""
+    """Morton codes of an (n, d) index array: bit b of axis a of a row's
+    index lands at bit b*d + a of its code."""
     n, d = idx.shape
     code = np.zeros(n, dtype=np.int64)
     for b in range(depth):

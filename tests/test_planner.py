@@ -4,6 +4,7 @@ import heapq
 import json
 import math
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from octoplan.planner import (GridPath, PlanRequest, _check_request,
                               _expand_segment, _octile, dijkstra_plan,
                               free_components, jps_plan, path_to_json,
                               plan_with_refinement, validate_path)
-from octoplan.tree import (build, dynamic_partition as real_partition,
-                           morton_key)
+from octoplan.tree import build, dynamic_partition as real_partition
+from test_tree import morton_key
 
 SQRT2 = math.sqrt(2.0)
 
@@ -341,11 +342,9 @@ GRID_SHAPES = st.one_of(
 
 
 @st.composite
-def planning_cases(draw):
-    """A grid with a start and a goal drawn toward the scans' edge cases:
-    1xN and Nx1 grids, all-free grids, fully walled rows and columns, and
-    goals on the start's row, column or diagonal, on a forced-neighbour
-    cell, or on the start itself."""
+def occupancies(draw):
+    """A grid drawn toward the scans' edge cases: 1xN and Nx1 grids,
+    all-free grids, fully walled rows and columns."""
     w, h = draw(GRID_SHAPES)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     density = draw(st.sampled_from([0.0, 0.1, 0.25, 0.4]))
@@ -356,8 +355,23 @@ def planning_cases(draw):
         occ[:, j] = True
     if occ.all():
         occ[w // 2, h // 2] = False
+    return occ
+
+
+@st.composite
+def queries(draw, occ, after=None):
+    """A start and a goal on occ, the goal on the start's row, column or
+    diagonal, on a forced-neighbour cell, on the start itself or anywhere.
+    Given an earlier query after, the start is either its start or a cell
+    on the row or column of its goal, so the new query's scans tend to run
+    over that goal."""
     free = [tuple(c) for c in np.argwhere(~occ).tolist()]
-    start = draw(st.sampled_from(free))
+    if after is None:
+        start = draw(st.sampled_from(free))
+    else:
+        goal = after[1]
+        start = draw(st.just(after[0]) | st.sampled_from(
+            [c for c in free if goal[0] == c[0] or goal[1] == c[1]]))
     on_line = {
         "row": lambda c: c[0] == start[0],
         "column": lambda c: c[1] == start[1],
@@ -373,7 +387,13 @@ def planning_cases(draw):
         goals = [c for c in free if on_line[kind](c)]
     else:
         goals = free
-    return occ, start, draw(st.sampled_from(goals or free))
+    return start, draw(st.sampled_from(goals or free))
+
+
+@st.composite
+def planning_cases(draw):
+    occ = draw(occupancies())
+    return (occ, *draw(queries(occ)))
 
 
 @settings(max_examples=600, deadline=None)
@@ -385,6 +405,137 @@ def test_jps_matches_cell_by_cell_oracle(case):
     grid = grid_from_occ(occ)
     req = PlanRequest(start, goal)
     assert jps_plan(grid, req) == cell_by_cell_jps_plan(grid, req)
+
+
+# ------------------------------------------------- the per-map table memo
+
+
+@st.composite
+def query_runs(draw, count):
+    """A map and count queries on it, each drawn after the one before."""
+    occ = draw(occupancies())
+    reqs = [draw(queries(occ))]
+    while len(reqs) < count:
+        reqs.append(draw(queries(occ, after=reqs[-1])))
+    return occ, reqs
+
+
+def assert_tables_carry_no_goal():
+    """The memo's stop tables are exactly those of its own free bytes."""
+    shape, _, _, fr, stops, _, _ = planner_mod._map_memo
+    free = np.frombuffer(fr, dtype=bool).reshape(shape[0] + 2, shape[1] + 2)
+    assert stops == planner_mod._stop_tables(free)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=query_runs(6), b=query_runs(3))
+def test_memo_matches_oracle_across_maps(a, b):
+    # Three queries on A, three on B, three on A again, with the memo left
+    # as each query leaves it.  Later queries scan over earlier goals, and
+    # goals fall on forced-neighbour cells that the shared tables already
+    # mark.  A goal left in the tables rarely changes a path, only where it
+    # splits a diagonal run, so the tables are checked directly as well.
+    (occ_a, reqs_a), (occ_b, reqs_b) = a, b
+    grid_a, grid_b = grid_from_occ(occ_a), grid_from_occ(occ_b)
+    for grid, reqs in ((grid_a, reqs_a[:3]), (grid_b, reqs_b),
+                       (grid_a, reqs_a[3:])):
+        for start, goal in reqs:
+            req = PlanRequest(start, goal)
+            assert jps_plan(grid, req) == cell_by_cell_jps_plan(grid, req)
+            if planner_mod._map_memo is not None:
+                assert_tables_carry_no_goal()
+
+
+def test_memo_forgets_earlier_goals():
+    # The second walk along the diagonal scans row 1 from (1, 1), where the
+    # first goal would stop it if it were left in the tables; the diagonal
+    # would then cost sqrt(2) + 6 sqrt(2), one ulp above 7 sqrt(2).
+    grid = empty_grid(8, 8)
+    jps_plan(grid, PlanRequest((0, 0), (1, 7)))
+    req = PlanRequest((0, 0), (7, 7))
+    path = jps_plan(grid, req)
+    assert path.cost == 7 * SQRT2
+    assert path == cell_by_cell_jps_plan(grid, req)
+
+
+def count_builds(monkeypatch):
+    """Reset the memo and count the maps built into it; each build asserts
+    that the previous map's tables were dropped first."""
+    monkeypatch.setattr(planner_mod, "_map_memo", None)
+    builds = []
+
+    def counted(occupancy):
+        assert planner_mod._map_memo is None
+        builds.append(occupancy.shape)
+        return free_components(occupancy)
+
+    monkeypatch.setattr(planner_mod, "free_components", counted)
+    return builds
+
+
+def test_memo_hits_equal_maps_and_misses_changed_ones(monkeypatch):
+    builds = count_builds(monkeypatch)
+    rng = np.random.default_rng(11)
+    occ = rng.uniform(size=(20, 20)) < 0.2
+    occ[0, 0] = occ[19, 19] = occ[0, 19] = False
+    req = PlanRequest((0, 0), (19, 19))
+    jps_plan(grid_from_occ(occ), req)
+    jps_plan(grid_from_occ(occ), PlanRequest((0, 19), (19, 19)))
+    jps_plan(grid_from_occ(occ.copy()), req)
+    assert len(builds) == 1
+    changed = occ.copy()
+    changed[10, 10] = not changed[10, 10]
+    jps_plan(grid_from_occ(changed), req)
+    jps_plan(grid_from_occ(occ), req)
+    assert len(builds) == 3
+
+
+def test_memo_misses_in_place_edit():
+    grid = empty_grid(10, 10)
+    req = PlanRequest((0, 0), (9, 0))
+    assert jps_plan(grid, req).cost == 9.0
+    grid.occupancy[5, :] = True
+    assert jps_plan(grid, req) is None
+    grid.occupancy[5, 9] = False
+    path = jps_plan(grid, req)
+    assert (5, 9) in path.nodes
+    assert path == cell_by_cell_jps_plan(grid, req)
+
+
+def test_memo_keys_on_shape():
+    # The (8, 8) and (4, 16) grids have the same bytes; a memo keyed on the
+    # bytes alone would search one with the other's tables.
+    rng = np.random.default_rng(3)
+    occ8 = rng.uniform(size=(8, 8)) < 0.25
+    occ4 = occ8.reshape(4, 16).copy()
+    assert occ8.tobytes() == occ4.tobytes()
+    grids = [grid_from_occ(occ8), grid_from_occ(occ4)]
+    for _ in range(3):
+        for grid in grids:
+            free = np.argwhere(~grid.occupancy)
+            for _ in range(4):
+                s, t = (tuple(int(v) for v in free[rng.integers(len(free))])
+                        for _ in range(2))
+                req = PlanRequest(s, t)
+                assert jps_plan(grid, req) == cell_by_cell_jps_plan(grid, req)
+            assert planner_mod._map_memo[0] == grid.dims
+
+
+def test_memo_holds_only_the_last_map(monkeypatch):
+    builds = count_builds(monkeypatch)
+    occ_a = np.zeros((12, 9), dtype=bool)
+    occ_b = occ_a.copy()
+    occ_b[6, 1:] = True
+    req = PlanRequest((0, 0), (11, 8))
+    jps_plan(grid_from_occ(occ_a), req)
+    labels_a = weakref.ref(planner_mod._map_memo[2])
+    jps_plan(grid_from_occ(occ_b), req)
+    assert builds == [(12, 9), (12, 9)]
+    assert labels_a() is None
+    memo = planner_mod._map_memo
+    assert memo[:2] == ((12, 9), occ_b.tobytes())
+    assert memo[3] == np.pad(~occ_b, 1).tobytes()
+    assert_tables_carry_no_goal()
 
 
 # ----------------------------------------------------------- validate_path

@@ -10,7 +10,7 @@ from octoplan.errors import (DepthCapExceeded, InvalidSpec, PointOutOfDomain)
 from octoplan.geometry import Aabb, PointCloud
 from octoplan.tree import (DEFAULT_DEPTH_CAP, McrSpec, OctoTree, build,
                            compute_depth, dynamic_partition, morton_encode,
-                           morton_key, occupied_leaves)
+                           occupied_leaves)
 
 
 def unit_domain(d, edge=1.0):
@@ -517,6 +517,18 @@ def test_occupied_leaves_empty_and_single():
     assert np.array_equal(recs[0].node_boundary.max, [0.3, 0.7])
 
 
+def morton_key(index, depth):
+    """Scalar Morton key: bit b of axis a of the index lands at b*d + a.
+    The reference for morton_encode here and for the tie-break keys of the
+    cell-by-cell JPS oracle in test_planner."""
+    d = len(index)
+    code = 0
+    for b in range(depth):
+        for a in range(d):
+            code |= ((index[a] >> b) & 1) << (b * d + a)
+    return code
+
+
 def test_occupied_leaves_morton_order():
     rng = np.random.default_rng(4)
     tree = build(PointCloud(rng.uniform(0, 1, (400, 2))),
@@ -561,6 +573,11 @@ def test_morton_key_interleave():
     assert morton_key((2, 1), 2) == 0b0110
     idx = np.array([[0, 0], [1, 0], [0, 1], [2, 1]])
     assert morton_encode(idx, 2).tolist() == [0, 1, 2, 6]
+    rng = np.random.default_rng(5)
+    for d, depth in ((2, 16), (3, 16), (2, 3)):
+        idx = rng.integers(0, 2 ** depth, (50, d))
+        assert morton_encode(idx, depth).tolist() == \
+            [morton_key(tuple(row), depth) for row in idx.tolist()]
 
 
 def test_node_boundary_inside_split_boundary():
