@@ -119,19 +119,11 @@ class BenchConfig:
             return cls.from_text(fh.read())
 
 
-CSV_COLUMNS = [
-    "trial_index", "cell_size_m", "effective_cell_m", "trial_seed", "depth",
-    "n_points", "start_x_m", "start_y_m", "goal_x_m", "goal_y_m",
-    "endpoint_fallback", "fixed_success", "adaptive_success",
-    "fixed_length_m", "adaptive_length_m", "adaptive_rounds",
-    "build_seconds", "fixed_plan_seconds", "adaptive_plan_seconds",
-]
-
-TIMING_COLUMNS = 3
-
-
 @dataclass
 class TrialRecord:
+    """One campaign CSV row; the field order is the column order, and the
+    last TIMING_COLUMNS fields are wall-clock seconds."""
+
     trial_index: int
     cell_size_m: float
     effective_cell_m: float
@@ -162,6 +154,11 @@ class TrialRecord:
                 value = "" if math.isnan(value) else repr(float(value))
             out.append(value)
         return out
+
+
+CSV_COLUMNS = [f.name for f in fields(TrialRecord)]
+
+TIMING_COLUMNS = 3
 
 
 def _draw_endpoints(grid, rng, min_dist, attempts):

@@ -161,15 +161,15 @@ def _cmd_downsample(args) -> int:
         if args.mesh_out:
             export_mesh(result.per_leaf_meshes,
                         os.path.join(args.out_dir, args.mesh_out))
+        rate, elapsed = result.retention_rate, result.elapsed_seconds
         summary = {
             "method": "convex",
             "input_points": len(cloud),
             "retained_points": len(retained),
-            "retention_rate": result.retention_rate,
+            "retention_rate": rate,
             "eliminate_seconds": result.eliminate_seconds,
             "mesh_seconds": result.mesh_seconds,
         }
-        metrics = metrics_csv(result, len(cloud))
     else:
         t0 = perf_counter()
         if args.voxel_size is not None:
@@ -191,11 +191,9 @@ def _cmd_downsample(args) -> int:
             "retention_rate": rate,
             "elapsed_seconds": elapsed,
         }
-        metrics = ("input_size,retained,retention_rate,elapsed_ms\n"
-                   f"{len(cloud)},{len(retained)},{rate!r},{elapsed * 1e3!r}\n")
     _write_cloud(retained, os.path.join(args.out_dir, args.retained_name))
     with open(os.path.join(args.out_dir, "metrics.csv"), "w") as fh:
-        fh.write(metrics)
+        fh.write(metrics_csv(len(cloud), len(retained), rate, elapsed))
     print(json.dumps(summary, sort_keys=True))
     return 0
 

@@ -231,9 +231,9 @@ def export_mesh(meshes: list, path) -> None:
             base += len(verts)
 
 
-def metrics_csv(result: DownsampleResult, input_size: int) -> str:
-    """One-run metrics line matching the documented CSV columns."""
-    header = "input_size,retained,retention_rate,elapsed_ms"
-    row = (f"{input_size},{len(result.retained)},"
-           f"{result.retention_rate!r},{result.elapsed_seconds * 1e3!r}")
-    return header + "\n" + row + "\n"
+def metrics_csv(input_size: int, retained: int, retention_rate: float,
+                elapsed_seconds: float) -> str:
+    """The metrics.csv text of one downsample run: header and one row."""
+    return ("input_size,retained,retention_rate,elapsed_ms\n"
+            f"{input_size},{retained},{retention_rate!r},"
+            f"{elapsed_seconds * 1e3!r}\n")

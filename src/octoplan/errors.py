@@ -58,27 +58,25 @@ class InvalidRequest(PlanningError):
         super().__init__(message)
 
 
-class StartOrGoalOccupied(PlanningError):
+class RefinementFailed(PlanningError):
+    """Refinement ended without a plan; carries the last grid, the rounds
+    tried and the time spent."""
+
+    def __init__(self, message, grid=None, rounds_attempted=0,
+                 plan_seconds=0.0):
+        self.grid = grid
+        self.rounds_attempted = rounds_attempted
+        self.plan_seconds = plan_seconds
+        super().__init__(message)
+
+
+class StartOrGoalOccupied(RefinementFailed):
     """Every attempted refinement depth left the start or goal cell occupied."""
 
     code = "start_or_goal_occupied"
 
-    def __init__(self, message, grid=None, rounds_attempted=0,
-                 plan_seconds=0.0):
-        self.grid = grid
-        self.rounds_attempted = rounds_attempted
-        self.plan_seconds = plan_seconds
-        super().__init__(message)
 
-
-class NoPathAtMaxDepth(PlanningError):
+class NoPathAtMaxDepth(RefinementFailed):
     """No path was found at any depth up to the refinement limit."""
 
     code = "no_path_at_max_depth"
-
-    def __init__(self, message, grid=None, rounds_attempted=0,
-                 plan_seconds=0.0):
-        self.grid = grid
-        self.rounds_attempted = rounds_attempted
-        self.plan_seconds = plan_seconds
-        super().__init__(message)

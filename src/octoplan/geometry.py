@@ -506,45 +506,31 @@ def _assign_conflicts(pts, rows, planes, cand):
 # ---------------------------------------------------------------- queries
 
 
-def contains(hull: ConvexHull, p) -> bool:
-    """Inside-or-on test with absolute tolerance HULL_EPS."""
-    q = as_point(p)
-    if hull.dim == 2:
-        v = hull.vertices
-        nxt = np.roll(v, -1, axis=0)
-        edge = nxt - v
-        norm = np.hypot(edge[:, 0], edge[:, 1])
-        cross = (q[0] - v[:, 0]) * edge[:, 1] - (q[1] - v[:, 1]) * edge[:, 0]
-        return bool(np.all(cross / -norm >= -HULL_EPS))
+def _outside(hull: ConvexHull, pts: np.ndarray) -> np.ndarray:
+    """Signed distance of each point row outside each hull edge (2-D) or
+    face (3-D), shape (points, sides); negative inside."""
     v = hull.vertices
+    if hull.dim == 2:
+        edge = np.roll(v, -1, axis=0) - v
+        norm = np.hypot(edge[:, 0], edge[:, 1])
+        dx = pts[:, 0, None] - v[:, 0]
+        dy = pts[:, 1, None] - v[:, 1]
+        return (dx * edge[:, 1] - dy * edge[:, 0]) / norm
     tri = hull.faces
     n = np.cross(v[tri[:, 1]] - v[tri[:, 0]], v[tri[:, 2]] - v[tri[:, 0]])
     norm = np.linalg.norm(n, axis=1)
     keep = norm > 0
     n = n[keep] / norm[keep, None]
     c = np.einsum("ij,ij->i", n, v[tri[keep, 0]])
-    return bool(np.all(n @ q - c <= HULL_EPS))
+    return pts @ n.T - c
+
+
+def contains(hull: ConvexHull, p) -> bool:
+    """Inside-or-on test with absolute tolerance HULL_EPS."""
+    return bool(np.all(_outside(hull, as_point(p)[None, :]) <= HULL_EPS))
 
 
 def strictly_inside(hull: ConvexHull, pts: np.ndarray) -> np.ndarray:
     """Vectorized strict-interior test: True where a point clears every
     face by more than HULL_EPS."""
-    if pts.size == 0:
-        return np.zeros(0, dtype=bool)
-    if hull.dim == 2:
-        v = hull.vertices
-        nxt = np.roll(v, -1, axis=0)
-        edge = nxt - v
-        norm = np.hypot(edge[:, 0], edge[:, 1])
-        dx = pts[:, 0][:, None] - v[:, 0][None, :]
-        dy = pts[:, 1][:, None] - v[:, 1][None, :]
-        cross = (dx * edge[:, 1][None, :] - dy * edge[:, 0][None, :]) / -norm[None, :]
-        return np.all(cross > HULL_EPS, axis=1)
-    v = hull.vertices
-    tri = hull.faces
-    n = np.cross(v[tri[:, 1]] - v[tri[:, 0]], v[tri[:, 2]] - v[tri[:, 0]])
-    norm = np.linalg.norm(n, axis=1)
-    keep = norm > 0
-    n = n[keep] / norm[keep, None]
-    c = np.einsum("ij,ij->i", n, v[tri[keep, 0]])
-    return np.all(pts @ n.T - c[None, :] < -HULL_EPS, axis=1)
+    return np.all(_outside(hull, pts) < -HULL_EPS, axis=1)

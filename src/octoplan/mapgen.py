@@ -11,17 +11,18 @@ is wrapped to 0..255 in float before the integer cast, so no octave
 overflows; PerlinParams refuses an octave count whose top frequency would
 carry a domain coordinate to infinity.
 
-One kernel serves scattered points and lattices: its coordinate arguments
-are arrays that broadcast against each other. On the lattice each axis is
-passed as its own vector, shaped (n, 1) and (1, m) in 2-D, so floor,
-fraction and fade run once per axis value, and only the permutation hash,
-the gradient lookups and the blends run per sample. Broadcasting repeats
-operands without changing any float operation or its order, so values are
-bit-identical to evaluating every sample's coordinates. The lattice is
-evaluated in blocks of at most 2^16 samples (slabs along axis 0), each
-writing its threshold test into one bool keep mask, the only array as large
-as the lattice; lattices over MAX_RASTER_CELLS (2^28) samples are refused
-with InvalidSpec before anything is allocated.
+One kernel serves every dimension, scattered points and lattices: it takes
+one coordinate array per axis, and the arrays broadcast against each other.
+On the lattice each axis is passed as its own vector, shaped (n, 1) and
+(1, m) in 2-D, so floor, fraction and fade run once per axis value, and
+only the permutation hash, the gradient lookups and the blends run per
+sample. Broadcasting repeats operands without changing any float operation
+or its order, so values are bit-identical to evaluating every sample's
+coordinates. The lattice is evaluated in blocks of at most 2^16 samples
+(slabs along axis 0), each writing its threshold test into one bool keep
+mask, the only array as large as the lattice; lattices over
+MAX_RASTER_CELLS (2^28) samples are refused with InvalidSpec before
+anything is allocated.
 
 Shape clouds sample points exactly on analytic surfaces (cuboid, cylinder,
 arch, helix tube) on a parameter lattice with a deterministic in-surface
@@ -100,9 +101,6 @@ _GRAD3 = np.asarray(
      [0, 1, 1], [0, -1, 1], [0, 1, -1], [0, -1, -1]], dtype=float)
 _GRAD3 /= math.sqrt(2.0)
 
-_SCALE2 = 2.0 / math.sqrt(2.0)
-_SCALE3 = 2.0 / math.sqrt(3.0)
-
 
 def _hash_tables(seed: int, d: int):
     """The seed's doubled permutation, and per gradient component one
@@ -122,55 +120,36 @@ def _lerp(a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
     return b
 
 
-def _noise2(perm: np.ndarray, grads, x: np.ndarray,
-            y: np.ndarray) -> np.ndarray:
-    gx, gy = grads
-    xi, xf, u = _axis(x)
-    yi, yf, v = _axis(y)
+def _noise(perm: np.ndarray, grads, *coords: np.ndarray) -> np.ndarray:
+    """Single-octave noise at one coordinate array per axis, any dimension.
 
-    def corner(ox, oy):
-        h = perm[xi + ox] + (yi + oy)
-        n = gx[h]
-        n *= xf - ox
-        t = gy[h]
-        t *= yf - oy
-        n += t
+    A corner's hash chains perm over the axes, h = perm[h] + (cell + o),
+    starting from axis 0's cell.  The gradient dot accumulates from axis 0
+    up and the blend runs along axis 0 first, so the float operations come
+    in one fixed order for every dimension."""
+    axes = [_axis(t) for t in coords]
+
+    def corner(offs):
+        h = axes[0][0] + offs[0]
+        for (cell, _, _), o in zip(axes[1:], offs[1:]):
+            h = perm[h] + (cell + o)
+        n = grads[0][h]
+        n *= axes[0][1] - offs[0]
+        for g, (_, frac, _), o in zip(grads[1:], axes[1:], offs[1:]):
+            t = g[h]
+            t *= frac - o
+            n += t
         return n
 
-    nx0 = _lerp(corner(0, 0), corner(1, 0), u)
-    nx1 = _lerp(corner(0, 1), corner(1, 1), u)
-    out = _lerp(nx0, nx1, v)
-    out *= _SCALE2
-    return out
+    def blend(a, offs):
+        """Corners blended along axes 0..a, the later axes fixed at offs."""
+        if a < 0:
+            return corner(offs)
+        return _lerp(blend(a - 1, (0,) + offs), blend(a - 1, (1,) + offs),
+                     axes[a][2])
 
-
-def _noise3(perm: np.ndarray, grads, x: np.ndarray, y: np.ndarray,
-            z: np.ndarray) -> np.ndarray:
-    gx, gy, gz = grads
-    xi, xf, u = _axis(x)
-    yi, yf, v = _axis(y)
-    zi, zf, w = _axis(z)
-
-    def corner(ox, oy, oz):
-        h = perm[perm[xi + ox] + (yi + oy)] + (zi + oz)
-        n = gx[h]
-        n *= xf - ox
-        t = gy[h]
-        t *= yf - oy
-        n += t
-        t = gz[h]
-        t *= zf - oz
-        n += t
-        return n
-
-    nx00 = _lerp(corner(0, 0, 0), corner(1, 0, 0), u)
-    nx10 = _lerp(corner(0, 1, 0), corner(1, 1, 0), u)
-    nx01 = _lerp(corner(0, 0, 1), corner(1, 0, 1), u)
-    nx11 = _lerp(corner(0, 1, 1), corner(1, 1, 1), u)
-    nxy0 = _lerp(nx00, nx10, v)
-    nxy1 = _lerp(nx01, nx11, v)
-    out = _lerp(nxy0, nxy1, w)
-    out *= _SCALE3
+    out = blend(len(axes) - 1, ())
+    out *= 2.0 / math.sqrt(len(axes))
     return out
 
 
@@ -218,13 +197,12 @@ class PerlinParams:
 def _octave_sum(params: PerlinParams, tables,
                 axes: list[np.ndarray]) -> np.ndarray:
     """Normalised octave sum over coordinate arrays that broadcast together."""
-    noise = _noise2 if len(axes) == 2 else _noise3
     total = np.zeros(np.broadcast_shapes(*(a.shape for a in axes)))
     amp = 1.0
     amp_sum = 0.0
     freq = params.frequency
     for _ in range(params.octaves):
-        total += amp * noise(*tables, *(a * freq for a in axes))
+        total += amp * _noise(*tables, *(a * freq for a in axes))
         amp_sum += amp
         amp *= params.persistence
         freq *= 2.0

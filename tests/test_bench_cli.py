@@ -607,3 +607,17 @@ def test_cli_runs_as_subprocess(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert json.loads(proc.stderr)["error"] == "cloudparseerror"
+
+
+def test_package_never_imports_scipy(tmp_path):
+    # The runtime dependency is numpy alone; scipy is a test-only extra.
+    script = (
+        "import sys\n"
+        "from octoplan.cli import main\n"
+        f"code = main(['--out-dir', {str(tmp_path)!r}, 'downsample',\n"
+        "             '--scene-points', '3000', '--depth', '3'])\n"
+        "print(code, 'scipy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull as SciHull
 
-from octoplan.downsample import (DownsampleResult, calibrate_voxel_size,
-                                 convexify_leaf, downsample_tree, export_mesh,
-                                 metrics_csv, voxel_filter)
+from octoplan.downsample import (calibrate_voxel_size, convexify_leaf,
+                                 downsample_tree, export_mesh, metrics_csv,
+                                 voxel_filter)
 from octoplan.errors import EmptyInput, InvalidSpec
 from octoplan.geometry import Aabb, PointCloud
 from octoplan.tree import build
@@ -267,9 +267,8 @@ def test_export_empty_list(tmp_path):
 
 
 def test_metrics_csv_format():
-    result = DownsampleResult(PointCloud(np.zeros((25, 3))), 0.25, [],
-                              0.5, 0.3, 0.1)
-    text = metrics_csv(result, input_size=100)
+    text = metrics_csv(input_size=100, retained=25, retention_rate=0.25,
+                       elapsed_seconds=0.5)
     header, row, trailer = text.split("\n")
     assert header == "input_size,retained,retention_rate,elapsed_ms"
     assert trailer == ""

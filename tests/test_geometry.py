@@ -575,9 +575,22 @@ def test_contains_agrees_with_face_half_space_oracle():
         n = n / np.linalg.norm(n)
         planes.append((n, n @ verts[a]))
     probes = rng.uniform(-0.3, 1.3, (50, 3))
-    for p in probes:
+    strict = strictly_inside(hull, probes)
+    for p, s in zip(probes, strict):
         expected = all(n @ p <= off + 1e-9 for n, off in planes)
         assert contains(hull, p) == expected
+        assert s == all(n @ p < off - 1e-9 for n, off in planes)
+    assert 0 < strict.sum() < len(probes)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_hull_vertices_are_contained_but_not_strictly_inside(d):
+    hull = quickhull(PointCloud(
+        np.random.default_rng(43).uniform(0, 1, (40, d))))
+    verts = np.asarray(hull.vertices)
+    assert all(contains(hull, v) for v in verts)
+    assert not strictly_inside(hull, verts).any()
+    assert strictly_inside(hull, verts.mean(axis=0)[None, :]).all()
 
 
 def test_strictly_inside_excludes_boundary():

@@ -152,6 +152,23 @@ def test_perlin_cloud_golden_digest(params, digest):
     assert hashlib.sha256(points.tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("d,digest", [
+    (2, "ee1ad2120d5522ed64b0d30adefc94546fa28dce6006cae877d71a880ab48836"),
+    (3, "fb13488865de2718c8a288d36581ea5efb97e37b00e76799e905840f340257d4"),
+])
+def test_noise_values_golden_digest(d, digest):
+    # A cloud keeps only threshold decisions, so a value one ulp off rarely
+    # moves a point; these digests pin the bits of every value, which fix
+    # the order of the kernel's float operations.  Every seventh row is
+    # integral, where the fraction is 0.
+    coords = (np.arange(3000 * d).reshape(-1, d) * 0.7548776662466927
+              % 400.0 - 200.0)
+    coords[::7] = np.floor(coords[::7])
+    params = PerlinParams(seed=5, domain=noise_domain(d=d))
+    values = multi_octave_noise(params, coords)
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("lo,hi", [
     # 300 x 300: slabs of 218 rows, so the last slab is partial.
     ((-37.3, -12.1), (112.9, 138.2)),
