@@ -13,16 +13,15 @@ per-face access is a scalar read, which is cheaper from a Python list than
 from a numpy array.  The decisions are fixed, so a hull is a function of its
 input bytes alone:
 
-- plane and side tests use the scalar expression nx*x + ny*y + nz*z - off,
-  in that order;
+- every plane and side test, on Python scalars or elementwise over numpy
+  arrays, is the expression nx*x + ny*y + nz*z - off in that order, never
+  a BLAS product.  One ulp can move a point to another face, so the batch
+  size, which picks scalars or arrays for speed alone, and the CPU's BLAS
+  kernel must not choose the arithmetic;
 - the visible flood is depth-first, and horizon edges, and with them the
   new faces, come in the order the flood met them;
 - the face queue is last-in, first-out, and a point equally far outside two
-  faces goes to the earlier one;
-- a batch of candidates is assigned by one matmul exactly when it has at
-  least 4,096 point-face products.  A BLAS product may round differently
-  from the scalar loop, and one ulp can move a point to another face, so
-  moving that threshold changes hulls.
+  faces goes to the earlier one.
 
 Leaves of a downsample are hulled by the thousand, mostly with under fifty
 points each, so this per-face interpreter work is most of a downsample's
@@ -291,66 +290,36 @@ def _plane_rows(pa, pb, pc):
     return (nx, ny, nz), nx * pa[0] + ny * pa[1] + nz * pa[2]
 
 
-_SMALL_N = 48
+def _plane_side(pts, table):
+    """nx*x + ny*y + nz*z - off of each point row against each plane row
+    (nx, ny, nz, off) of table, shape (points, planes): the scalar loop's
+    expression, elementwise in the same order, so the same bits."""
+    x, y, z = pts[:, 0, None], pts[:, 1, None], pts[:, 2, None]
+    return table[:, 0] * x + table[:, 1] * y + table[:, 2] * z - table[:, 3]
 
 
-def _initial_simplex_small(rows) -> tuple[int, int, int, int]:
-    """Loop-based twin of _initial_simplex for few points."""
-    n = len(rows)
-    i0 = min(range(n), key=lambda i: rows[i])
+def _initial_simplex(pts, rows) -> tuple[int, int, int, int]:
+    """Seed tetrahedron: the lexicographically smallest point, the point
+    furthest from it, the point furthest from their line and the point
+    furthest from their plane, the first on ties."""
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    i0 = int(np.lexsort((z, y, x))[0])
     x0, y0, z0 = rows[i0]
-    best = -1.0
-    i1 = i0
-    for i in range(n):
-        dx, dy, dz = rows[i][0] - x0, rows[i][1] - y0, rows[i][2] - z0
-        d = dx * dx + dy * dy + dz * dz
-        if d > best:
-            best, i1 = d, i
-    if math.sqrt(best) <= HULL_EPS:
+    dx, dy, dz = x - x0, y - y0, z - z0
+    d = dx * dx + dy * dy + dz * dz
+    i1 = int(np.argmax(d))
+    if math.sqrt(d[i1]) <= HULL_EPS:
         raise DegenerateInput("all points coincide within tolerance")
     sx, sy, sz = rows[i1][0] - x0, rows[i1][1] - y0, rows[i1][2] - z0
     seg = math.sqrt(sx * sx + sy * sy + sz * sz)
     sx, sy, sz = sx / seg, sy / seg, sz / seg
-    best = -1.0
-    i2 = i0
-    for i in range(n):
-        dx, dy, dz = rows[i][0] - x0, rows[i][1] - y0, rows[i][2] - z0
-        proj = dx * sx + dy * sy + dz * sz
-        perp = dx * dx + dy * dy + dz * dz - proj * proj
-        if perp > best:
-            best, i2 = perp, i
-    if math.sqrt(max(best, 0.0)) <= HULL_EPS:
+    proj = dx * sx + dy * sy + dz * sz
+    perp = d - proj * proj
+    i2 = int(np.argmax(perp))
+    if math.sqrt(max(perp[i2], 0.0)) <= HULL_EPS:
         raise DegenerateInput("points are collinear within tolerance")
-    normal, offset = _plane_rows(rows[i0], rows[i1], rows[i2])
-    nx, ny, nz = normal
-    best = -1.0
-    i3 = i0
-    for i in range(n):
-        h = abs(nx * rows[i][0] + ny * rows[i][1] + nz * rows[i][2] - offset)
-        if h > best:
-            best, i3 = h, i
-    if best <= HULL_EPS:
-        raise DegenerateInput("points are coplanar within tolerance")
-    return i0, i1, i2, i3
-
-
-def _initial_simplex(pts: np.ndarray) -> tuple[int, int, int, int]:
-    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
-    i0 = int(order[0])
-    d = np.linalg.norm(pts - pts[i0], axis=1)
-    i1 = int(np.argmax(d))
-    if d[i1] <= HULL_EPS:
-        raise DegenerateInput("all points coincide within tolerance")
-    seg = pts[i1] - pts[i0]
-    seg /= np.linalg.norm(seg)
-    off = pts - pts[i0]
-    perp = off - np.outer(off @ seg, seg)
-    pd = np.linalg.norm(perp, axis=1)
-    i2 = int(np.argmax(pd))
-    if pd[i2] <= HULL_EPS:
-        raise DegenerateInput("points are collinear within tolerance")
-    n, c = _plane_rows(pts[i0], pts[i1], pts[i2])
-    h = np.abs(pts @ np.asarray(n) - c)
+    (nx, ny, nz), off = _plane_rows(rows[i0], rows[i1], rows[i2])
+    h = np.abs(nx * x + ny * y + nz * z - off)
     i3 = int(np.argmax(h))
     if h[i3] <= HULL_EPS:
         raise DegenerateInput("points are coplanar within tolerance")
@@ -360,10 +329,7 @@ def _initial_simplex(pts: np.ndarray) -> tuple[int, int, int, int]:
 def _hull_3d(pts: np.ndarray) -> ConvexHull:
     n_pts = pts.shape[0]
     rows = pts.tolist()
-    if n_pts <= _SMALL_N:
-        i0, i1, i2, i3 = _initial_simplex_small(rows)
-    else:
-        i0, i1, i2, i3 = _initial_simplex(pts)
+    i0, i1, i2, i3 = _initial_simplex(pts, rows)
     cx = (rows[i0][0] + rows[i1][0] + rows[i2][0] + rows[i3][0]) / 4.0
     cy = (rows[i0][1] + rows[i1][1] + rows[i2][1] + rows[i3][1]) / 4.0
     cz = (rows[i0][2] + rows[i1][2] + rows[i2][2] + rows[i3][2]) / 4.0
@@ -474,11 +440,8 @@ def _assign_conflicts(pts, rows, planes, cand):
     if not cand or not planes:
         return [None] * len(planes)
     if len(cand) * len(planes) >= 4096:
-        table = np.array(planes)
-        # A C-ordered (k, 3) operand, as np.array of the normals alone gives.
-        normals = np.ascontiguousarray(table[:, :3])
         cand_arr = np.asarray(cand, dtype=np.int64)
-        rel = pts[cand_arr] @ normals.T - table[:, 3]
+        rel = _plane_side(pts[cand_arr], np.array(planes))
         best = np.argmax(rel, axis=1)
         outside = rel[np.arange(len(cand_arr)), best] > HULL_EPS
         buckets = []
@@ -516,13 +479,11 @@ def _outside(hull: ConvexHull, pts: np.ndarray) -> np.ndarray:
         dx = pts[:, 0, None] - v[:, 0]
         dy = pts[:, 1, None] - v[:, 1]
         return (dx * edge[:, 1] - dy * edge[:, 0]) / norm
-    tri = hull.faces
-    n = np.cross(v[tri[:, 1]] - v[tri[:, 0]], v[tri[:, 2]] - v[tri[:, 0]])
-    norm = np.linalg.norm(n, axis=1)
-    keep = norm > 0
-    n = n[keep] / norm[keep, None]
-    c = np.einsum("ij,ij->i", n, v[tri[keep, 0]])
-    return pts @ n.T - c
+    rows = v.tolist()
+    planes = [(*normal, off) for normal, off in (
+        _plane_rows(rows[a], rows[b], rows[c]) for a, b, c in hull.faces.tolist())
+        if normal is not None]
+    return _plane_side(pts, np.array(planes).reshape(-1, 4))
 
 
 def contains(hull: ConvexHull, p) -> bool:

@@ -12,6 +12,7 @@ import pytest
 
 import octoplan.bench as bench_mod
 import octoplan.cli as cli_mod
+import octoplan.geometry as geometry_mod
 import octoplan.mapgen as mapgen_mod
 from octoplan.bench import (CSV_COLUMNS, TIMING_COLUMNS, BenchConfig,
                             TrialRecord, aggregate_to_json, records_to_csv,
@@ -267,25 +268,52 @@ def test_cli_downsample_convex(tmp_path, capsys):
     assert metrics[1].startswith("500,")
 
 
-def test_cli_downsample_convex_writes_golden_artifacts(tmp_path, capsys):
-    # Digests of the files written by the quickhull with one object per
-    # face; any change to a hull decision changes them.
+def downsample_digests(tmp_path, capsys, depth):
+    """sha256 of retained.xyz and hulls.obj from a convex downsample of the
+    20k solid pair at one depth."""
     cloud_path = tmp_path / "solids.bin"
     write_binary(mapgen_mod.solid_cloud_near(20_000), cloud_path)
     code, _, _ = run_cli(
         capsys, "--out-dir", str(tmp_path),
         "downsample", "--cloud", str(cloud_path),
-        "--domain", "0,0,0:20,20,20", "--depth", "5",
+        "--domain", "0,0,0:20,20,20", "--depth", str(depth),
         "--method", "convex", "--mesh-out", "hulls.obj")
     assert code == 0
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("retained.xyz", "hulls.obj")}
-    assert digests == {
+    return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("retained.xyz", "hulls.obj")}
+
+
+def test_cli_downsample_convex_writes_golden_artifacts(tmp_path, capsys):
+    # Digests of the files written by the quickhull with one object per
+    # face; any change to a hull decision changes them.
+    assert downsample_digests(tmp_path, capsys, 5) == {
         "retained.xyz":
             "85d4205db82b9c1b7eb33a009af6155509a045c50d5675a24049841ed8ce68db",
         "hulls.obj":
             "a0590804a208b56c6862403b4306bca98788f51e6c9fcb871d3e0da975d47f78",
     }
+
+
+def test_cli_downsample_convex_golden_through_the_vector_branch(
+        tmp_path, capsys, monkeypatch):
+    # Leaves of a depth-3 tree are large enough that conflict batches of
+    # 4,096 point-face products and more take the array branch of
+    # _assign_conflicts, which depth 5 never reaches.
+    products = []
+    assign = geometry_mod._assign_conflicts
+
+    def counted(pts, rows, planes, cand):
+        products.append(len(planes) * len(cand))
+        return assign(pts, rows, planes, cand)
+
+    monkeypatch.setattr(geometry_mod, "_assign_conflicts", counted)
+    assert downsample_digests(tmp_path, capsys, 3) == {
+        "retained.xyz":
+            "f97e8288771aaf2567009294f34eccfbfc1e69aafeba54138b3f6e8095aa70a9",
+        "hulls.obj":
+            "dd4cb933ad650348c340955d53b97733d3075ef78a758a92bfa7f1388a5e3929",
+    }
+    assert max(products) >= 4096
 
 
 def test_cli_downsample_voxel(tmp_path, capsys):

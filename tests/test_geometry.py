@@ -18,9 +18,8 @@ from scipy.spatial import ConvexHull as SciHull
 
 import octoplan.geometry as geometry
 from octoplan.errors import DegenerateInput, EmptyInput
-from octoplan.geometry import (_SMALL_N, HULL_EPS, Aabb, PointCloud,
-                               _dedupe_rows, _initial_simplex,
-                               _initial_simplex_small, _plane_rows, aabb_of,
+from octoplan.geometry import (HULL_EPS, Aabb, PointCloud, _dedupe_rows,
+                               _initial_simplex, _plane_rows, aabb_of,
                                as_point, contains, quickhull, strictly_inside)
 
 
@@ -265,10 +264,7 @@ def reference_quickhull_3d(points):
         raise DegenerateInput("fewer than 4 distinct points")
     n_pts = pts.shape[0]
     rows = pts.tolist()
-    if n_pts <= _SMALL_N:
-        i0, i1, i2, i3 = _initial_simplex_small(rows)
-    else:
-        i0, i1, i2, i3 = _initial_simplex(pts)
+    i0, i1, i2, i3 = _initial_simplex(pts, rows)
     interior = tuple(
         (rows[i0][k] + rows[i1][k] + rows[i2][k] + rows[i3][k]) / 4.0
         for k in range(3))
@@ -301,8 +297,8 @@ def reference_quickhull_3d(points):
     first = [add_face(i0, i1, i2), add_face(i0, i1, i3),
              add_face(i0, i2, i3), add_face(i1, i2, i3)]
     seed = {i0, i1, i2, i3}
-    reference_assign(pts, rows, first, [i for i in range(n_pts)
-                                        if i not in seed])
+    reference_assign(rows, first, [i for i in range(n_pts)
+                                   if i not in seed])
     queue = [f for f in first if f.conflicts]
     while queue:
         face = queue.pop()
@@ -348,7 +344,7 @@ def reference_quickhull_3d(points):
         for f in visible:
             drop_face(f)
         fresh = [add_face(u, v, p) for u, v in horizon]
-        reference_assign(pts, rows, fresh, sorted(orphan))
+        reference_assign(rows, fresh, sorted(orphan))
         queue.extend(f for f in fresh if f.conflicts)
 
     live = [f for f in faces if f.alive]
@@ -362,24 +358,9 @@ def reference_quickhull_3d(points):
     return pts[used], np.array(sorted(tri), dtype=np.int64)
 
 
-def reference_assign(pts, rows, faces, cand):
+def reference_assign(rows, faces, cand):
     """Attach each candidate to the face it lies furthest outside of, ties
-    to the earliest; one matmul from 4,096 point-face products on."""
-    if not cand or not faces:
-        for f in faces:
-            f.conflicts = None
-        return
-    if len(cand) * len(faces) >= 4096:
-        normals = np.array([f.normal for f in faces])
-        offsets = np.array([f.offset for f in faces])
-        cand_arr = np.asarray(cand, dtype=np.int64)
-        rel = pts[cand_arr] @ normals.T - offsets
-        best = np.argmax(rel, axis=1)
-        outside = rel[np.arange(len(cand_arr)), best] > HULL_EPS
-        for fi, f in enumerate(faces):
-            mine = cand_arr[(best == fi) & outside]
-            f.conflicts = mine.tolist() if mine.size else None
-        return
+    to the earliest, by the scalar loop at every batch size."""
     buckets = [None] * len(faces)
     for i in cand:
         x, y, z = rows[i]
@@ -466,13 +447,13 @@ def oracle_clouds(draw, lo, hi):
 
 
 @settings(max_examples=150, deadline=None)
-@given(pts=oracle_clouds(4, _SMALL_N))
+@given(pts=oracle_clouds(4, 48))
 def test_hull_3d_matches_oracle_small(pts):
     assert_matches_hull_oracle(pts)
 
 
 @settings(max_examples=60, deadline=None)
-@given(pts=oracle_clouds(_SMALL_N + 1, 200))
+@given(pts=oracle_clouds(49, 200))
 def test_hull_3d_matches_oracle_large(pts):
     assert_matches_hull_oracle(pts)
 
@@ -488,7 +469,7 @@ def test_hull_3d_matches_oracle_on_tied_lattices(kind):
 
 
 @pytest.mark.parametrize("kind", ["uniform", "sphere", "lattice"])
-def test_hull_3d_matches_oracle_through_the_matmul_branch(kind, monkeypatch):
+def test_hull_3d_matches_oracle_through_the_vector_branch(kind, monkeypatch):
     rng = np.random.default_rng(61)
     if kind == "uniform":
         pts = rng.uniform(-5.0, 5.0, (2000, 3))
@@ -510,28 +491,25 @@ def test_hull_3d_matches_oracle_through_the_matmul_branch(kind, monkeypatch):
     assert min(products) < 4096
 
 
-def test_assign_conflicts_switches_to_matmul_at_4096_products():
-    # The scalar loop reads only `rows` and the matmul only `pts`, so a None
-    # in the other one shows which ran.
+def test_assign_conflicts_vector_branch_equals_the_scalar_loop():
+    # Each plane comes with its x/y-swapped copy, and the points have
+    # x == y, so the scalar loop meets exact ties, which go to the earlier
+    # plane.  A product that rounds otherwise, as a fused multiply-add
+    # does, breaks them either way.
     rng = np.random.default_rng(8)
-    pts = rng.uniform(-1.0, 1.0, (1024, 3))
-    rows = pts.tolist()
-    planes = [(1.0, 0.0, 0.0, 0.5), (0.0, 1.0, 0.0, 0.5),
-              (0.0, 0.0, 1.0, 0.5), (-1.0, 0.0, 0.0, 0.5),
-              (0.0, -1.0, 0.0, 0.5)]
-    for k, n in ((5, 819), (4, 1024)):
-        cand = list(range(n))
-        table = np.array(planes[:k])
-        rel = pts[:n] @ table[:, :3].T - table[:, 3]
-        best = np.argmax(rel, axis=1)
-        want = [cand_of or None for cand_of in (
-            np.flatnonzero((best == f) & (rel.max(axis=1) > HULL_EPS))
-            .tolist() for f in range(k))]
-        if k * n < 4096:
-            got = geometry._assign_conflicts(None, rows, planes[:k], cand)
-        else:
-            got = geometry._assign_conflicts(pts, None, planes[:k], cand)
-        assert got == want
+    for case in range(200):
+        k = int(rng.integers(2, 12))
+        planes = []
+        for nx, ny, nz, off in rng.normal(size=(k, 4)).tolist():
+            planes += [(nx, ny, nz, off / 4.0), (ny, nx, nz, off / 4.0)]
+        n = 4096 // len(planes) + int(rng.integers(1, 200))
+        pts = rng.uniform(-2.0, 2.0, (n, 3))
+        pts[: n // 2, 1] = pts[: n // 2, 0]
+        rows = pts.tolist()
+        faces = [RefFace(None, pl[:3], pl[3]) for pl in planes]
+        reference_assign(rows, faces, list(range(n)))
+        got = geometry._assign_conflicts(pts, rows, planes, list(range(n)))
+        assert got == [f.conflicts for f in faces], case
 
 
 @settings(max_examples=100, deadline=None)
@@ -581,6 +559,24 @@ def test_contains_agrees_with_face_half_space_oracle():
         assert contains(hull, p) == expected
         assert s == all(n @ p < off - 1e-9 for n, off in planes)
     assert 0 < strict.sum() < len(probes)
+
+
+def test_outside_3d_is_the_scalar_plane_expression_bit_for_bit():
+    # strictly_inside decides which points convexify_leaf keeps, so it must
+    # not round otherwise than the hull's own plane-side tests.
+    rng = np.random.default_rng(47)
+    for case in range(20):
+        hull = quickhull(PointCloud(rng.normal(size=(60, 3))))
+        probes = rng.normal(size=(300, 3))
+        rows = hull.vertices.tolist()
+        want = []
+        for x, y, z in probes.tolist():
+            row = []
+            for a, b, c in hull.faces.tolist():
+                (nx, ny, nz), off = _plane_rows(rows[a], rows[b], rows[c])
+                row.append(nx * x + ny * y + nz * z - off)
+            want.append(row)
+        assert_same_arrays(geometry._outside(hull, probes), np.array(want))
 
 
 @pytest.mark.parametrize("d", [2, 3])
