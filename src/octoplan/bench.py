@@ -20,6 +20,7 @@ strip them by position; the aggregate JSON contains no timing at all.
 """
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -69,6 +70,8 @@ class BenchConfig:
             raise InvalidSpec("min_separation_fraction must be in (0, 1)")
         if self.refinement_rounds < 0:
             raise InvalidSpec("refinement_rounds must be >= 0")
+        if self.max_endpoint_attempts < 1:
+            raise InvalidSpec("max_endpoint_attempts must be >= 1")
         # Validates the sensing-range pair even though the nominal cell
         # sizes drive the benchmark depths directly.
         McrSpec(self.epsilon_max_m, self.range_multiplier_k)
@@ -162,39 +165,60 @@ TIMING_COLUMNS = 3
 
 
 def _draw_endpoints(grid, rng, min_dist, attempts):
+    """The first of `attempts` pairs of distinct free cells whose centres
+    are min_dist apart, else the first farthest pair: (start, goal,
+    fallback), or None without such a pair.  Every pair comes from one
+    draw; the generator is the caller's own and is not read afterwards."""
     free = np.argwhere(~grid.occupancy)
     if len(free) < 2:
         return None
-    best = None
-    best_dist = -1.0
-    for _ in range(attempts):
-        a, b = rng.integers(0, len(free), size=2)
-        if a == b:
-            continue
-        pa = grid.cell_center(tuple(free[a]))
-        pb = grid.cell_center(tuple(free[b]))
-        dist = float(np.linalg.norm(pa - pb))
-        if dist >= min_dist:
-            return tuple(free[a]), tuple(free[b]), False
-        if dist > best_dist:
-            best_dist = dist
-            best = (tuple(free[a]), tuple(free[b]))
-    if best is None:
+    pairs = rng.integers(0, len(free), size=(attempts, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    if not len(pairs):
         return None
-    return best[0], best[1], True
+    centers = grid.cell_center(free[pairs])
+    bulk = np.linalg.norm(centers[:, 0] - centers[:, 1], axis=1)
+
+    def dist(k):
+        a, b = free[pairs[k]]
+        return float(np.linalg.norm(grid.cell_center(a) - grid.cell_center(b)))
+
+    def cells(k):
+        return tuple(free[pairs[k, 0]]), tuple(free[pairs[k, 1]])
+
+    # The bulk and per-pair norms each lie within a few ulps of the exact
+    # distance, so the bulk one only rules pairs out; the per-pair one
+    # makes every decision that a relative slack of 1e-12 leaves open.
+    slack = 1.0 - 1e-12
+    for k in np.flatnonzero(bulk >= min_dist * slack):
+        if dist(k) >= min_dist:
+            return *cells(k), False
+    # max keeps the first of equal distances, as a strict > would.
+    k = max(np.flatnonzero(bulk >= bulk.max() * slack), key=dist)
+    return *cells(k), True
 
 
 def run_trial_cell(cloud, domain, cell, trial_index, trial_seed, cell_index,
-                   config) -> TrialRecord:
-    """Bench one (world, nominal cell size) pair."""
+                   config, maps) -> TrialRecord:
+    """Bench one (world, nominal cell size) pair.
+
+    maps holds the world's tree and fixed grid of the last depth built,
+    keyed by depth; a cell at that depth reuses them and records a
+    build_seconds of 0.0.  Holding one depth at a time keeps peak memory
+    flat.  Refinement deepens a shallow copy of the tree: it rebinds the
+    copy's table attributes and writes into no shared array."""
     longest = float(domain.edges.max())
     depth = compute_depth(longest, cell)
-    eff_cells = domain.edges / 2.0 ** depth
-
-    t0 = perf_counter()
-    tree = build_tree(cloud, domain, depth)
-    build_seconds = perf_counter() - t0
-    fixed_grid = rasterize_fixed(cloud, domain, eff_cells)
+    build_seconds = 0.0
+    if depth not in maps:
+        maps.clear()
+        t0 = perf_counter()
+        tree = build_tree(cloud, domain, depth)
+        build_seconds = perf_counter() - t0
+        maps[depth] = tree, rasterize_fixed(cloud, domain,
+                                            domain.edges / 2.0 ** depth)
+    tree, fixed_grid = maps[depth]
+    tree = copy.copy(tree)
 
     record = TrialRecord(
         trial_index=trial_index, cell_size_m=cell,
@@ -241,7 +265,9 @@ def run_trial_cell(cloud, domain, cell, trial_index, trial_seed, cell_index,
 
 
 def run_campaign(config: BenchConfig) -> tuple[list, dict]:
-    """Run every (trial, cell size) pair; returns (records, aggregate)."""
+    """Run every (trial, cell size) pair; returns (records, aggregate).
+    Consecutive cell sizes of a world that resolve to one depth share one
+    tree build and one fixed raster (run_trial_cell)."""
     domain = config.domain
     records = []
     for trial in range(config.trials):
@@ -253,10 +279,12 @@ def run_campaign(config: BenchConfig) -> tuple[list, dict]:
             persistence=config.noise_persistence,
             threshold=config.noise_threshold,
             samples_per_meter=config.samples_per_meter)
+        maps = {}
         cloud = gen_perlin_cloud(params)
         for cell_index, cell in enumerate(config.cell_sizes_m):
             records.append(run_trial_cell(
-                cloud, domain, cell, trial, trial_seed, cell_index, config))
+                cloud, domain, cell, trial, trial_seed, cell_index, config,
+                maps))
     return records, aggregate_records(config, records)
 
 

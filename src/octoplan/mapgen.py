@@ -12,15 +12,17 @@ overflows; PerlinParams refuses an octave count whose top frequency would
 carry a domain coordinate to infinity.
 
 One kernel serves every dimension, scattered points and lattices: it takes
-one coordinate array per axis, and the arrays broadcast against each other.
-On the lattice each axis is passed as its own vector, shaped (n, 1) and
-(1, m) in 2-D, so floor, fraction and fade run once per axis value, and
-only the permutation hash, the gradient lookups and the blends run per
-sample. Broadcasting repeats operands without changing any float operation
-or its order, so values are bit-identical to evaluating every sample's
-coordinates. The lattice is evaluated in blocks of at most 2^16 samples
-(slabs along axis 0), each writing its threshold test into one bool keep
-mask, the only array as large as the lattice; lattices over
+one coordinate array per axis, all of one ndim, and the arrays broadcast
+against each other. On the lattice each axis is passed as its own vector,
+shaped (n, 1) and (1, m) in 2-D, so floor, fraction and fade run once per
+axis value. A corner's hashed gradient is constant inside a noise cell
+(Perlin 2002), so the permutation hash and the gradient lookups run once
+per run of samples sharing every axis's cell, and only the gradient dot
+and the blends run per sample. Broadcasting and np.repeat copy operands without changing any
+float operation or its order, so values are bit-identical to evaluating
+every sample's coordinates. The lattice is evaluated in blocks of at most
+2^16 samples (slabs along axis 0), each writing its threshold test into
+one bool keep mask, the only array as large as the lattice; lattices over
 MAX_RASTER_CELLS (2^28) samples are refused with InvalidSpec before
 anything is allocated.
 
@@ -120,23 +122,59 @@ def _lerp(a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
     return b
 
 
+def _cell_runs(cells: list[np.ndarray]):
+    """Cut each broadcast dimension of cell arrays of equal ndim into runs
+    of samples over which no axis's hash cell changes.  Returns the cells
+    at each run's first sample, and per dimension the run lengths, or None
+    where every run is one sample long (scattered points, as a rule)."""
+    shape = np.broadcast_shapes(*(c.shape for c in cells))
+    runs = []
+    for j, n in enumerate(shape):
+        first = np.zeros(n, dtype=bool)
+        first[:1] = True
+        for c in cells:
+            if c.shape[j] > 1:
+                other = tuple(k for k in range(c.ndim) if k != j)
+                first[1:] |= (np.diff(c, axis=j) != 0).any(axis=other)
+        starts = np.flatnonzero(first)
+        if len(starts) == n:
+            runs.append(None)
+            continue
+        cells = [c.take(starts, axis=j) if c.shape[j] > 1 else c
+                 for c in cells]
+        runs.append(np.diff(starts, append=n))
+    return cells, runs
+
+
 def _noise(perm: np.ndarray, grads, *coords: np.ndarray) -> np.ndarray:
     """Single-octave noise at one coordinate array per axis, any dimension.
 
     A corner's hash chains perm over the axes, h = perm[h] + (cell + o),
-    starting from axis 0's cell.  The gradient dot accumulates from axis 0
-    up and the blend runs along axis 0 first, so the float operations come
-    in one fixed order for every dimension."""
+    starting from axis 0's cell.  The hash, and so each corner's gradient,
+    is constant inside a noise cell (Perlin 2002), so the hash and the
+    gradient lookups run once per run of samples that share every axis's
+    cell (_cell_runs), and np.repeat copies the gathered gradients out to
+    the samples.  The gradient dot accumulates from axis 0 up and the blend
+    runs along axis 0 first, so the float operations come in one fixed
+    order for every dimension."""
     axes = [_axis(t) for t in coords]
+    cells, runs = _cell_runs([cell for cell, _, _ in axes])
+
+    def expand(g):
+        # Last dimension first: the later repeats then copy whole rows.
+        for j in reversed(range(len(runs))):
+            if runs[j] is not None:
+                g = np.repeat(g, runs[j], axis=j)
+        return g
 
     def corner(offs):
-        h = axes[0][0] + offs[0]
-        for (cell, _, _), o in zip(axes[1:], offs[1:]):
+        h = cells[0] + offs[0]
+        for cell, o in zip(cells[1:], offs[1:]):
             h = perm[h] + (cell + o)
-        n = grads[0][h]
+        n = expand(grads[0][h])
         n *= axes[0][1] - offs[0]
         for g, (_, frac, _), o in zip(grads[1:], axes[1:], offs[1:]):
-            t = g[h]
+            t = expand(g[h])
             t *= frac - o
             n += t
         return n

@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import octoplan.bench as bench_mod
 import octoplan.cli as cli_mod
@@ -21,7 +23,7 @@ from octoplan.cli import main
 from octoplan.cloudio import write_binary, write_xyz
 from octoplan.errors import InvalidSpec, NoPathAtMaxDepth
 from octoplan.geometry import PointCloud
-from octoplan.gridmap import grid_from_json
+from octoplan.gridmap import UniformGridMap, grid_from_json
 from octoplan.tree import compute_depth
 
 
@@ -151,6 +153,30 @@ def test_campaign_rerun_is_deterministic():
     assert aggregate_to_json(aggregate1) == aggregate_to_json(aggregate2)
 
 
+@pytest.mark.parametrize("overrides,csv_digest,aggregate_digest", [
+    ({}, "29e7975e59e3d6fed354f3311fba295c58141119e3127d4261e534d713e4d2d1",
+     "378163d8ab528523d05540ce5c5b690e3aed865f9e9dbc9de122280651716833"),
+    # Cell edges 199.3 / 128 and 151.7 / 128 are not dyadic, so cell-centre
+    # differences round and the endpoint distances are not exact.
+    (dict(domain_x_m=199.3, domain_y_m=151.7),
+     "c3373efbd2c948e49caea163cccbf1852f3a9e60a477326cc1cbc422e126710c",
+     "83964da5494e0038798eeb205bf36afb6cf899682f2a6f63e51e8ac8666e49c3"),
+    # No pair is 0.97 of the diagonal apart: every row takes the farthest
+    # pair drawn.
+    (dict(domain_x_m=199.3, domain_y_m=151.7, min_separation_fraction=0.97),
+     "0fae29ad2d35f9ce9e32af659f675f8e9684a27a3987baa7ca44e224e47ede11",
+     "305c0ef96548472a73651727d0dd7765f0a9403c283023e37214d1ce93c7db70"),
+], ids=["default", "non-dyadic", "non-dyadic-fallback"])
+def test_campaign_golden_digest(overrides, csv_digest, aggregate_digest):
+    # Digests of the first seven default worlds as earlier releases wrote
+    # them: the non-timing CSV columns and the aggregate JSON.
+    records, aggregate = run_campaign(BenchConfig(trials=7, **overrides))
+    text = strip_timing(records_to_csv(records))
+    assert hashlib.sha256(text.encode()).hexdigest() == csv_digest
+    assert hashlib.sha256(
+        aggregate_to_json(aggregate).encode()).hexdigest() == aggregate_digest
+
+
 def test_aggregate_matches_independent_csv_recount():
     config = small_config(trials=4)
     records, aggregate = run_campaign(config)
@@ -182,6 +208,91 @@ def test_aggregate_matches_independent_csv_recount():
                 pytest.approx(mean_adaptive)
             assert entry["length_improvement_pct"] == pytest.approx(
                 (mean_fixed - mean_adaptive) / mean_fixed * 100.0)
+
+
+# --------------------------------------------------------- endpoint draws
+
+
+def draw_endpoints_per_pair(grid, rng, min_dist, attempts):
+    """The per-pair draw loop of earlier releases: the oracle of
+    bench._draw_endpoints."""
+    free = np.argwhere(~grid.occupancy)
+    if len(free) < 2:
+        return None
+    best = None
+    best_dist = -1.0
+    for _ in range(attempts):
+        a, b = rng.integers(0, len(free), size=2)
+        if a == b:
+            continue
+        pa = grid.cell_center(tuple(free[a]))
+        pb = grid.cell_center(tuple(free[b]))
+        dist = float(np.linalg.norm(pa - pb))
+        if dist >= min_dist:
+            return tuple(free[a]), tuple(free[b]), False
+        if dist > best_dist:
+            best_dist = dist
+            best = (tuple(free[a]), tuple(free[b]))
+    if best is None:
+        return None
+    return best[0], best[1], True
+
+
+@st.composite
+def endpoint_cases(draw):
+    w = draw(st.integers(1, 12))
+    h = draw(st.integers(1, 12))
+    # Few free cells are drawn often: none, one and exactly two.
+    n_free = draw(st.one_of(st.integers(0, 2), st.integers(0, w * h)))
+    layout = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    occ = np.ones(w * h, dtype=bool)
+    occ[layout.permutation(w * h)[:n_free]] = False
+    edge = st.floats(0.01, 50.0, allow_nan=False)
+    corner = st.floats(-1e3, 1e3, allow_nan=False)
+    grid = UniformGridMap((w, h), [draw(edge), draw(edge)],
+                          [draw(corner), draw(corner)], occ.reshape(w, h))
+    seed = draw(st.integers(0, 2 ** 32))
+    attempts = draw(st.integers(1, 60))
+    free = np.argwhere(~grid.occupancy)
+    pairs = np.random.default_rng(seed).integers(
+        0, max(1, len(free)), size=(attempts, 2))
+    dists = [float(np.linalg.norm(grid.cell_center(free[a])
+                                  - grid.cell_center(free[b])))
+             for a, b in pairs if a != b]
+    mode = draw(st.sampled_from(["farthest", "drawn", "fraction"]))
+    if dists and mode != "fraction":
+        # A drawn pair's own distance as the threshold puts a decision on
+        # >=; at the farthest one, the bulk norm alone could pick a
+        # fallback where the per-pair norm finds a hit.
+        min_dist = max(dists) if mode == "farthest" else draw(
+            st.sampled_from(dists))
+    else:
+        # Fractions above 1 of the diagonal make every draw a fallback.
+        diag = float(np.linalg.norm(np.asarray(grid.dims) * grid.cell_size))
+        min_dist = diag * draw(st.floats(0.01, 1.5))
+    return grid, seed, min_dist, attempts
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=endpoint_cases())
+def test_bulk_endpoint_draw_equals_per_pair_loop(case):
+    grid, seed, min_dist, attempts = case
+    expected = draw_endpoints_per_pair(
+        grid, np.random.default_rng(seed), min_dist, attempts)
+    got = bench_mod._draw_endpoints(
+        grid, np.random.default_rng(seed), min_dist, attempts)
+    assert got == expected
+
+
+@pytest.mark.parametrize("n", [3, 1000, 20000, 40000, 2 ** 31 + 5])
+def test_bulk_integer_draws_equal_pair_by_pair_draws(n):
+    # The bulk endpoint draw relies on this; 2^31 + 5 rejects about half
+    # of its raw draws.
+    k = 20000
+    bulk = np.random.default_rng(n).integers(0, n, size=(k, 2))
+    rng = np.random.default_rng(n)
+    pairs = np.array([rng.integers(0, n, size=2) for _ in range(k)])
+    assert np.array_equal(bulk, pairs)
 
 
 # ------------------------------------------------------------ CLI plumbing
@@ -519,6 +630,19 @@ def test_cli_bench_workers_above_one_exits_2(tmp_path, capsys):
     payload = one_error_line(err)
     assert payload["error"] == "invalidspec"
     assert "--workers" in payload["message"]
+    assert not (tmp_path / "records.csv").exists()
+
+
+def test_cli_bench_endpoint_attempts_below_one_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("trials = 1\nmax_endpoint_attempts = -3\n")
+    code, out, err = run_cli(capsys, "--out-dir", str(tmp_path),
+                             "bench", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    payload = one_error_line(err)
+    assert payload["error"] == "invalidspec"
+    assert "max_endpoint_attempts" in payload["message"]
     assert not (tmp_path / "records.csv").exists()
 
 

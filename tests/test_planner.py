@@ -1,5 +1,6 @@
 """Planner tests: JPS vs Dijkstra and vs a cell-by-cell scan, legality checks,
 refinement rounds."""
+import copy
 import heapq
 import json
 import math
@@ -15,7 +16,7 @@ from scipy import ndimage
 from octoplan.errors import (InvalidRequest, NoPathAtMaxDepth,
                              PointOutOfDomain, StartOrGoalOccupied)
 from octoplan.geometry import Aabb, PointCloud
-from octoplan.gridmap import UniformGridMap
+from octoplan.gridmap import UniformGridMap, rasterize_adaptive
 import octoplan.planner as planner_mod
 from octoplan.planner import (GridPath, PlanRequest, _check_request,
                               _expand_segment, _octile, dijkstra_plan,
@@ -668,6 +669,39 @@ def test_refinement_reports_occupied_endpoint():
     assert err.value.rounds_attempted == 2
     assert err.value.code == "start_or_goal_occupied"
     assert err.value.plan_seconds == 0.0
+
+
+def same_grid(a, b):
+    return (a.dims == b.dims and np.array_equal(a.cell_size, b.cell_size)
+            and np.array_equal(a.origin, b.origin)
+            and np.array_equal(a.occupancy, b.occupancy))
+
+
+def test_refining_a_shallow_copy_leaves_the_tree_as_built():
+    # Campaign cells at one depth share a tree and refine copy.copy of it.
+    # At depth 1 the start shares the wall's cell and at depth 2 the gap
+    # [8, 10) is inside an occupied cell, so the search succeeds only after
+    # two partitions.
+    cloud = wall_cloud(0.5, gap_lo=8.0, gap_hi=10.0)
+    tree = build(cloud, refinement_domain(), depth=1)
+    tables = ("boundaries", "codes", "index", "order", "offsets")
+    before = {name: getattr(tree, name).copy() for name in tables}
+    refined = plan_with_refinement(copy.copy(tree), (2.0, 8.0), (14.0, 8.0),
+                                   max_rounds=2)
+    assert refined.rounds_used == 2
+    assert tree.depth == 1
+    for name in tables:
+        assert np.array_equal(getattr(tree, name), before[name]), name
+    fresh = build(cloud, refinement_domain(), depth=1)
+    assert same_grid(rasterize_adaptive(tree), rasterize_adaptive(fresh))
+
+    again = plan_with_refinement(copy.copy(tree), (2.0, 8.0), (14.0, 8.0),
+                                 max_rounds=2)
+    expected = plan_with_refinement(fresh, (2.0, 8.0), (14.0, 8.0),
+                                    max_rounds=2)
+    assert again.path == expected.path
+    assert again.rounds_used == expected.rounds_used == 2
+    assert same_grid(again.grid, expected.grid)
 
 
 def test_refinement_rejects_point_outside_domain():
