@@ -42,17 +42,25 @@ def _parse_domain(text: str) -> Aabb:
         raise InvalidSpec(f"domain must look like x0,y0:x1,y1, got {text!r}") from None
     if len(lo) != len(hi) or len(lo) not in (2, 3):
         raise InvalidSpec(f"domain needs matching 2-D or 3-D corners, got {text!r}")
-    return Aabb(np.asarray(lo), np.asarray(hi))
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    if not (np.all(np.isfinite(lo) & np.isfinite(hi)) and np.all(lo <= hi)):
+        raise InvalidSpec(f"domain needs finite corners with x0 <= x1, got {text!r}")
+    return Aabb(lo, hi)
 
 
-def _parse_point(text: str) -> np.ndarray:
+def _parse_floats(text: str, name: str) -> np.ndarray:
     try:
-        vals = [float(v) for v in text.split(",")]
+        return np.asarray([float(v) for v in text.split(",")])
     except ValueError:
-        raise InvalidSpec(f"point must be comma-separated floats, got {text!r}") from None
-    if len(vals) not in (2, 3):
-        raise InvalidSpec(f"point must be 2-D or 3-D, got {text!r}")
-    return np.asarray(vals)
+        raise InvalidSpec(f"{name} must be comma-separated floats, got {text!r}") from None
+
+
+def _parse_point(text: str, name: str, dim: int) -> np.ndarray:
+    point = _parse_floats(text, name)
+    if len(point) != dim:
+        raise InvalidRequest("wrong_dimensionality", f"{name} has {len(point)}"
+                             f" coordinates, the map has {dim}")
+    return point
 
 
 def _read_cloud(path: str, dim=None) -> PointCloud:
@@ -204,9 +212,7 @@ def _cmd_rasterize(args) -> int:
     if args.mode == "fixed":
         if args.cell is None:
             raise InvalidSpec("fixed mode needs --cell")
-        cells = [float(v) for v in args.cell.split(",")]
-        grid = rasterize_fixed(cloud, domain,
-                               cells[0] if len(cells) == 1 else np.asarray(cells))
+        grid = rasterize_fixed(cloud, domain, _parse_floats(args.cell, "--cell"))
     else:
         depth = _resolve_depth(args, domain)
         tree = build_tree(cloud, domain, depth)
@@ -224,16 +230,16 @@ def _cmd_rasterize(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    start = _parse_point(args.start)
-    goal = _parse_point(args.goal)
     cloud, domain = _load_cloud_args(args)
+    start = _parse_point(args.start, "--start", domain.dim)
+    goal = _parse_point(args.goal, "--goal", domain.dim)
     _maybe_save_cloud(args, cloud)
     report = {"mode": args.mode}
     if args.mode == "fixed":
         if args.cell is None:
             raise InvalidSpec("fixed mode needs --cell")
         t0 = perf_counter()
-        grid = rasterize_fixed(cloud, domain, float(args.cell))
+        grid = rasterize_fixed(cloud, domain, args.cell)
         report["build_seconds"] = perf_counter() - t0
         t0 = perf_counter()
         path = jps_plan(grid, PlanRequest(grid.index_of(start),

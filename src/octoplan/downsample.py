@@ -146,8 +146,7 @@ def downsample_tree(tree: OctoTree, workers: int = 1) -> DownsampleResult:
     )
 
 
-def voxel_filter(cloud: PointCloud, voxel_size: float,
-                 domain=None) -> PointCloud:
+def voxel_filter(cloud: PointCloud, voxel_size: float) -> PointCloud:
     """Keep one representative per occupied voxel: the input point nearest
     the voxel's centroid of members, ties broken by lowest input index.
     Output is ordered by voxel grid index."""
@@ -156,9 +155,7 @@ def voxel_filter(cloud: PointCloud, voxel_size: float,
     if not voxel_size > 0:
         raise InvalidSpec(f"voxel_size must be positive, got {voxel_size}")
     pts = cloud.points
-    lo = pts.min(axis=0) if domain is None else np.asarray(domain.min, float)
-    idx = np.floor((pts - lo) / voxel_size).astype(np.int64)
-    idx = np.maximum(idx, 0)
+    idx = np.floor((pts - pts.min(axis=0)) / voxel_size).astype(np.int64)
 
     # Collapse the d-dimensional voxel index to one sortable key.
     spans = idx.max(axis=0) + 1
@@ -188,7 +185,7 @@ def calibrate_voxel_size(cloud: PointCloud, target_count: int,
     """Bisect for a voxel size whose filtered count lands within tolerance
     of target_count; returns (voxel_size, achieved_count), the closest pair
     found if the tolerance is unreachable."""
-    n_unique = len(np.unique(cloud.points, axis=0))
+    n_unique = len(_dedupe_rows(cloud.points))
     if not 1 <= target_count <= n_unique:
         raise InvalidSpec(
             f"target_count must be in [1, {n_unique}], got {target_count}")

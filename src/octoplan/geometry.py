@@ -172,7 +172,7 @@ def _dedupe_rows(pts: np.ndarray) -> np.ndarray:
         return np.unique(pts, axis=0)
     srt = pts[np.lexsort(pts.T[::-1])]
     keep = np.empty(len(srt), dtype=bool)
-    keep[0] = True
+    keep[:1] = True
     np.any(srt[1:] != srt[:-1], axis=1, out=keep[1:])
     return srt[keep]
 

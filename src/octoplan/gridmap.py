@@ -4,14 +4,13 @@ Cells are half-open boxes [origin + i*cell, origin + (i+1)*cell) per axis,
 with the map's far faces closed so sources that touch the domain's maximal
 corner stay representable.  A cell is occupied exactly when at least one
 point falls inside it; the adaptive path inherits this from the tree (a cell
-is occupied iff the matching leaf holds a point).  Per-leaf boxes are read
-from the tree itself, through occupied_leaves.
+is occupied iff the matching leaf holds a point), whose grid indices
+rasterize_adaptive reads from tree.index.
 """
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,11 +87,12 @@ def _dense_grid(dims: tuple[int, ...]) -> np.ndarray:
 
 
 def _per_axis_cells(cell_size, dim: int) -> np.ndarray:
-    c = np.asarray(cell_size, dtype=float)
-    if c.ndim == 0:
-        c = np.full(dim, float(c))
-    if c.shape != (dim,) or np.any(c <= 0) or not np.all(np.isfinite(c)):
-        raise ValueError(f"cell size must be positive per axis, got {cell_size}")
+    c = np.asarray(cell_size, dtype=float).ravel()
+    if c.size == 1:
+        c = np.full(dim, c[0])
+    if c.shape != (dim,) or not np.all(np.isfinite(c) & (c > 0)):
+        raise InvalidSpec(f"cell size must be one or {dim} positive finite"
+                          f" values, got {cell_size}")
     return c
 
 
@@ -127,70 +127,94 @@ def rasterize_adaptive(tree: OctoTree) -> UniformGridMap:
     return UniformGridMap(dims, cell, tree.domain.min.copy(), occ)
 
 
+def free_components(occupancy) -> np.ndarray:
+    """Label the face-connected free components of an occupancy grid of any
+    dimension (4-connected in 2-D, 6-connected in 3-D).
+
+    Returns an int32 array shaped like the grid: -1 on occupied cells, and
+    on free cells the id of the cell's component (the smallest run id in
+    it).  The free runs along the last axis are the nodes of a union-find
+    (He, Chao & Suzuki, IEEE TIP 17(5), 2008); along every other axis, a
+    run is joined with each run one step on that it touches.  int32 holds
+    the run ids of any grid under 2^31 cells, far above the 2^28-cell
+    raster budget.
+    """
+    free = ~np.asarray(occupancy, dtype=bool)
+    starts = free.copy()
+    starts[..., 1:] &= ~free[..., :-1]
+    run = np.cumsum(starts, axis=None, dtype=np.int32).reshape(free.shape) - 1
+    parent = list(range(int(starts.sum())))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for axis in range(free.ndim - 1):
+        lower = (slice(None),) * axis + (slice(None, -1),)
+        upper = (slice(None),) * axis + (slice(1, None),)
+        # Two runs one step apart overlap in one interval, so the first
+        # cell of each overlap gives every touching pair exactly once.
+        touch = free[lower] & free[upper]
+        first = touch.copy()
+        first[..., 1:] &= ~touch[..., :-1]
+        for a, b in zip(run[lower][first].tolist(), run[upper][first].tolist()):
+            ra, rb = find(a), find(b)
+            if ra < rb:
+                parent[rb] = ra
+            elif rb < ra:
+                parent[ra] = rb
+    # Roots are the smallest run of their set, so parent[x] <= x and one
+    # ascending pass points every run at its root.
+    for x in range(len(parent)):
+        parent[x] = parent[parent[x]]
+    roots = np.asarray(parent, dtype=np.int32)
+    return np.where(free, roots[run] if len(parent) else run, -1)
+
+
 def gap_preserved(grid: UniformGridMap, corridor: Aabb) -> bool:
     """True when a connected run of free cells crosses the corridor from its
     low end to its high end along the corridor's longest axis.
 
-    Only cells whose interior overlaps the corridor participate, so the run
-    really passes through the gap rather than around it.
+    Only cells whose interior overlaps the corridor take part, so the run
+    really passes through the gap rather than around it.  Whether a cell
+    overlaps, may start the run or may end it each depends on its index
+    one axis at a time.  Both faces of a cell grow with its index, so the
+    overlapping indices of an axis are one interval, and the run exists
+    exactly when a start cell and an end cell share a free_components
+    label in the box of those intervals.
     """
     lo = np.maximum(corridor.min, grid.origin)
     hi = np.minimum(corridor.max, grid.extent_max)
     if np.any(hi - lo <= 0):
         return False
     long_axis = int(np.argmax(hi - lo))
-
-    dims = np.asarray(grid.dims)
+    top = np.asarray(grid.dims) - 1
     first = np.floor((lo - grid.origin) / grid.cell_size).astype(np.int64)
     last = np.ceil((hi - grid.origin) / grid.cell_size).astype(np.int64) - 1
-    first = np.clip(first, 0, dims - 1)
-    last = np.clip(last, 0, dims - 1)
+    first, last = np.clip(first, 0, top), np.clip(last, 0, top)
 
-    def overlaps(idx) -> bool:
-        cs = grid.origin + np.asarray(idx) * grid.cell_size
-        ce = cs + grid.cell_size
-        return bool(np.all(np.minimum(ce, hi) - np.maximum(cs, lo) > 0))
+    box, seed, target = [], [], []
+    for a, n in enumerate(grid.dims):
+        idx = np.arange(n)
+        cs = grid.origin[a] + idx * grid.cell_size[a]
+        ce = cs + grid.cell_size[a]
+        o = np.minimum(ce, hi[a]) - np.maximum(cs, lo[a]) > 0
+        s = o & (first[a] <= idx) & (idx <= last[a])
+        t = o
+        if a == long_axis:
+            s &= (cs <= lo[a]) & (lo[a] < ce)
+            t = o & (cs < hi[a]) & (hi[a] <= ce)
+        if not (s.any() and t.any()):
+            return False
+        k = np.flatnonzero(o)
+        box.append(slice(k[0], k[-1] + 1))
+        seed.append(s[box[-1]])
+        target.append(t[box[-1]])
 
-    def axis_span(idx, axis):
-        start = grid.origin[axis] + idx[axis] * grid.cell_size[axis]
-        return start, start + grid.cell_size[axis]
-
-    ranges = [range(a, b + 1) for a, b in zip(first, last)]
-    seeds = []
-    for idx in np.ndindex(*[len(r) for r in ranges]):
-        cell = tuple(r[i] for r, i in zip(ranges, idx))
-        if grid.is_occupied(cell) or not overlaps(cell):
-            continue
-        s, e = axis_span(cell, long_axis)
-        if s <= lo[long_axis] < e:
-            seeds.append(cell)
-
-    if not seeds:
-        return False
-
-    def is_target(cell) -> bool:
-        s, e = axis_span(cell, long_axis)
-        return s < hi[long_axis] <= e
-
-    seen = set(seeds)
-    work = deque(seeds)
-    d = grid.dim
-    while work:
-        cell = work.popleft()
-        if is_target(cell):
-            return True
-        for axis in range(d):
-            for step in (-1, 1):
-                nxt = list(cell)
-                nxt[axis] += step
-                nxt = tuple(nxt)
-                if nxt in seen or not grid.in_bounds(nxt):
-                    continue
-                if grid.is_occupied(nxt) or not overlaps(nxt):
-                    continue
-                seen.add(nxt)
-                work.append(nxt)
-    return False
+    labels = free_components(grid.occupancy[tuple(box)])
+    seeds = labels[np.ix_(*seed)]
+    return np.intersect1d(seeds[seeds >= 0], labels[np.ix_(*target)]).size > 0
 
 
 # ---------------------------------------------------------------- export

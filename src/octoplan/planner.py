@@ -11,7 +11,9 @@ and exists to cross-check optimality, so it deliberately shares no pruning
 code with the JPS path.
 
 Before searching, jps_plan labels the 4-connected free components of the
-grid and returns None at once when start and goal lie in different ones.
+grid with gridmap.free_components, the same labelling that answers
+gridmap.gap_preserved, and returns None at once when start and goal lie in
+different ones.
 The check is exact: a diagonal step is legal only when both flanking
 cardinal cells are free, so it can be replaced by two cardinal steps
 through either of them, and 8-connected reachability under this motion
@@ -52,9 +54,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidRequest, NoPathAtMaxDepth, PointOutOfDomain,
-                     StartOrGoalOccupied, DepthCapExceeded)
-from .gridmap import UniformGridMap, rasterize_adaptive
+from .errors import (InvalidRequest, InvalidSpec, NoPathAtMaxDepth,
+                     PointOutOfDomain, StartOrGoalOccupied, DepthCapExceeded)
+from .gridmap import UniformGridMap, free_components, rasterize_adaptive
 from .tree import OctoTree, dynamic_partition, morton_encode
 
 SQRT2 = math.sqrt(2.0)
@@ -112,46 +114,6 @@ def _expand_segment(a, b):
         j += dj
         out.append((i, j))
     return out
-
-
-def free_components(occupancy) -> np.ndarray:
-    """Label the 4-connected free components of a 2-D occupancy grid.
-
-    Returns an int32 array shaped like the grid: -1 on occupied cells, and
-    on free cells the id of the cell's component (the smallest run id in
-    it).  The free runs along axis 1 are the nodes of a union-find; a run
-    is joined with every run of the next row along axis 0 that it touches.
-    int32 holds the run ids of any grid under 2^31 cells, far above the
-    2^28-cell raster budget.
-    """
-    free = ~np.asarray(occupancy, dtype=bool)
-    starts = free.copy()
-    starts[:, 1:] &= ~free[:, :-1]
-    run = np.cumsum(starts, axis=None, dtype=np.int32).reshape(free.shape) - 1
-    # Two runs in adjacent rows overlap in one interval, so the first cell
-    # of each overlap gives every touching pair exactly once.
-    touch = free[:-1] & free[1:]
-    first = touch.copy()
-    first[:, 1:] &= ~touch[:, :-1]
-    parent = list(range(int(starts.sum())))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for a, b in zip(run[:-1][first].tolist(), run[1:][first].tolist()):
-        ra, rb = find(a), find(b)
-        if ra < rb:
-            parent[rb] = ra
-        elif rb < ra:
-            parent[ra] = rb
-    # Roots are the smallest run of their set, so parent[x] <= x and one
-    # ascending pass points every run at its root.
-    for x in range(len(parent)):
-        parent[x] = parent[parent[x]]
-    roots = np.asarray(parent, dtype=np.int32)
-    return np.where(free, roots[run] if len(parent) else run, -1)
 
 
 def _stop_tables(free: np.ndarray) -> tuple[bytes, ...]:
@@ -453,6 +415,8 @@ def plan_with_refinement(tree: OctoTree, start_point, goal_point,
     attempted depths exactly as RefinementResult.plan_seconds is; rasterize
     and partition time is left out of it either way.
     """
+    if max_rounds < 0:
+        raise InvalidSpec(f"max_rounds must be >= 0, got {max_rounds}")
     start_point = np.asarray(start_point, dtype=float)
     goal_point = np.asarray(goal_point, dtype=float)
     for name, p in (("start", start_point), ("goal", goal_point)):

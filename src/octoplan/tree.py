@@ -50,11 +50,11 @@ class McrSpec:
         return 2.0 * self.epsilon_max
 
 
-def compute_depth(longest_edge: float, cell_edge: float,
-                  cap: int = DEFAULT_DEPTH_CAP) -> int:
+def compute_depth(longest_edge: float, cell_edge: float) -> int:
     """Smallest depth whose cells along the longest domain edge are no
     coarser than cell_edge: minimal D with 2^D >= L / cell_edge, clamped to
-    [0, cap].  For a controllable region the cell edge is mcr.k * mcr.edge."""
+    [0, DEFAULT_DEPTH_CAP].  For a controllable region the cell edge is
+    mcr.k * mcr.edge."""
     for name, value in (("domain", longest_edge), ("cell", cell_edge)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} edge must be positive, got {value}")
@@ -67,7 +67,7 @@ def compute_depth(longest_edge: float, cell_edge: float,
         depth += 1
     while depth > 0 and 2.0 ** (depth - 1) >= ratio:
         depth -= 1
-    return min(cap, depth)
+    return min(DEFAULT_DEPTH_CAP, depth)
 
 
 def _boundaries(domain: Aabb, depth: int) -> np.ndarray:
@@ -113,20 +113,16 @@ class OctoTree:
     axis a (_boundaries).
     """
 
-    def __init__(self, domain: Aabb, depth: int,
-                 depth_cap: int = DEFAULT_DEPTH_CAP):
-        if not 0 <= depth_cap <= DEFAULT_DEPTH_CAP:
-            raise ValueError(f"depth cap must be in [0, {DEFAULT_DEPTH_CAP}],"
-                             f" got {depth_cap}")
+    def __init__(self, domain: Aabb, depth: int):
         if depth < 0:
             raise ValueError(f"depth must be >= 0, got {depth}")
-        if depth > depth_cap:
-            raise DepthCapExceeded(f"depth {depth} exceeds cap {depth_cap}")
+        if depth > DEFAULT_DEPTH_CAP:
+            raise DepthCapExceeded(
+                f"depth {depth} exceeds cap {DEFAULT_DEPTH_CAP}")
         if np.any(domain.edges <= 0):
             raise ValueError("domain must have positive extent on every axis")
         self.domain = domain
         self.depth = depth
-        self.depth_cap = depth_cap
         self.dim = domain.dim
         self.boundaries = _boundaries(domain, depth)
         self._points = np.empty((0, self.dim))
@@ -162,12 +158,11 @@ def _run_starts(sorted_codes: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(sorted_codes, prepend=-1))
 
 
-def build(cloud: PointCloud, domain: Aabb, depth: int,
-          depth_cap: int = DEFAULT_DEPTH_CAP) -> OctoTree:
+def build(cloud: PointCloud, domain: Aabb, depth: int) -> OctoTree:
     """Build a tree from a whole cloud at once: a binary search per axis in
     the boundary table and one stable sort by leaf code.  The tree keeps its
     own read-only copy of the points."""
-    tree = OctoTree(domain, depth, depth_cap)
+    tree = OctoTree(domain, depth)
     pts = np.array(cloud.points, dtype=float)
     if pts.shape[0] == 0:
         return tree
@@ -191,9 +186,9 @@ def dynamic_partition(tree: OctoTree) -> OctoTree:
     ids is stably re-sorted on one more group of code bits, giving the table
     a fresh build at depth + 1 would give."""
     new_depth = tree.depth + 1
-    if new_depth > tree.depth_cap:
+    if new_depth > DEFAULT_DEPTH_CAP:
         raise DepthCapExceeded(
-            f"partition to depth {new_depth} exceeds cap {tree.depth_cap}")
+            f"partition to depth {new_depth} exceeds cap {DEFAULT_DEPTH_CAP}")
     faces = _boundaries(tree.domain, new_depth)
     axes = np.arange(tree.dim)
     counts = np.diff(tree.offsets)

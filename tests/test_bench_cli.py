@@ -24,7 +24,7 @@ from octoplan.cloudio import write_binary, write_xyz
 from octoplan.errors import InvalidSpec, NoPathAtMaxDepth
 from octoplan.geometry import PointCloud
 from octoplan.gridmap import UniformGridMap, grid_from_json
-from octoplan.tree import compute_depth
+from octoplan.tree import DEFAULT_DEPTH_CAP, compute_depth
 
 
 def strip_timing(csv_text):
@@ -86,7 +86,7 @@ def test_compute_depth_campaign_cell_examples():
     assert compute_depth(200.0, 3.4) == 6
     assert compute_depth(16.0, 2.0) == 3
     assert compute_depth(10.0, 20.0) == 0
-    assert compute_depth(1e9, 0.5, cap=10) == 10
+    assert compute_depth(1e9, 0.5) == DEFAULT_DEPTH_CAP
 
 
 def test_record_row_formatting():
@@ -619,6 +619,30 @@ def test_cli_workers_below_one_exits_2(tmp_path, capsys, workers):
     payload = one_error_line(err)
     assert payload["error"] == "invalidspec"
     assert "--workers" in payload["message"]
+
+
+PLAN_2D = ("plan", "--perlin", "--domain", "0,0:40,30", "--goal", "30,20")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (PLAN_2D + ("--depth", "5", "--start", "1,1,1"), 5),
+    (PLAN_2D + ("--mode", "fixed", "--cell", "1", "--start", "1,1,1"), 5),
+    (("rasterize", "--perlin", "--domain", "0,0:40,30", "--mode", "fixed",
+      "--cell", "abc"), 2),
+    (PLAN_2D + ("--mode", "fixed", "--cell", "0", "--start", "1,1"), 2),
+    (PLAN_2D + ("--mode", "fixed", "--cell", "nan", "--start", "1,1"), 2),
+    (("rasterize", "--perlin", "--domain", "0,0:40,30", "--mode", "fixed",
+      "--cell", "1,1,1"), 2),
+    (("build", "--perlin", "--domain", "0,0:40,nan", "--depth", "3"), 2),
+    (("build", "--perlin", "--domain", "0,0:-40,30", "--depth", "3"), 2),
+    (PLAN_2D + ("--depth", "5", "--start", "1,1", "--max-rounds", "-1"), 2),
+])
+def test_cli_bad_values_end_in_one_json_line(tmp_path, capsys, argv, code):
+    got, out, err = run_cli(capsys, "--out-dir", str(tmp_path), *argv)
+    assert got == code
+    assert out == ""
+    assert "Traceback" not in err
+    one_error_line(err)
 
 
 def test_cli_bench_workers_above_one_exits_2(tmp_path, capsys):

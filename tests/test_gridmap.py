@@ -1,9 +1,12 @@
 """Occupancy grid tests: rasterization, gap checks, serialization."""
 import json
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octoplan.errors import InvalidSpec, PointOutOfDomain
 from octoplan.geometry import Aabb, PointCloud
@@ -228,6 +231,96 @@ def test_gap_fully_blocked_corridor_fails():
                            domain2(), 1.0)
     corridor = Aabb(np.array([4.0, 0.5]), np.array([5.0, 4.5]))
     assert not gap_preserved(grid, corridor)
+
+
+def bfs_gap_preserved(grid, corridor):
+    """The reference for gap_preserved: a breadth-first search, one cell at
+    a time, from the seed cells through the free cells whose interior
+    overlaps the corridor, until it reaches a target cell."""
+    lo = np.maximum(corridor.min, grid.origin)
+    hi = np.minimum(corridor.max, grid.extent_max)
+    if np.any(hi - lo <= 0):
+        return False
+    long_axis = int(np.argmax(hi - lo))
+
+    dims = np.asarray(grid.dims)
+    first = np.floor((lo - grid.origin) / grid.cell_size).astype(np.int64)
+    last = np.ceil((hi - grid.origin) / grid.cell_size).astype(np.int64) - 1
+    first = np.clip(first, 0, dims - 1)
+    last = np.clip(last, 0, dims - 1)
+
+    def overlaps(idx):
+        cs = grid.origin + np.asarray(idx) * grid.cell_size
+        ce = cs + grid.cell_size
+        return bool(np.all(np.minimum(ce, hi) - np.maximum(cs, lo) > 0))
+
+    def axis_span(idx, axis):
+        start = grid.origin[axis] + idx[axis] * grid.cell_size[axis]
+        return start, start + grid.cell_size[axis]
+
+    ranges = [range(a, b + 1) for a, b in zip(first, last)]
+    seeds = []
+    for idx in np.ndindex(*[len(r) for r in ranges]):
+        cell = tuple(r[i] for r, i in zip(ranges, idx))
+        if grid.is_occupied(cell) or not overlaps(cell):
+            continue
+        s, e = axis_span(cell, long_axis)
+        if s <= lo[long_axis] < e:
+            seeds.append(cell)
+
+    seen = set(seeds)
+    work = deque(seeds)
+    while work:
+        cell = work.popleft()
+        s, e = axis_span(cell, long_axis)
+        if s < hi[long_axis] <= e:
+            return True
+        for axis in range(grid.dim):
+            for step in (-1, 1):
+                nxt = cell[:axis] + (cell[axis] + step,) + cell[axis + 1:]
+                if nxt in seen or not grid.in_bounds(nxt):
+                    continue
+                if grid.is_occupied(nxt) or not overlaps(nxt):
+                    continue
+                seen.add(nxt)
+                work.append(nxt)
+    return False
+
+
+@st.composite
+def grid_and_corridor(draw):
+    """A random 2-D or 3-D grid with non-dyadic cells and origins, and a
+    corridor whose corners lie on cell faces or anywhere around the grid,
+    so it may stick out of the grid or miss it entirely."""
+    dim = draw(st.sampled_from([2, 3]))
+    dims = tuple(draw(st.lists(st.integers(1, 12 if dim == 2 else 6),
+                               min_size=dim, max_size=dim)))
+    size = st.one_of(st.sampled_from([1.0, 0.5, 0.3, 0.7, 1.1, 2.0 / 3.0]),
+                     st.floats(0.05, 3.0))
+    cell = np.array(draw(st.lists(size, min_size=dim, max_size=dim)))
+    offset = st.one_of(st.sampled_from([0.0, -1.3, 2.7, 0.1]),
+                       st.floats(-5.0, 5.0))
+    origin = np.array(draw(st.lists(offset, min_size=dim, max_size=dim)))
+    density = draw(st.sampled_from([0.0, 0.2, 0.4, 0.6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    grid = UniformGridMap(dims, cell, origin, rng.uniform(size=dims) < density)
+
+    def coordinate(axis):
+        on_face = st.builds(lambda k: origin[axis] + k * cell[axis],
+                            st.integers(-2, dims[axis] + 2))
+        anywhere = st.floats(origin[axis] - 2.0,
+                             float(grid.extent_max[axis]) + 2.0)
+        return draw(st.one_of(on_face, anywhere))
+
+    corners = np.array([[coordinate(a) for a in range(dim)] for _ in range(2)])
+    return grid, Aabb(corners.min(axis=0), corners.max(axis=0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(grid_and_corridor())
+def test_gap_preserved_matches_breadth_first_search(case):
+    grid, corridor = case
+    assert gap_preserved(grid, corridor) == bfs_gap_preserved(grid, corridor)
 
 
 # ------------------------------------------------------------- serialization

@@ -148,15 +148,24 @@ def test_free_components_match_scipy_label():
     rng = np.random.default_rng(7)
     grids = [np.zeros((9, 13), dtype=bool), np.ones((4, 5), dtype=bool),
              np.zeros((1, 1), dtype=bool), diagonal_gap_grid()]
-    for shape in [(1, 40), (40, 1), (17, 33), (33, 17), (64, 64)]:
+    for shape in [(1, 40), (40, 1), (17, 33), (33, 17), (64, 64),
+                  (1, 1, 1), (1, 9, 1), (7, 1, 5), (6, 9, 11), (16, 16, 16)]:
         for density in (0.0, 0.2, 0.4, 0.6, 0.9):
             grids.append(rng.uniform(size=shape) < density)
     for occ in grids:
         labels = free_components(occ)
-        assert labels.shape == occ.shape
+        assert labels.shape == occ.shape and labels.dtype == np.int32
         assert (labels[occ] == -1).all() and (labels[~occ] >= 0).all()
-        reference, _ = ndimage.label(~occ)  # 4-connectivity by default
+        # Face connectivity by default: 4 neighbours in 2-D, 6 in 3-D.
+        reference, count = ndimage.label(~occ)
         assert same_partition(labels, reference)
+        # Each component carries its smallest id of a free run along the
+        # last axis, runs numbered in C order.
+        starts = ~occ
+        starts[..., 1:] &= occ[..., :-1]
+        run = np.cumsum(starts).reshape(occ.shape) - 1
+        for c in range(1, count + 1):
+            assert (labels[reference == c] == run[reference == c].min()).all()
 
     occ = diagonal_gap_grid()
     labels = free_components(occ)

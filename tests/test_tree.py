@@ -119,7 +119,6 @@ def test_compute_depth_clamps_to_zero():
 
 def test_compute_depth_clamps_to_cap():
     assert compute_depth(1e9, mcr_cell(0.5)) == 16
-    assert compute_depth(1e9, mcr_cell(0.5), cap=4) == 4
 
 
 def test_compute_depth_exact_powers_have_no_rounding_slack():
@@ -233,10 +232,10 @@ def test_depth_cap_above_limit_is_refused_before_allocating():
     cloud = PointCloud(np.array([[0.5, 0.5]]))
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="depth cap"):
-            OctoTree(dom, depth=0, depth_cap=DEFAULT_DEPTH_CAP + 1)
-        with pytest.raises(ValueError, match="depth cap"):
-            build(cloud, dom, depth=31, depth_cap=31)
+        with pytest.raises(DepthCapExceeded):
+            OctoTree(dom, depth=DEFAULT_DEPTH_CAP + 1)
+        with pytest.raises(DepthCapExceeded):
+            build(cloud, dom, depth=31)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -482,7 +481,7 @@ def test_tables_match_descent_oracle(d, depth, kind, n, seed):
 
 def test_partition_respects_depth_cap():
     tree = build(PointCloud(np.array([[0.5, 0.5]])), unit_domain(2),
-                 depth=2, depth_cap=2)
+                 depth=DEFAULT_DEPTH_CAP)
     with pytest.raises(DepthCapExceeded):
         dynamic_partition(tree)
 
