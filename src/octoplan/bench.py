@@ -116,16 +116,12 @@ class BenchConfig:
                     f"config line {line_no}: bad value {val!r} for {key}") from None
         return cls(**values)
 
-    @classmethod
-    def from_file(cls, path) -> "BenchConfig":
-        with open(path) as fh:
-            return cls.from_text(fh.read())
-
 
 @dataclass
 class TrialRecord:
-    """One campaign CSV row; the field order is the column order, and the
-    last TIMING_COLUMNS fields are wall-clock seconds."""
+    """One campaign CSV row, by default one with nothing drawn or planned;
+    the field order is the column order, and the last TIMING_COLUMNS
+    fields are wall-clock seconds."""
 
     trial_index: int
     cell_size_m: float
@@ -133,19 +129,19 @@ class TrialRecord:
     trial_seed: int
     depth: int
     n_points: int
-    start_x_m: float
-    start_y_m: float
-    goal_x_m: float
-    goal_y_m: float
-    endpoint_fallback: bool
-    fixed_success: bool
-    adaptive_success: bool
-    fixed_length_m: float
-    adaptive_length_m: float
-    adaptive_rounds: int
-    build_seconds: float
-    fixed_plan_seconds: float
-    adaptive_plan_seconds: float
+    start_x_m: float = math.nan
+    start_y_m: float = math.nan
+    goal_x_m: float = math.nan
+    goal_y_m: float = math.nan
+    endpoint_fallback: bool = False
+    fixed_success: bool = False
+    adaptive_success: bool = False
+    fixed_length_m: float = math.nan
+    adaptive_length_m: float = math.nan
+    adaptive_rounds: int = 0
+    build_seconds: float = 0.0
+    fixed_plan_seconds: float = 0.0
+    adaptive_plan_seconds: float = 0.0
 
     def to_row(self) -> list:
         out = []
@@ -223,13 +219,7 @@ def run_trial_cell(cloud, domain, cell, trial_index, trial_seed, cell_index,
     record = TrialRecord(
         trial_index=trial_index, cell_size_m=cell,
         effective_cell_m=longest / 2.0 ** depth, trial_seed=trial_seed,
-        depth=depth, n_points=len(cloud),
-        start_x_m=math.nan, start_y_m=math.nan,
-        goal_x_m=math.nan, goal_y_m=math.nan,
-        endpoint_fallback=False, fixed_success=False, adaptive_success=False,
-        fixed_length_m=math.nan, adaptive_length_m=math.nan,
-        adaptive_rounds=0, build_seconds=build_seconds,
-        fixed_plan_seconds=0.0, adaptive_plan_seconds=0.0)
+        depth=depth, n_points=len(cloud), build_seconds=build_seconds)
 
     rng = np.random.default_rng(derive_seed(trial_seed, cell_index))
     min_dist = config.min_separation_fraction * float(

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: build, downsample, rasterize, plan, bench, calibrate-perlin.
-Errors print one JSON line to stderr and map to distinct exit codes:
-2 parse or spec problems, 3 occupied endpoints after refinement, 4 no
-route at the deepest attempted map, 5 unusable plan request, 1 anything
-else package-specific.
+Every error, usage errors included, prints one JSON line to stderr and
+maps to an exit code: 2 unreadable input (usage, parse or spec problems,
+an unreadable --cloud or --config), 3 occupied endpoints after refinement,
+4 no route at the deepest attempted map, 5 unusable plan request, 1 an
+--out-dir that cannot be made or written, or anything else package-specific.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from time import perf_counter
 
 import numpy as np
@@ -40,12 +42,7 @@ def _parse_domain(text: str) -> Aabb:
         hi = [float(v) for v in hi_s.split(",")]
     except ValueError:
         raise InvalidSpec(f"domain must look like x0,y0:x1,y1, got {text!r}") from None
-    if len(lo) != len(hi) or len(lo) not in (2, 3):
-        raise InvalidSpec(f"domain needs matching 2-D or 3-D corners, got {text!r}")
-    lo, hi = np.asarray(lo), np.asarray(hi)
-    if not (np.all(np.isfinite(lo) & np.isfinite(hi)) and np.all(lo <= hi)):
-        raise InvalidSpec(f"domain needs finite corners with x0 <= x1, got {text!r}")
-    return Aabb(lo, hi)
+    return Aabb(np.asarray(lo), np.asarray(hi))
 
 
 def _parse_floats(text: str, name: str) -> np.ndarray:
@@ -63,11 +60,21 @@ def _parse_point(text: str, name: str, dim: int) -> np.ndarray:
     return point
 
 
+@contextmanager
+def _reading(path: str):
+    """An input file that cannot be opened or decoded is unreadable input."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidSpec(f"cannot read {path!r}: {exc}") from None
+
+
 def _read_cloud(path: str, dim=None) -> PointCloud:
-    if path.endswith(".bin"):
-        return read_binary(path, dim=dim)
-    if path.endswith(".xyz"):
-        return read_xyz(path, dim=dim)
+    with _reading(path):
+        if path.endswith(".bin"):
+            return read_binary(path, dim=dim)
+        if path.endswith(".xyz"):
+            return read_xyz(path, dim=dim)
     raise InvalidSpec(f"cloud files must end in .xyz or .bin, got {path!r}")
 
 
@@ -80,6 +87,13 @@ def _write_cloud(cloud: PointCloud, path: str) -> None:
         raise InvalidSpec(f"cloud files must end in .xyz or .bin, got {path!r}")
 
 
+def _perlin_params(args, domain: Aabb, spm: float) -> PerlinParams:
+    return PerlinParams(
+        seed=args.seed, domain=domain, frequency=args.frequency,
+        octaves=args.octaves, persistence=args.persistence,
+        threshold=args.threshold, samples_per_meter=spm)
+
+
 def _load_cloud_args(args) -> tuple[PointCloud, Aabb]:
     domain = _parse_domain(args.domain) if args.domain else None
     if args.cloud:
@@ -87,10 +101,7 @@ def _load_cloud_args(args) -> tuple[PointCloud, Aabb]:
     elif args.perlin:
         if domain is None:
             raise InvalidSpec("--perlin needs --domain")
-        cloud = gen_perlin_cloud(PerlinParams(
-            seed=args.seed, domain=domain, frequency=args.frequency,
-            octaves=args.octaves, persistence=args.persistence,
-            threshold=args.threshold, samples_per_meter=args.spm))
+        cloud = gen_perlin_cloud(_perlin_params(args, domain, args.spm))
     elif args.scene_points:
         cloud = scene_cloud(args.scene_points, seed=args.seed)
     else:
@@ -102,9 +113,6 @@ def _load_cloud_args(args) -> tuple[PointCloud, Aabb]:
 
 def _resolve_depth(args, domain: Aabb) -> int:
     if args.depth is not None:
-        if not 0 <= args.depth <= DEFAULT_DEPTH_CAP:
-            raise InvalidSpec(f"--depth must be in [0, {DEFAULT_DEPTH_CAP}],"
-                              f" got {args.depth}")
         return args.depth
     if args.epsilon_max_m is not None:
         mcr = McrSpec(args.epsilon_max_m, args.range_k)
@@ -121,18 +129,36 @@ def _add_cloud_args(sub):
     sub.add_argument("--scene-points", type=int,
                      help="generate the 3-D demo scene near this point count")
     sub.add_argument("--domain", help="domain box as x0,y0:x1,y1")
-    sub.add_argument("--frequency", type=float, default=0.03)
-    sub.add_argument("--octaves", type=int, default=4)
-    sub.add_argument("--persistence", type=float, default=0.5)
-    sub.add_argument("--threshold", type=float, default=0.1)
-    sub.add_argument("--spm", type=float, default=4.0,
+    _add_noise_args(sub)
+    sub.add_argument("--spm", type=float,
+                     default=PerlinParams.samples_per_meter,
                      help="noise lattice samples per metre")
     sub.add_argument("--save-cloud",
                      help="also write the input cloud to this file in out-dir")
 
 
+def _add_noise_args(sub):
+    sub.add_argument("--frequency", type=float, default=PerlinParams.frequency)
+    sub.add_argument("--octaves", type=int, default=PerlinParams.octaves)
+    sub.add_argument("--persistence", type=float,
+                     default=PerlinParams.persistence)
+    sub.add_argument("--threshold", type=float, default=PerlinParams.threshold)
+
+
+def _add_mode_args(sub):
+    sub.add_argument("--mode", choices=("fixed", "adaptive"), default="adaptive")
+    sub.add_argument("--cell", help="fixed-mode cell size, scalar or per-axis list")
+
+
+def _fixed_grid(args, cloud, domain):
+    if args.cell is None:
+        raise InvalidSpec("fixed mode needs --cell")
+    return rasterize_fixed(cloud, domain, _parse_floats(args.cell, "--cell"))
+
+
 def _add_depth_args(sub):
-    sub.add_argument("--depth", type=int)
+    sub.add_argument("--depth", type=int, metavar=f"0..{DEFAULT_DEPTH_CAP}",
+                     choices=range(DEFAULT_DEPTH_CAP + 1))
     sub.add_argument("--epsilon-max-m", type=float,
                      help="sensing error bound; minimum cell edge is twice this")
     sub.add_argument("--range-k", type=float, default=2.0,
@@ -183,6 +209,9 @@ def _cmd_downsample(args) -> int:
         if args.voxel_size is not None:
             size = args.voxel_size
         elif args.voxel_target_fraction is not None:
+            if not 0 < args.voxel_target_fraction <= 1:
+                raise InvalidSpec("--voxel-target-fraction must be in (0, 1],"
+                                  f" got {args.voxel_target_fraction}")
             target = max(1, round(args.voxel_target_fraction * len(cloud)))
             size, _ = calibrate_voxel_size(cloud, target)
         else:
@@ -210,9 +239,7 @@ def _cmd_rasterize(args) -> int:
     cloud, domain = _load_cloud_args(args)
     _maybe_save_cloud(args, cloud)
     if args.mode == "fixed":
-        if args.cell is None:
-            raise InvalidSpec("fixed mode needs --cell")
-        grid = rasterize_fixed(cloud, domain, _parse_floats(args.cell, "--cell"))
+        grid = _fixed_grid(args, cloud, domain)
     else:
         depth = _resolve_depth(args, domain)
         tree = build_tree(cloud, domain, depth)
@@ -236,10 +263,8 @@ def _cmd_plan(args) -> int:
     _maybe_save_cloud(args, cloud)
     report = {"mode": args.mode}
     if args.mode == "fixed":
-        if args.cell is None:
-            raise InvalidSpec("fixed mode needs --cell")
         t0 = perf_counter()
-        grid = rasterize_fixed(cloud, domain, args.cell)
+        grid = _fixed_grid(args, cloud, domain)
         report["build_seconds"] = perf_counter() - t0
         t0 = perf_counter()
         path = jps_plan(grid, PlanRequest(grid.index_of(start),
@@ -277,7 +302,8 @@ def _cmd_bench(args) -> int:
         sys.stdout.write(bench_mod.BenchConfig().to_text())
         return 0
     if args.config:
-        config = bench_mod.BenchConfig.from_file(args.config)
+        with _reading(args.config), open(args.config) as fh:
+            config = bench_mod.BenchConfig.from_text(fh.read())
     else:
         config = bench_mod.BenchConfig()
     overrides = {}
@@ -298,16 +324,13 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_calibrate_perlin(args) -> int:
-    if not args.domain:
-        raise InvalidSpec("calibrate-perlin needs --domain")
     domain = _parse_domain(args.domain)
+    if not 0 <= args.tolerance_pct <= 100:
+        raise InvalidSpec("--tolerance-pct must be in [0, 100],"
+                          f" got {args.tolerance_pct}")
 
     def count_at(spm: float) -> int:
-        params = PerlinParams(
-            seed=args.seed, domain=domain, frequency=args.frequency,
-            octaves=args.octaves, persistence=args.persistence,
-            threshold=args.threshold, samples_per_meter=spm)
-        return len(gen_perlin_cloud(params))
+        return len(gen_perlin_cloud(_perlin_params(args, domain, spm)))
 
     lo, hi = 0.05, 4.0
     count = count_at(hi)
@@ -336,8 +359,15 @@ def _cmd_calibrate_perlin(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, subcommands' too, as InvalidSpec."""
+
+    def error(self, message):
+        raise InvalidSpec(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="octoplan",
         description="Adaptive subdivision maps, downsampling, and planning.")
     parser.add_argument("--seed", type=int, default=0)
@@ -365,15 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("rasterize", help="produce an occupancy grid")
     _add_cloud_args(p)
     _add_depth_args(p)
-    p.add_argument("--mode", choices=("fixed", "adaptive"), default="adaptive")
-    p.add_argument("--cell", help="fixed-mode cell size, scalar or per-axis list")
+    _add_mode_args(p)
     p.set_defaults(func=_cmd_rasterize)
 
     p = subs.add_parser("plan", help="plan a route between metric points")
     _add_cloud_args(p)
     _add_depth_args(p)
-    p.add_argument("--mode", choices=("fixed", "adaptive"), default="adaptive")
-    p.add_argument("--cell", type=float, help="fixed-mode cell size in metres")
+    _add_mode_args(p)
     p.add_argument("--start", required=True)
     p.add_argument("--goal", required=True)
     p.add_argument("--max-rounds", type=int, default=2)
@@ -391,10 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--target", type=int, default=1200000)
     p.add_argument("--tolerance-pct", type=float, default=1.0)
-    p.add_argument("--frequency", type=float, default=0.03)
-    p.add_argument("--octaves", type=int, default=4)
-    p.add_argument("--persistence", type=float, default=0.5)
-    p.add_argument("--threshold", type=float, default=0.1)
+    _add_noise_args(p)
     p.set_defaults(func=_cmd_calibrate_perlin)
     return parser
 
@@ -407,26 +432,23 @@ _EXIT_CODES = (
     (CloudParseError, 2),
     (InvalidSpec, 2),
     (OctoplanError, 1),
+    (OSError, 1),  # reads raise InvalidSpec, so this is the --out-dir
 )
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    os.makedirs(args.out_dir, exist_ok=True)
     try:
+        args = build_parser().parse_args(argv)
         if args.workers < 1:
             raise InvalidSpec(f"--workers must be >= 1, got {args.workers}")
+        os.makedirs(args.out_dir, exist_ok=True)
         return args.func(args)
-    except OctoplanError as exc:
-        for klass, code in _EXIT_CODES:
-            if isinstance(exc, klass):
-                payload = {"error": getattr(exc, "code",
-                                            type(exc).__name__.lower()),
-                           "message": str(exc)}
-                print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-                return code
-        raise
+    except (OctoplanError, OSError) as exc:
+        payload = {"error": getattr(exc, "code", type(exc).__name__.lower()),
+                   "message": str(exc)}
+        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+        return next(code for klass, code in _EXIT_CODES
+                    if isinstance(exc, klass))
 
 
 if __name__ == "__main__":

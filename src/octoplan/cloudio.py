@@ -27,10 +27,8 @@ _HEADER = struct.Struct("<Q")
 
 def _as_three_columns(cloud: PointCloud) -> np.ndarray:
     pts = cloud.points
-    if pts.shape[0] and pts.shape[1] == 2:
+    if pts.shape[1] == 2:
         pts = np.column_stack([pts, np.zeros(len(pts))])
-    elif pts.shape[1] == 2:
-        pts = pts.reshape(0, 3)
     return pts
 
 
@@ -45,8 +43,6 @@ def _shape_result(rows: np.ndarray, dim, path) -> PointCloud:
         raise CloudParseError(path, 0, f"dim must be 2 or 3, got {dim}")
     if dim == 2 and len(rows) and rows[:, 2].any():
         raise CloudParseError(path, 0, "nonzero third column in a 2-D read")
-    if len(rows) == 0:
-        return PointCloud.empty(dim)
     return PointCloud(rows[:, :dim])
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DegenerateInput, EmptyInput, InvalidSpec
 from .geometry import (Aabb, ConvexHull, PointCloud, _dedupe_rows, quickhull,
                        strictly_inside)
-from .tree import OctoTree, occupied_leaf_nodes
+from .tree import OctoTree, morton_encode, occupied_leaf_nodes
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,7 @@ def convexify_leaf(points, split_boundary: Aabb | None = None) -> np.ndarray:
         center = split_boundary.center()
     else:
         center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
-    bits = survivors >= center
-    codes = np.zeros(len(survivors), dtype=np.int64)
-    for a in range(d):
-        codes |= bits[:, a].astype(np.int64) << a
+    codes = morton_encode(survivors >= center, 1)
 
     kept = [extremes]
     for code in range(1 << d):

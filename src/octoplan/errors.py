@@ -31,8 +31,8 @@ class DepthCapExceeded(OctoplanError):
     """A subdivision request would push the tree past its depth cap."""
 
 
-class InvalidSpec(OctoplanError):
-    """A configuration or generator spec violates its invariants."""
+class InvalidSpec(OctoplanError, ValueError):
+    """A caller-supplied value, config or generator spec is invalid."""
 
 
 class CloudParseError(OctoplanError):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, EmptyInput, PointOutOfDomain
+from .errors import DegenerateInput, EmptyInput, InvalidSpec, PointOutOfDomain
 
 # Absolute tolerance (coordinate units) for every hull-side predicate.
 HULL_EPS = 1e-9
@@ -43,9 +43,9 @@ HULL_EPS = 1e-9
 def as_point(p) -> np.ndarray:
     a = np.asarray(p, dtype=float)
     if a.ndim != 1 or a.shape[0] not in (2, 3):
-        raise ValueError(f"point must be a flat 2-D or 3-D coordinate, got shape {a.shape}")
+        raise InvalidSpec(f"point must be a flat 2-D or 3-D coordinate, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"point has non-finite coordinates: {a}")
+        raise InvalidSpec(f"point has non-finite coordinates: {a}")
     return a
 
 
@@ -62,9 +62,9 @@ class Aabb:
         object.__setattr__(self, "min", lo)
         object.__setattr__(self, "max", hi)
         if lo.shape != hi.shape:
-            raise ValueError("Aabb corners disagree on dimension")
+            raise InvalidSpec("Aabb corners disagree on dimension")
         if np.any(lo > hi):
-            raise ValueError(f"Aabb has min > max: {lo} vs {hi}")
+            raise InvalidSpec(f"Aabb has min > max: {lo} vs {hi}")
 
     @classmethod
     def _trusted(cls, lo: np.ndarray, hi: np.ndarray) -> "Aabb":
@@ -81,7 +81,9 @@ class Aabb:
 
     @property
     def edges(self) -> np.ndarray:
-        return self.max - self.min
+        # inf for corners over the float range apart; callers refuse it.
+        with np.errstate(over="ignore"):
+            return self.max - self.min
 
     def center(self) -> np.ndarray:
         return 0.5 * (self.min + self.max)
@@ -93,10 +95,12 @@ class Aabb:
 
 
 def require_inside(pts: np.ndarray, box: Aabb) -> None:
-    """Raise PointOutOfDomain naming the first row of a nonempty (n, d)
-    array that lies outside the closed box.  The scan goes column by
-    column: reducing a comparison of the whole (n, d) array over axis 1 is
-    an order of magnitude slower."""
+    """Raise InvalidSpec when a nonempty (n, d) array and the box differ in
+    dimension, and PointOutOfDomain naming its first row outside the closed
+    box.  The scan goes column by column: reducing a comparison of the
+    whole (n, d) array over axis 1 is an order of magnitude slower."""
+    if pts.shape[1] != box.dim:
+        raise InvalidSpec(f"cloud dim {pts.shape[1]} != domain dim {box.dim}")
     if any(pts[:, a].min() < box.min[a] or pts[:, a].max() > box.max[a]
            for a in range(box.dim)):
         ok = (pts >= box.min).all(axis=1) & (pts <= box.max).all(axis=1)
@@ -113,10 +117,10 @@ class PointCloud:
     def __post_init__(self):
         a = np.asarray(self.points, dtype=float)
         if a.ndim != 2 or a.shape[1] not in (2, 3):
-            raise ValueError(f"cloud must have shape (n, 2) or (n, 3), got {a.shape}")
+            raise InvalidSpec(f"cloud must have shape (n, 2) or (n, 3), got {a.shape}")
         if a.size and not np.all(np.isfinite(a)):
             bad = int(np.argwhere(~np.isfinite(a).all(axis=1))[0][0])
-            raise ValueError(f"cloud row {bad} has non-finite coordinates")
+            raise InvalidSpec(f"cloud row {bad} has non-finite coordinates")
         object.__setattr__(self, "points", a)
 
     @classmethod

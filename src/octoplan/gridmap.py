@@ -36,7 +36,7 @@ class UniformGridMap:
         self.origin = np.asarray(self.origin, dtype=float)
         self.occupancy = np.asarray(self.occupancy, dtype=bool)
         if self.occupancy.shape != tuple(self.dims):
-            raise ValueError(
+            raise InvalidSpec(
                 f"occupancy shape {self.occupancy.shape} != dims {self.dims}")
 
     @property
@@ -103,13 +103,13 @@ def rasterize_fixed(cloud: PointCloud, domain: Aabb, cell_size) -> UniformGridMa
     domain edge / cell, so the grid covers the whole domain.
     """
     cell = _per_axis_cells(cell_size, domain.dim)
-    dims = tuple(int(np.ceil(e / c)) for e, c in zip(domain.edges, cell))
-    dims = tuple(max(1, n) for n in dims)
+    # A count over the float range is inf, clamped for the raster budget.
+    with np.errstate(over="ignore"):
+        dims = tuple(max(1, math.ceil(min(e / c, 2.0 ** 62)))
+                     for e, c in zip(domain.edges, cell))
     occ = _dense_grid(dims)
     pts = cloud.points
     if pts.shape[0]:
-        if pts.shape[1] != domain.dim:
-            raise ValueError(f"cloud dim {pts.shape[1]} != domain dim {domain.dim}")
         require_inside(pts, domain)
         idx = np.floor((pts - domain.min) / cell).astype(np.int64)
         np.minimum(idx, np.asarray(dims) - 1, out=idx)
@@ -245,7 +245,7 @@ def rle_decode(runs: list[int], dims: tuple[int, ...]) -> np.ndarray:
         pos += run
         value = not value
     if pos != total:
-        raise ValueError(f"run lengths sum to {pos}, expected {total}")
+        raise InvalidSpec(f"run lengths sum to {pos}, expected {total}")
     return flat.reshape(dims, order="F")
 
 
@@ -272,7 +272,7 @@ def grid_to_pgm(grid: UniformGridMap, path_cells=None) -> str:
     """P2 raster for 2-D grids: 0 = free, 255 = occupied, 128 = path cell.
     Text row k is the j = dims[1]-1-k row of the map, so +y points up."""
     if grid.dim != 2:
-        raise ValueError("PGM export is only defined for 2-D grids")
+        raise InvalidSpec("PGM export is only defined for 2-D grids")
     w, h = grid.dims
     shade = np.where(grid.occupancy, 255, 0).astype(np.int64)
     if path_cells is not None:

@@ -44,36 +44,40 @@ from .geometry import Aabb, PointCloud
 from .gridmap import MAX_RASTER_CELLS
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
-def splitmix64(state: int) -> tuple[int, int]:
-    """One step of the splitmix64 generator: (new_state, output)."""
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
+def _mix(z):
+    """splitmix64's output function (Steele, Lea & Flood, OOPSLA 2014) of a
+    64-bit state, on a Python int or elementwise on a uint64 array."""
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return state, (z ^ (z >> 31)) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _stream(seed: int, count: int) -> np.ndarray:
+    """The first count splitmix64 outputs from a seed, as uint64: step i's
+    state is seed + i * gamma (mod 2^64), so one pass mixes them all."""
+    steps = np.arange(1, count + 1, dtype=np.uint64)
+    return _mix(np.uint64(seed & _MASK64) + steps * np.uint64(_GAMMA))
 
 
 def derive_seed(base: int, *indices: int) -> int:
     """Stable sub-seed from a base seed and a tuple of stream indices."""
     state = base & _MASK64
     for ix in indices:
-        state, _ = splitmix64(state ^ ((ix * 0xD1342543DE82EF95) & _MASK64))
-    state, out = splitmix64(state)
-    return out
+        state = ((state ^ ((ix * 0xD1342543DE82EF95) & _MASK64))
+                 + _GAMMA) & _MASK64
+    return _mix((state + _GAMMA) & _MASK64)
 
 
 def _permutation(seed: int) -> np.ndarray:
     """256-entry permutation, Fisher-Yates driven by splitmix64, doubled."""
     table = list(range(256))
-    state = seed & _MASK64
-    for i in range(255, 0, -1):
-        state, out = splitmix64(state)
+    for i, out in zip(range(255, 0, -1), _stream(seed, 255).tolist()):
         j = out % (i + 1)
         table[i], table[j] = table[j], table[i]
-    doubled = np.asarray(table + table, dtype=np.int64)
-    return doubled
+    return np.asarray(table + table, dtype=np.int64)
 
 
 def _fade(t):
@@ -351,18 +355,8 @@ def _validate_spec(spec: ShapeSpec, index: int) -> None:
 
 
 def _jitter(rng_seed: int, shape) -> np.ndarray:
-    """Deterministic uniforms in [-0.35, 0.35) for in-lattice jitter.
-
-    Vectorized splitmix64: state after i steps is seed + (i + 1) * gamma,
-    so the whole stream comes from one finalizer pass over an index array.
-    """
-    count = int(np.prod(shape))
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.uint64(rng_seed & _MASK64) + idx * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z = z ^ (z >> np.uint64(31))
-    out = (z / 2.0 ** 64 - 0.5) * 0.7
+    """Deterministic uniforms in [-0.35, 0.35) for in-lattice jitter."""
+    out = (_stream(rng_seed, int(np.prod(shape))) / 2.0 ** 64 - 0.5) * 0.7
     return out.reshape(shape)
 
 

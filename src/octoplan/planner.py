@@ -262,22 +262,18 @@ def jps_plan(grid: UniformGridMap, req: PlanRequest) -> GridPath | None:
                 dirs.append((0, b))
             if step_ok(p, a, b):
                 dirs.append((a, b))
-        elif a:
-            if step_ok(p, a, 0):
-                dirs.append((a, 0))
-            for b2 in (-1, 1):
-                if fr[p + b2] and not fr[p - a + b2]:
-                    dirs.append((0, b2))
-                    if step_ok(p, a, b2):
-                        dirs.append((a, b2))
         else:
-            if step_ok(p, 0, b):
-                dirs.append((0, b))
-            for a2 in (-S, S):
-                if fr[p + a2] and not fr[p + a2 - b]:
-                    dirs.append((a2, 0))
-                    if step_ok(p, a2, b):
-                        dirs.append((a2, b))
+            # Straight move m: a free neighbour e across the line is forced
+            # when the cell behind it, p + e - m, is blocked.
+            m = a + b
+            if fr[p + m]:
+                dirs.append((a, b))
+            for ea, eb in ((0, -1), (0, 1)) if a else ((-S, 0), (S, 0)):
+                e = ea + eb
+                if fr[p + e] and not fr[p + e - m]:
+                    dirs.append((ea, eb))
+                    if fr[p + m] and fr[p + m + e]:
+                        dirs.append((a + ea, b + eb))
         return dirs
 
     start_p = (start[0] + 1) * S + start[1] + 1

@@ -57,7 +57,7 @@ def compute_depth(longest_edge: float, cell_edge: float) -> int:
     mcr.k * mcr.edge."""
     for name, value in (("domain", longest_edge), ("cell", cell_edge)):
         if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} edge must be positive, got {value}")
+            raise InvalidSpec(f"{name} edge must be positive, got {value}")
     ratio = longest_edge / cell_edge
     if ratio <= 1.0:
         return 0
@@ -78,7 +78,7 @@ def _boundaries(domain: Aabb, depth: int) -> np.ndarray:
     faces = np.column_stack([domain.min, domain.max])
     # Under half the float range lo + hi is finite, so no row decreases.
     if np.abs(faces).max() > np.finfo(float).max / 2:
-        raise ValueError("domain midpoints overflow float64")
+        raise InvalidSpec("domain midpoints overflow float64")
     for _ in range(depth):
         finer = np.empty((faces.shape[0], 2 * faces.shape[1] - 1))
         finer[:, 0::2] = faces
@@ -115,12 +115,12 @@ class OctoTree:
 
     def __init__(self, domain: Aabb, depth: int):
         if depth < 0:
-            raise ValueError(f"depth must be >= 0, got {depth}")
+            raise InvalidSpec(f"depth must be >= 0, got {depth}")
         if depth > DEFAULT_DEPTH_CAP:
             raise DepthCapExceeded(
                 f"depth {depth} exceeds cap {DEFAULT_DEPTH_CAP}")
         if np.any(domain.edges <= 0):
-            raise ValueError("domain must have positive extent on every axis")
+            raise InvalidSpec("domain must have positive extent on every axis")
         self.domain = domain
         self.depth = depth
         self.dim = domain.dim
@@ -166,8 +166,6 @@ def build(cloud: PointCloud, domain: Aabb, depth: int) -> OctoTree:
     pts = np.array(cloud.points, dtype=float)
     if pts.shape[0] == 0:
         return tree
-    if pts.shape[1] != tree.dim:
-        raise ValueError(f"cloud dim {pts.shape[1]} != domain dim {tree.dim}")
     require_inside(pts, domain)
     pts.flags.writeable = False
     tree._points = pts
@@ -196,8 +194,7 @@ def dynamic_partition(tree: OctoTree) -> OctoTree:
     upper = tree.points_array()[tree.order] >= np.repeat(
         faces[axes, 2 * tree.index + 1], counts, axis=0)
     codes = np.repeat(tree.codes << tree.dim, counts)
-    for a in range(tree.dim):
-        codes |= upper[:, a].astype(np.int64) << a
+    codes |= morton_encode(upper, 1)
     perm = np.argsort(codes, kind="stable")
     codes = codes[perm]
     starts = _run_starts(codes)

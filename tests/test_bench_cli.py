@@ -1,10 +1,13 @@
 """Campaign bookkeeping and command-line behavior tests."""
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 import octoplan.bench as bench_mod
 import octoplan.cli as cli_mod
 import octoplan.geometry as geometry_mod
+import octoplan.gridmap as gridmap_mod
 import octoplan.mapgen as mapgen_mod
 from octoplan.bench import (CSV_COLUMNS, TIMING_COLUMNS, BenchConfig,
                             TrialRecord, aggregate_to_json, records_to_csv,
@@ -636,8 +640,41 @@ PLAN_2D = ("plan", "--perlin", "--domain", "0,0:40,30", "--goal", "30,20")
     (("build", "--perlin", "--domain", "0,0:40,nan", "--depth", "3"), 2),
     (("build", "--perlin", "--domain", "0,0:-40,30", "--depth", "3"), 2),
     (PLAN_2D + ("--depth", "5", "--start", "1,1", "--max-rounds", "-1"), 2),
+    # Library refusals of caller values: a zero-width domain, a flat cloud
+    # bounding one, a domain of the wrong dimension, overflowing midpoints.
+    (("build", "--cloud", "f.xyz", "--dim", "2", "--domain", "0,0:0,10",
+      "--depth", "3"), 2),
+    (("build", "--cloud", "flat.xyz", "--depth", "3"), 2),
+    (("plan", "--cloud", "flat.xyz", "--depth", "3", "--start", "1,5",
+      "--goal", "6,5"), 2),
+    (("downsample", "--cloud", "flat.xyz", "--method", "convex",
+      "--depth", "3"), 2),
+    (("build", "--cloud", "f.xyz", "--dim", "2", "--domain", "0,0,0:5,5,5",
+      "--depth", "3"), 2),
+    (("rasterize", "--cloud", "f.xyz", "--dim", "2", "--mode", "fixed",
+      "--domain", "0,0,0:5,5,5", "--cell", "1"), 2),
+    (("build", "--cloud", "f.xyz", "--dim", "2",
+      "--domain=-1e308,0:1e308,10", "--depth", "3"), 2),
+    # Usage errors.
+    (PLAN_2D + ("--mode", "fixed", "--cell", "abc", "--start", "1,1"), 2),
+    (PLAN_2D + ("--depth", "x", "--start", "1,1"), 2),
+    (("--seed", "q", "build", "--perlin", "--domain", "0,0:8,8",
+      "--depth", "2"), 2),
+    (("build", "--perlin", "--domain", "0,0:8,8", "--depth", "2",
+      "--no-such-flag"), 2),
+    # Unreadable inputs, and an out-dir that cannot be made.
+    (("build", "--cloud", "missing.xyz", "--depth", "2"), 2),
+    (("bench", "--config", "missing.cfg"), 2),
+    (("--out-dir", "/dev/null/x", "build", "--perlin", "--domain", "0,0:8,8",
+      "--depth", "2"), 1),
 ])
-def test_cli_bad_values_end_in_one_json_line(tmp_path, capsys, argv, code):
+def test_cli_bad_values_end_in_one_json_line(tmp_path, capsys, monkeypatch,
+                                             argv, code):
+    monkeypatch.chdir(tmp_path)
+    write_xyz(PointCloud(np.array([[1.0, 1.0], [3.0, 4.0], [5.0, 2.0]])),
+              "f.xyz")
+    write_xyz(PointCloud(np.array([[1.0, 5.0], [3.0, 5.0], [6.0, 5.0]])),
+              "flat.xyz")
     got, out, err = run_cli(capsys, "--out-dir", str(tmp_path), *argv)
     assert got == code
     assert out == ""
@@ -678,11 +715,12 @@ def test_cli_unknown_cloud_extension_exits_2(tmp_path, capsys):
     assert json.loads(err)["error"] == "invalidspec"
 
 
-def test_cli_global_flags_precede_subcommand(tmp_path):
-    with pytest.raises(SystemExit) as err:
-        main(["build", "--seed", "5", "--perlin",
-              "--domain", "0,0:8,8", "--depth", "2"])
-    assert err.value.code == 2
+def test_cli_global_flags_precede_subcommand(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "build", "--seed", "5", "--perlin",
+                             "--domain", "0,0:8,8", "--depth", "2")
+    assert code == 2
+    assert out == ""
+    assert one_error_line(err)["error"] == "invalidspec"
 
 
 def test_cli_bench_default_config(capsys, tmp_path):
@@ -797,3 +835,189 @@ def test_package_never_imports_scipy(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+# ------------------------------------------------------------------ CLI fuzz
+
+# Values every numeric flag may meet: non-numbers, non-finite, negative,
+# zero and past half the float range.
+BAD_NUMBERS = ("nan", "inf", "-inf", "-1", "0", "abc", "", "1e308", "-1e308")
+README_EXIT_CODES = (1, 2, 3, 4, 5)
+# Every valid size the strategies draw fits this many raster cells or noise
+# samples (a 256 x 256 map, 64 m at 4 samples/m), so an example allocates a
+# few MB at most; a larger request, such as calibrate-perlin doubling its
+# rate, is refused with exit 2 instead.
+FUZZ_BUDGET = 1 << 16
+
+
+def rarely(bad, valid):
+    """valid, or one time in eight bad, so most runs get past parsing."""
+    return st.sampled_from(range(8)).flatmap(lambda k: bad if k == 7 else valid)
+
+
+def numbers(lo, hi, integer=False):
+    valid = st.integers(lo, hi) if integer else st.floats(lo, hi)
+    return rarely(st.sampled_from(BAD_NUMBERS), valid.map(repr))
+
+
+def flag(name, values, always=False):
+    given = values.map(lambda v: [f"--{name}={v}"])
+    return given if always else st.one_of(st.just([]), given)
+
+
+@st.composite
+def corners(draw, dim):
+    """A --domain text: mostly a valid box with edges under 64 m, or one
+    zero-width, inverted, wrong-dimension or bad axis.  Its lower corner
+    also serves as a per-axis --cell."""
+    lo = [draw(st.floats(-8, 8)) for _ in range(dim)]
+    hi = [v + draw(st.floats(0.5, 56)) for v in lo]
+    kind = draw(rarely(st.sampled_from(("zero", "inverted", "dim", "bad")),
+                       st.just("ok")))
+    axis = draw(st.integers(0, dim - 1))
+    if kind == "zero":
+        hi[axis] = lo[axis]
+    elif kind == "inverted":
+        lo[axis], hi[axis] = hi[axis], lo[axis]
+    elif kind == "dim":
+        lo, hi = (lo[:2], hi[:2]) if dim == 3 else (lo + [0.0], hi + [1.0])
+    elif kind == "bad":
+        hi[axis] = draw(st.sampled_from(BAD_NUMBERS))
+    return ",".join(map(str, lo)) + ":" + ",".join(map(str, hi))
+
+
+def points(dim):
+    coord = numbers(0.0, 64.0)
+    size = rarely(st.sampled_from((dim - 1, dim + 1)), st.just(dim))
+    return size.flatmap(lambda n: st.lists(coord, min_size=n, max_size=n)
+                        ).map(",".join)
+
+
+@st.composite
+def cloud_file(draw, dim):
+    """Name and bytes of a small input cloud: xyz text or binary, mostly
+    well formed, sometimes with bad coordinates, rows or counts."""
+    coord = rarely(st.sampled_from((math.nan, math.inf, -math.inf, 1e308,
+                                    -1e308)), st.floats(0, 64))
+    size = draw(rarely(st.just(0), st.integers(1, 30)))
+    rows = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                         min_size=size, max_size=size))
+    rows = [r + [0.0] * (3 - dim) for r in rows]
+    name = draw(rarely(st.sampled_from(("missing.xyz", "c.csv")),
+                       st.sampled_from(("c.xyz", "c.bin"))))
+    if name.endswith(".bin"):
+        count = len(rows) + draw(rarely(st.sampled_from((1, -1)), st.just(0)))
+        body = np.asarray(rows, dtype="<f8").tobytes()
+        return name, max(count, 0).to_bytes(8, "little") + body
+    text = "".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in rows)
+    junk = draw(rarely(st.sampled_from((b"1 2\n", b"a b c\n", b"\xff\n")),
+                       st.just(b"")))
+    return name, text.encode() + junk
+
+
+@st.composite
+def cloud_args(draw):
+    """Files to write and argv of one cloud-reading command."""
+    dim = draw(st.sampled_from((2, 3)))
+    files = {}
+    source = draw(rarely(st.just("none"),
+                         st.sampled_from(("cloud", "perlin", "scene"))))
+    argv = []
+    if source == "cloud":
+        name, data = draw(cloud_file(dim))
+        if name != "missing.xyz":
+            files[name] = data
+        argv += ["--cloud", name] + draw(flag("dim", rarely(
+            st.just("4"), st.sampled_from(("2", "3")))))
+    elif source == "perlin":
+        argv += ["--perlin"]
+        argv += draw(flag("frequency", numbers(0.01, 0.5)))
+        argv += draw(flag("octaves", numbers(-1, 6, integer=True)))
+        argv += draw(flag("persistence", numbers(0.1, 1.0)))
+        argv += draw(flag("threshold", numbers(-1.0, 1.0)))
+        argv += draw(flag("spm", numbers(0.1, 4.0)))
+    elif source == "scene":
+        dim = 3
+        argv += [f"--scene-points={draw(numbers(-5, 5000, integer=True))}"]
+    argv += draw(flag("domain", corners(dim), always=source == "perlin"))
+    depth = rarely(st.just("17"), numbers(-2, 8, integer=True))
+    argv += draw(rarely(st.just([]), st.one_of(
+        flag("depth", depth, always=True),
+        flag("epsilon-max-m", numbers(0.1, 8.0), always=True))))
+    return dim, files, argv
+
+
+@st.composite
+def fuzz_case(draw):
+    """Files to write and the whole argv of one octoplan run."""
+    argv = draw(flag("seed", numbers(0, 99, integer=True)))
+    argv += draw(flag("workers", rarely(st.sampled_from(("0", "-1", "x")),
+                                        st.just("1"))))
+    command = draw(st.sampled_from(("build", "rasterize", "plan",
+                                    "downsample", "calibrate-perlin",
+                                    "bench")))
+    files = {}
+    if command == "calibrate-perlin":
+        argv += [command] + draw(flag("domain", corners(2), always=True))
+        argv += draw(flag("target", numbers(-1, 5000, integer=True)))
+        argv += draw(flag("tolerance-pct", numbers(0.5, 20.0)))
+        argv += draw(flag("threshold", numbers(-1.0, 1.0)))
+    elif command == "bench":
+        argv += [command]
+        if draw(st.booleans()):
+            lines = [f"domain_x_m = {draw(numbers(8.0, 64.0))}",
+                     f"domain_y_m = {draw(numbers(8.0, 64.0))}",
+                     f"cell_sizes_m = {draw(numbers(1.0, 8.0))}",
+                     f"samples_per_meter = {draw(numbers(0.5, 4.0))}",
+                     "junk"]
+            lines = draw(st.lists(st.sampled_from(lines), unique=True))
+            lines.append(f"trials = {draw(numbers(0, 2, integer=True))}")
+            files["b.cfg"] = "\n".join(lines).encode()
+            argv += ["--config", "b.cfg"]
+        else:
+            argv += draw(st.sampled_from(([], ["--config", "missing.cfg"])))
+        argv += draw(flag("trials", numbers(-1, 2, integer=True)))
+        argv += draw(st.sampled_from(([], ["--write-default-config"])))
+    else:
+        dim, files, cloud = draw(cloud_args())
+        argv += [command] + cloud
+        if command in ("rasterize", "plan"):
+            argv += draw(flag("mode", rarely(st.just("x"), st.sampled_from(
+                ("fixed", "adaptive")))))
+            argv += draw(flag("cell", st.one_of(
+                numbers(0.25, 8.0), corners(dim).map(
+                    lambda c: c.split(":")[0]))))
+        if command == "plan":
+            argv += draw(flag("start", points(dim), always=True))
+            argv += draw(flag("goal", points(dim), always=True))
+            argv += draw(flag("max-rounds", numbers(-1, 2, integer=True)))
+        if command == "downsample":
+            argv += draw(flag("method", rarely(st.just("x"), st.sampled_from(
+                ("convex", "voxel")))))
+            argv += draw(flag("voxel-size", numbers(0.05, 8.0)))
+            argv += draw(flag("voxel-target-fraction", numbers(0.01, 1.0)))
+    argv += draw(rarely(st.just(["--no-such-flag"]), st.just([])))
+    return files, argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzz_case())
+def test_cli_fuzz_ends_in_success_or_one_json_error_line(case):
+    files, argv = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)
+        mp.setattr(gridmap_mod, "MAX_RASTER_CELLS", FUZZ_BUDGET)
+        mp.setattr(mapgen_mod, "MAX_RASTER_CELLS", FUZZ_BUDGET)
+        for name, data in files.items():
+            with open(name, "wb") as fh:
+                fh.write(data)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--out-dir", "out"] + argv)
+    if code == 0:
+        return
+    assert code in README_EXIT_CODES, (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    payload = one_error_line(err.getvalue())
+    assert set(payload) == {"error", "message"}
