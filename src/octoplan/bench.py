@@ -34,8 +34,9 @@ from .errors import InvalidSpec, PlanningError
 from .geometry import Aabb
 from .gridmap import rasterize_fixed
 from .mapgen import PerlinParams, derive_seed, gen_perlin_cloud
-from .planner import PlanRequest, jps_plan, plan_with_refinement
-from .tree import McrSpec, compute_depth
+from .planner import (PlanRequest, jps_plan, plan_with_refinement,
+                      release_map_tables)
+from .tree import McrSpec, compute_depth, dynamic_partition
 from .tree import build as build_tree
 
 
@@ -194,26 +195,45 @@ def _draw_endpoints(grid, rng, min_dist, attempts):
     return *cells(k), True
 
 
+def _world_maps(cloud, domain, depth, config, maps):
+    """(tree, fixed grid, seconds) at depth from maps, the world's dict of
+    both by depth, making what is missing: the world's one build runs at
+    the shallowest depth of its cell sizes, and a deeper depth partitions a
+    shallow copy of the next shallower tree, which equals a fresh build
+    (gate 7) and writes into no shared array.  seconds is the build and
+    partition time spent here, 0.0 when maps held the depth."""
+    seconds = 0.0
+    if not any(d <= depth for d in maps):
+        base = min([depth] + [compute_depth(float(domain.edges.max()), c)
+                              for c in config.cell_sizes_m])
+        t0 = perf_counter()
+        tree = build_tree(cloud, domain, base)
+        seconds = perf_counter() - t0
+        maps[base] = tree, rasterize_fixed(cloud, domain,
+                                           domain.edges / 2.0 ** base)
+    if depth not in maps:
+        t0 = perf_counter()
+        tree = copy.copy(maps[max(d for d in maps if d < depth)][0])
+        while tree.depth < depth:
+            dynamic_partition(tree)
+        seconds += perf_counter() - t0
+        maps[depth] = tree, rasterize_fixed(cloud, domain,
+                                            domain.edges / 2.0 ** depth)
+    return *maps[depth], seconds
+
+
 def run_trial_cell(cloud, domain, cell, trial_index, trial_seed, cell_index,
                    config, maps) -> TrialRecord:
     """Bench one (world, nominal cell size) pair.
 
-    maps holds the world's tree and fixed grid of the last depth built,
-    keyed by depth; a cell at that depth reuses them and records a
-    build_seconds of 0.0.  Holding one depth at a time keeps peak memory
-    flat.  Refinement deepens a shallow copy of the tree: it rebinds the
-    copy's table attributes and writes into no shared array."""
+    maps is the world's dict of trees and fixed grids by depth, shared by
+    its cells (_world_maps); build_seconds is the tree time this cell
+    spent, 0.0 where its depth's tree already existed.  Refinement deepens
+    a shallow copy of the tree, so the held tree stays as made."""
     longest = float(domain.edges.max())
     depth = compute_depth(longest, cell)
-    build_seconds = 0.0
-    if depth not in maps:
-        maps.clear()
-        t0 = perf_counter()
-        tree = build_tree(cloud, domain, depth)
-        build_seconds = perf_counter() - t0
-        maps[depth] = tree, rasterize_fixed(cloud, domain,
-                                            domain.edges / 2.0 ** depth)
-    tree, fixed_grid = maps[depth]
+    tree, fixed_grid, build_seconds = _world_maps(cloud, domain, depth,
+                                                  config, maps)
     tree = copy.copy(tree)
 
     record = TrialRecord(
@@ -256,8 +276,9 @@ def run_trial_cell(cloud, domain, cell, trial_index, trial_seed, cell_index,
 
 def run_campaign(config: BenchConfig) -> tuple[list, dict]:
     """Run every (trial, cell size) pair; returns (records, aggregate).
-    Consecutive cell sizes of a world that resolve to one depth share one
-    tree build and one fixed raster (run_trial_cell)."""
+    A world's cells share its trees and fixed rasters (_world_maps), and
+    the planner's map tables are released after each world, so they are
+    not held through the next world's noise."""
     domain = config.domain
     records = []
     for trial in range(config.trials):
@@ -275,6 +296,7 @@ def run_campaign(config: BenchConfig) -> tuple[list, dict]:
             records.append(run_trial_cell(
                 cloud, domain, cell, trial, trial_seed, cell_index, config,
                 maps))
+        release_map_tables()
     return records, aggregate_records(config, records)
 
 

@@ -338,6 +338,10 @@ def _cmd_calibrate_perlin(args) -> int:
         lo = hi
         hi *= 2.0
         count = count_at(hi)
+    if count < args.target:
+        raise InvalidSpec(
+            f"target {args.target} is out of reach: {count} points at the "
+            f"{hi:g} samples_per_meter cap")
     best = (hi, count)
     tol = max(1, int(args.target * args.tolerance_pct / 100.0))
     for _ in range(48):

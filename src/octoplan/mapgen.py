@@ -12,13 +12,15 @@ overflows; PerlinParams refuses an octave count whose top frequency would
 carry a domain coordinate to infinity.
 
 One kernel serves every dimension, scattered points and lattices: it takes
-one coordinate array per axis, all of one ndim, and the arrays broadcast
-against each other. On the lattice each axis is passed as its own vector,
-shaped (n, 1) and (1, m) in 2-D, so floor, fraction and fade run once per
-axis value. A corner's hashed gradient is constant inside a noise cell
-(Perlin 2002), so the permutation hash and the gradient lookups run once
-per run of samples sharing every axis's cell, and only the gradient dot
-and the blends run per sample. Broadcasting and np.repeat copy operands without changing any
+one coordinate array per axis, all of one ndim, each varying along at most
+one dimension, and the arrays broadcast against each other. On the lattice
+each axis is passed as its own vector, shaped (n, 1) and (1, m) in 2-D, so
+floor, fraction and fade run once per axis value. A corner's hashed
+gradient is constant inside a noise cell (Perlin 2002), so the permutation
+hash and the gradient lookups run once per run of samples sharing every
+axis's cell, each gradient term once per sample of its own axis and run of
+the others, and only the sums of the gradient dot and the blends run per
+sample. Broadcasting and np.repeat copy operands without changing any
 float operation or its order, so values are bit-identical to evaluating
 every sample's coordinates. The lattice is evaluated in blocks of at most
 2^16 samples (slabs along axis 0), each writing its threshold test into
@@ -128,9 +130,12 @@ def _lerp(a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
 
 def _cell_runs(cells: list[np.ndarray]):
     """Cut each broadcast dimension of cell arrays of equal ndim into runs
-    of samples over which no axis's hash cell changes.  Returns the cells
-    at each run's first sample, and per dimension the run lengths, or None
-    where every run is one sample long (scattered points, as a rule)."""
+    of samples over which no axis's hash cell changes.  Every array varies
+    along at most one dimension (its own on a lattice, the first for
+    scattered points), so its changes along that dimension are those of
+    its flattened values.  Returns the cells at each run's first sample,
+    and per dimension the run lengths, or None where every run is one
+    sample long (scattered points, as a rule)."""
     shape = np.broadcast_shapes(*(c.shape for c in cells))
     runs = []
     for j, n in enumerate(shape):
@@ -138,8 +143,8 @@ def _cell_runs(cells: list[np.ndarray]):
         first[:1] = True
         for c in cells:
             if c.shape[j] > 1:
-                other = tuple(k for k in range(c.ndim) if k != j)
-                first[1:] |= (np.diff(c, axis=j) != 0).any(axis=other)
+                v = c.reshape(-1)
+                first[1:] |= v[1:] != v[:-1]
         starts = np.flatnonzero(first)
         if len(starts) == n:
             runs.append(None)
@@ -157,17 +162,26 @@ def _noise(perm: np.ndarray, grads, *coords: np.ndarray) -> np.ndarray:
     starting from axis 0's cell.  The hash, and so each corner's gradient,
     is constant inside a noise cell (Perlin 2002), so the hash and the
     gradient lookups run once per run of samples that share every axis's
-    cell (_cell_runs), and np.repeat copies the gathered gradients out to
-    the samples.  The gradient dot accumulates from axis 0 up and the blend
-    runs along axis 0 first, so the float operations come in one fixed
-    order for every dimension."""
+    cell (_cell_runs).  Each gradient term g_a * (frac_a - o) is formed
+    once np.repeat has copied g_a out along the dimensions frac_a varies
+    along, and only then repeated along the others: on a lattice a term
+    is multiplied once per sample of its own axis and run of the others,
+    not once per sample.  The gradient dot accumulates from axis 0 up and
+    the blend runs along axis 0 first, so the float operations come in one
+    fixed order for every dimension."""
     axes = [_axis(t) for t in coords]
     cells, runs = _cell_runs([cell for cell, _, _ in axes])
 
-    def expand(g):
-        # Last dimension first: the later repeats then copy whole rows.
-        for j in reversed(range(len(runs))):
+    def term(g, frac, o):
+        # Last dimension first within each pass: the later repeats then
+        # copy whole rows.
+        own = [j for j, n in enumerate(frac.shape) if n > 1]
+        for j in reversed(own):
             if runs[j] is not None:
+                g = np.repeat(g, runs[j], axis=j)
+        g *= frac - o
+        for j in reversed(range(len(runs))):
+            if runs[j] is not None and j not in own:
                 g = np.repeat(g, runs[j], axis=j)
         return g
 
@@ -175,12 +189,9 @@ def _noise(perm: np.ndarray, grads, *coords: np.ndarray) -> np.ndarray:
         h = cells[0] + offs[0]
         for cell, o in zip(cells[1:], offs[1:]):
             h = perm[h] + (cell + o)
-        n = expand(grads[0][h])
-        n *= axes[0][1] - offs[0]
+        n = term(grads[0][h], axes[0][1], offs[0])
         for g, (_, frac, _), o in zip(grads[1:], axes[1:], offs[1:]):
-            t = expand(g[h])
-            t *= frac - o
-            n += t
+            n += term(g[h], frac, o)
         return n
 
     def blend(a, offs):

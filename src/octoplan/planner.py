@@ -170,6 +170,13 @@ def _map_tables(occupancy: np.ndarray) -> tuple:
     return _map_memo
 
 
+def release_map_tables() -> None:
+    """Drop the _map_tables memo, so the last map's tables do not outlive
+    the caller's searches on it."""
+    global _map_memo
+    _map_memo = None
+
+
 def jps_plan(grid: UniformGridMap, req: PlanRequest) -> GridPath | None:
     """Optimal path via jump point search, or None when disconnected."""
     _check_request(grid, req)

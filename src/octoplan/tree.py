@@ -188,22 +188,29 @@ def dynamic_partition(tree: OctoTree) -> OctoTree:
         raise DepthCapExceeded(
             f"partition to depth {new_depth} exceeds cap {DEFAULT_DEPTH_CAP}")
     faces = _boundaries(tree.domain, new_depth)
-    axes = np.arange(tree.dim)
     counts = np.diff(tree.offsets)
-    # Leaf index i splits at the new face 2 * i + 1 of the finer table.
-    upper = tree.points_array()[tree.order] >= np.repeat(
-        faces[axes, 2 * tree.index + 1], counts, axis=0)
+    pts = tree.points_array()
+    # Row a is true where a point lies in the upper half of its leaf along
+    # axis a: leaf index i splits at the new face 2 * i + 1 of the finer
+    # table.  Axis by axis, numpy's inner loops run over the points rather
+    # than over the d coordinates of one point.
+    upper = np.empty((tree.dim, len(tree.order)), dtype=bool)
+    for a in range(tree.dim):
+        np.greater_equal(
+            pts[:, a].take(tree.order),
+            np.repeat(faces[a, 2 * tree.index[:, a] + 1], counts),
+            out=upper[a])
     codes = np.repeat(tree.codes << tree.dim, counts)
-    codes |= morton_encode(upper, 1)
+    codes |= morton_encode(upper.T, 1)
     perm = np.argsort(codes, kind="stable")
-    codes = codes[perm]
+    codes = codes.take(perm)
     starts = _run_starts(codes)
     first = perm[starts]
     parent = np.searchsorted(tree.offsets, first, side="right") - 1
     tree.depth = new_depth
     tree.boundaries = faces
-    tree._set_table(codes, tree.order[perm], starts,
-                    2 * tree.index[parent] + upper[first])
+    tree._set_table(codes, tree.order.take(perm), starts,
+                    2 * tree.index[parent] + upper[:, first].T)
     return tree
 
 
@@ -213,9 +220,12 @@ def occupied_leaves(tree: OctoTree) -> list[LeafRecord]:
     axes = np.arange(tree.dim)
     lo = tree.boundaries[axes, tree.index]
     hi = tree.boundaries[axes, tree.index + 1]
-    pts = tree.points_array()[tree.order]
-    bmin = np.minimum.reduceat(pts, tree.offsets[:-1], axis=0)
-    bmax = np.maximum.reduceat(pts, tree.offsets[:-1], axis=0)
+    pts = tree.points_array()
+    cols = [pts[:, a].take(tree.order) for a in range(tree.dim)]
+    bmin = np.column_stack([np.minimum.reduceat(c, tree.offsets[:-1])
+                            for c in cols])
+    bmax = np.column_stack([np.maximum.reduceat(c, tree.offsets[:-1])
+                            for c in cols])
     ids = np.split(tree.order.copy(), tree.offsets[1:-1])
     return [LeafRecord(index=tuple(index),
                        split_boundary=Aabb._trusted(lo[k], hi[k]),

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ import octoplan.cli as cli_mod
 import octoplan.geometry as geometry_mod
 import octoplan.gridmap as gridmap_mod
 import octoplan.mapgen as mapgen_mod
+import octoplan.planner as planner_mod
+import octoplan.tree as tree_mod
 from octoplan.bench import (CSV_COLUMNS, TIMING_COLUMNS, BenchConfig,
                             TrialRecord, aggregate_to_json, records_to_csv,
                             run_campaign)
@@ -28,6 +31,7 @@ from octoplan.cloudio import write_binary, write_xyz
 from octoplan.errors import InvalidSpec, NoPathAtMaxDepth
 from octoplan.geometry import PointCloud
 from octoplan.gridmap import UniformGridMap, grid_from_json
+from octoplan.mapgen import derive_seed
 from octoplan.tree import DEFAULT_DEPTH_CAP, compute_depth
 
 
@@ -146,6 +150,62 @@ def test_failed_adaptive_trial_records_search_time(monkeypatch):
     assert not records[0].adaptive_success
     assert records[0].adaptive_rounds == 2
     assert records[0].adaptive_plan_seconds == 0.125
+
+
+@pytest.mark.parametrize("threshold", [0.1, 1.5], ids=["noise", "empty"])
+def test_world_builds_once_and_rows_equal_fresh_builds(monkeypatch,
+                                                       threshold):
+    # 3.0, 6.0 and 2.0 m resolve to depths 4, 3 and 5 on the 40 m edge:
+    # deep, shallow, deeper.  The world builds depth 3 once and partitions
+    # it; every non-timing column must equal a row built fresh at its depth.
+    config = small_config(cell_sizes_m=(3.0, 6.0, 2.0),
+                          noise_threshold=threshold)
+    assert [compute_depth(40.0, c) for c in config.cell_sizes_m] == [4, 3, 5]
+    clouds, depths = [], []
+
+    def world(params):
+        clouds.append(mapgen_mod.gen_perlin_cloud(params))
+        return clouds[-1]
+
+    def build(cloud, domain, depth):
+        depths.append(depth)
+        return tree_mod.build(cloud, domain, depth)
+
+    monkeypatch.setattr(bench_mod, "gen_perlin_cloud", world)
+    monkeypatch.setattr(bench_mod, "build_tree", build)
+    records, _ = run_campaign(config)
+    assert depths == [3] * config.trials
+    assert [r.build_seconds > 0 for r in records] == \
+        [True, False, True] * config.trials
+    assert (records[0].n_points == 0) == (threshold > 1)
+
+    fresh = []
+    for trial, cloud in enumerate(clouds):
+        seed = derive_seed(config.campaign_seed, trial)
+        for k, cell in enumerate(config.cell_sizes_m):
+            one = replace(config, cell_sizes_m=(cell,))
+            fresh.append(bench_mod.run_trial_cell(
+                cloud, config.domain, cell, trial, seed, k, one, {}))
+    assert depths == [3] * config.trials + [4, 3, 5] * config.trials
+    assert [r.to_row()[:-TIMING_COLUMNS] for r in records] == \
+        [r.to_row()[:-TIMING_COLUMNS] for r in fresh]
+
+
+def test_campaign_releases_map_tables_between_worlds(monkeypatch):
+    # The planner's memo of the last map's search tables must not stay
+    # alive while the next world's noise is generated.
+    held = []
+
+    def world(params):
+        held.append(planner_mod._map_memo is not None)
+        return mapgen_mod.gen_perlin_cloud(params)
+
+    monkeypatch.setattr(planner_mod, "_map_memo", None)
+    monkeypatch.setattr(bench_mod, "gen_perlin_cloud", world)
+    records, _ = run_campaign(small_config(trials=3))
+    assert any(r.fixed_success for r in records)
+    assert held == [False, False, False]
+    assert planner_mod._map_memo is None
 
 
 def test_campaign_rerun_is_deterministic():
@@ -788,6 +848,29 @@ def test_cli_calibrate_perlin_stops_at_lattice_budget(tmp_path, capsys,
     assert code == 2
     assert out == ""
     assert one_error_line(err)["error"] == "invalidspec"
+
+
+def test_cli_calibrate_perlin_unreachable_target_exits_2(tmp_path, capsys,
+                                                         monkeypatch):
+    # A threshold of 1 emits no point at any rate: the doubling reaches the
+    # 4096 samples/m cap with 0 points and must stop there, with no
+    # bisection and no report of success.
+    rates = []
+
+    def counting(params):
+        rates.append(params.samples_per_meter)
+        return mapgen_mod.gen_perlin_cloud(params)
+
+    monkeypatch.setattr(cli_mod, "gen_perlin_cloud", counting)
+    code, out, err = run_cli(
+        capsys, "--out-dir", str(tmp_path), "calibrate-perlin",
+        "--domain", "0,0:0.1,0.1", "--threshold", "1", "--target", "10")
+    assert code == 2
+    assert out == ""
+    payload = one_error_line(err)
+    assert payload["error"] == "invalidspec"
+    assert "0 points" in payload["message"]
+    assert rates == [4.0 * 2 ** k for k in range(11)]
 
 
 @pytest.mark.parametrize("target", ["100", "2000", "30000"])

@@ -91,6 +91,48 @@ def test_fixed_monotone_under_more_points():
     assert np.all(g2.occupancy[g1.occupancy])
 
 
+def fixed_occupancy_by_rows(pts, domain, cell, dims):
+    """rasterize_fixed's occupancy as one (n, d) expression: floor of every
+    row at once, clamped to the last cell, scattered by index tuple."""
+    occ = np.zeros(dims, dtype=bool)
+    idx = np.floor((pts - domain.min) / cell).astype(np.int64)
+    np.minimum(idx, np.asarray(dims) - 1, out=idx)
+    occ[tuple(idx.T)] = True
+    return occ
+
+
+@st.composite
+def fixed_cases(draw):
+    """A 2-D or 3-D domain with non-dyadic origin, edges and per-axis cells,
+    and points anywhere inside, on interior cell faces or on the far faces."""
+    dim = draw(st.sampled_from([2, 3]))
+    origin = np.array(draw(st.lists(st.floats(-20.0, 20.0), min_size=dim,
+                                    max_size=dim)))
+    edges = np.array(draw(st.lists(st.floats(0.5, 30.0), min_size=dim,
+                                   max_size=dim)))
+    domain = Aabb(origin, origin + edges)
+    cell = np.array([draw(st.floats(e / 20.0, e * 1.5)) for e in edges])
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = origin + rng.uniform(size=(n, dim)) * edges
+    kind = rng.integers(0, 3, size=(n, dim))
+    faces = origin + rng.integers(0, 21, size=(n, dim)) * cell
+    pts = np.where((kind == 1) & (faces <= domain.max), faces, pts)
+    pts = np.where(kind == 2, domain.max, pts)
+    return domain, cell if draw(st.booleans()) else cell[0], pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(fixed_cases())
+def test_fixed_matches_row_expression(case):
+    domain, cell, pts = case
+    grid = rasterize_fixed(PointCloud(pts), domain, cell)
+    expected = fixed_occupancy_by_rows(pts, domain,
+                                       np.broadcast_to(cell, domain.dim),
+                                       grid.dims)
+    assert np.array_equal(grid.occupancy, expected)
+
+
 def test_index_of_far_face_closed():
     grid = rasterize_fixed(PointCloud(np.empty((0, 2))), domain2(), 1.0)
     assert grid.index_of((10.0, 5.0)) == (9, 4)
