@@ -165,7 +165,9 @@ def _draw_endpoints(grid, rng, min_dist, attempts):
     """The first of `attempts` pairs of distinct free cells whose centres
     are min_dist apart, else the first farthest pair: (start, goal,
     fallback), or None without such a pair.  Every pair comes from one
-    draw; the generator is the caller's own and is not read afterwards."""
+    draw; the generator is the caller's own and is not read afterwards.
+    Distances are sqrt(dx*dx + dy*dy), elementwise, so no decision
+    depends on how a BLAS kernel orders a dot product."""
     free = np.argwhere(~grid.occupancy)
     if len(free) < 2:
         return None
@@ -173,26 +175,13 @@ def _draw_endpoints(grid, rng, min_dist, attempts):
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     if not len(pairs):
         return None
-    centers = grid.cell_center(free[pairs])
-    bulk = np.linalg.norm(centers[:, 0] - centers[:, 1], axis=1)
-
-    def dist(k):
-        a, b = free[pairs[k]]
-        return float(np.linalg.norm(grid.cell_center(a) - grid.cell_center(b)))
-
-    def cells(k):
-        return tuple(free[pairs[k, 0]]), tuple(free[pairs[k, 1]])
-
-    # The bulk and per-pair norms each lie within a few ulps of the exact
-    # distance, so the bulk one only rules pairs out; the per-pair one
-    # makes every decision that a relative slack of 1e-12 leaves open.
-    slack = 1.0 - 1e-12
-    for k in np.flatnonzero(bulk >= min_dist * slack):
-        if dist(k) >= min_dist:
-            return *cells(k), False
-    # max keeps the first of equal distances, as a strict > would.
-    k = max(np.flatnonzero(bulk >= bulk.max() * slack), key=dist)
-    return *cells(k), True
+    dx, dy = (grid.cell_center(free[pairs[:, 0]])
+              - grid.cell_center(free[pairs[:, 1]])).T
+    dist = np.sqrt(dx * dx + dy * dy)
+    hits = np.flatnonzero(dist >= min_dist)
+    # argmax keeps the first of equal distances.
+    k = hits[0] if len(hits) else np.argmax(dist)
+    return tuple(free[pairs[k, 0]]), tuple(free[pairs[k, 1]]), not len(hits)
 
 
 def _world_maps(cloud, domain, depth, config, maps):
@@ -242,8 +231,8 @@ def run_trial_cell(cloud, domain, cell, trial_index, trial_seed, cell_index,
         depth=depth, n_points=len(cloud), build_seconds=build_seconds)
 
     rng = np.random.default_rng(derive_seed(trial_seed, cell_index))
-    min_dist = config.min_separation_fraction * float(
-        np.linalg.norm(domain.edges))
+    ex, ey = (float(e) for e in domain.edges)
+    min_dist = config.min_separation_fraction * math.sqrt(ex * ex + ey * ey)
     drawn = _draw_endpoints(fixed_grid, rng, min_dist,
                             config.max_endpoint_attempts)
     if drawn is None:

@@ -102,7 +102,7 @@ def _load_cloud_args(args) -> tuple[PointCloud, Aabb]:
         if domain is None:
             raise InvalidSpec("--perlin needs --domain")
         cloud = gen_perlin_cloud(_perlin_params(args, domain, args.spm))
-    elif args.scene_points:
+    elif args.scene_points is not None:
         cloud = scene_cloud(args.scene_points, seed=args.seed)
     else:
         raise InvalidSpec("provide --cloud, --perlin, or --scene-points")

@@ -240,21 +240,6 @@ def rle_encode(occupancy: np.ndarray) -> list[int]:
     return runs
 
 
-def rle_decode(runs: list[int], dims: tuple[int, ...]) -> np.ndarray:
-    total = int(np.prod(dims))
-    flat = np.zeros(total, dtype=bool)
-    pos = 0
-    value = False
-    for run in runs:
-        if value:
-            flat[pos:pos + run] = True
-        pos += run
-        value = not value
-    if pos != total:
-        raise InvalidSpec(f"run lengths sum to {pos}, expected {total}")
-    return flat.reshape(dims, order="F")
-
-
 def grid_to_json(grid: UniformGridMap) -> str:
     doc = {
         "dims": [int(v) for v in grid.dims],
@@ -264,14 +249,6 @@ def grid_to_json(grid: UniformGridMap) -> str:
         "rle_free_first": rle_encode(grid.occupancy),
     }
     return json.dumps(doc, sort_keys=True)
-
-
-def grid_from_json(text: str) -> UniformGridMap:
-    doc = json.loads(text)
-    dims = tuple(int(v) for v in doc["dims"])
-    occ = rle_decode(doc["rle_free_first"], dims)
-    return UniformGridMap(dims, np.asarray(doc["cell_size_m"], dtype=float),
-                          np.asarray(doc["origin_m"], dtype=float), occ)
 
 
 def grid_to_pgm(grid: UniformGridMap, path_cells=None) -> str:

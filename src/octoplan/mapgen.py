@@ -28,16 +28,16 @@ one bool keep mask, the only array as large as the lattice; lattices over
 MAX_RASTER_CELLS (2^28) samples are refused with InvalidSpec before
 anything is allocated.
 
-Shape clouds sample points exactly on analytic surfaces (cuboid, cylinder,
-arch, helix tube) on a parameter lattice with a deterministic in-surface
-jitter, so surface residuals stay at floating-point scale while avoiding
-degenerate collinear runs.
+The demo scene samples points exactly on four fixed analytic surfaces
+(cuboid, cylinder, arch, helix tube) on a parameter lattice with a
+deterministic in-surface jitter, so surface residuals stay at
+floating-point scale while avoiding degenerate collinear runs.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -318,53 +318,6 @@ def gen_perlin_cloud(params: PerlinParams) -> PointCloud:
 # ------------------------------------------------------------------ shapes
 
 
-@dataclass(frozen=True)
-class ShapeSpec:
-    """One analytic surface: kind in {cuboid, cylinder, arch, helix},
-    per-kind size parameters, a translation, a principal axis, and a surface
-    density in points per square metre."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
-    translation: tuple = (0.0, 0.0, 0.0)
-    axis: int = 2
-    density: float = 100.0
-
-
-_REQUIRED = {
-    "cuboid": ("sx", "sy", "sz"),
-    "cylinder": ("radius", "height"),
-    "arch": ("outer_radius", "inner_radius", "width"),
-    "helix": ("radius", "pitch", "turns", "tube_radius"),
-}
-
-
-def _validate_spec(spec: ShapeSpec, index: int) -> None:
-    where = f"shape {index} ({spec.kind})"
-    if spec.kind not in _REQUIRED:
-        raise InvalidSpec(f"{where}: unknown kind")
-    missing = [k for k in _REQUIRED[spec.kind] if k not in spec.params]
-    if missing:
-        raise InvalidSpec(f"{where}: missing parameters {missing}")
-    if any(not math.isfinite(float(v)) or float(v) <= 0
-           for v in (spec.params[k] for k in _REQUIRED[spec.kind])):
-        raise InvalidSpec(f"{where}: size parameters must be positive")
-    if not (math.isfinite(spec.density) and spec.density > 0):
-        raise InvalidSpec(f"{where}: density must be positive")
-    if spec.axis not in (0, 1, 2):
-        raise InvalidSpec(f"{where}: axis must be 0, 1, or 2")
-    if spec.kind == "arch":
-        if spec.params["inner_radius"] >= spec.params["outer_radius"]:
-            raise InvalidSpec(f"{where}: inner radius must be below outer radius")
-    if spec.kind == "helix":
-        pitch = float(spec.params["pitch"])
-        rho = float(spec.params["tube_radius"])
-        if rho >= spec.params["radius"] or rho > 0.45 * pitch:
-            raise InvalidSpec(
-                f"{where}: tube radius must stay below the coil radius and "
-                f"0.45 * pitch so the tube cannot self-intersect")
-
-
 def _jitter(rng_seed: int, shape) -> np.ndarray:
     """Deterministic uniforms in [-0.35, 0.35) for in-lattice jitter."""
     out = (_stream(rng_seed, int(np.prod(shape))) / 2.0 ** 64 - 0.5) * 0.7
@@ -479,86 +432,52 @@ def _helix_points(p, density, seed):
     return center + offs
 
 
-_BUILDERS = {
-    "cuboid": _cuboid_points,
-    "cylinder": _cylinder_points,
-    "arch": _arch_points,
-    "helix": _helix_points,
-}
+# The demo scene used by the timing and retention experiments: four
+# indoor-scale shapes, each (sampler, size parameters, translation).
+_SCENE = (
+    (_cuboid_points, {"sx": 4.0, "sy": 3.0, "sz": 2.5}, (1.0, 1.0, 0.0)),
+    (_cylinder_points, {"radius": 1.2, "height": 3.0}, (10.0, 3.0, 0.0)),
+    (_arch_points, {"outer_radius": 2.5, "inner_radius": 1.5, "width": 1.0},
+     (7.0, 9.0, 0.0)),
+    (_helix_points, {"radius": 2.0, "pitch": 1.2, "turns": 3.0,
+                     "tube_radius": 0.3}, (3.0, 10.0, 0.2)),
+)
 
 
-def _orient(pts: np.ndarray, axis: int) -> np.ndarray:
-    """Cyclic permutation taking the local z axis onto the given world axis."""
-    if axis == 2:
-        return pts
-    if axis == 0:
-        return pts[:, [2, 0, 1]]
-    return pts[:, [1, 2, 0]]
-
-
-def gen_shape_cloud(specs: list[ShapeSpec], seed: int = 0) -> PointCloud:
-    """Concatenated surface samples of every spec; an empty spec list gives
-    an empty 3-D cloud."""
-    if not specs:
-        return PointCloud.empty(3)
-    pieces = []
-    for i, spec in enumerate(specs):
-        _validate_spec(spec, i)
-        local = _BUILDERS[spec.kind](spec.params, spec.density,
-                                     derive_seed(seed, i))
-        world = _orient(local, spec.axis) + np.asarray(spec.translation, dtype=float)
-        pieces.append(world)
-    return PointCloud(np.vstack(pieces))
-
-
-def shape_surface_area(spec: ShapeSpec) -> float:
-    """Analytic surface area, used to pick densities for point budgets."""
-    p = spec.params
-    if spec.kind == "cuboid":
+def _surface_area(sampler, p) -> float:
+    """Analytic surface area of the shape a sampler draws from."""
+    if sampler is _cuboid_points:
         sx, sy, sz = float(p["sx"]), float(p["sy"]), float(p["sz"])
         return 2.0 * (sx * sy + sx * sz + sy * sz)
-    if spec.kind == "cylinder":
+    if sampler is _cylinder_points:
         r, h = float(p["radius"]), float(p["height"])
         return 2 * math.pi * r * h + 2 * math.pi * r * r
-    if spec.kind == "arch":
+    if sampler is _arch_points:
         outer, inner = float(p["outer_radius"]), float(p["inner_radius"])
         w = float(p["width"])
         flats = math.pi * (outer ** 2 - inner ** 2)
         bands = math.pi * (outer + inner) * w
         feet = 2 * (outer - inner) * w
         return flats + bands + feet
-    if spec.kind == "helix":
-        big_r = float(p["radius"])
-        c = float(p["pitch"]) / (2 * math.pi)
-        length = math.sqrt(big_r ** 2 + c ** 2) * 2 * math.pi * float(p["turns"])
-        return 2 * math.pi * float(p["tube_radius"]) * length
-    raise InvalidSpec(f"unknown kind {spec.kind}")
-
-
-def demo_scene_specs(density: float = 400.0) -> list[ShapeSpec]:
-    """A four-shape indoor-scale scene used by the timing and retention
-    experiments."""
-    return [
-        ShapeSpec("cuboid", {"sx": 4.0, "sy": 3.0, "sz": 2.5},
-                  translation=(1.0, 1.0, 0.0), density=density),
-        ShapeSpec("cylinder", {"radius": 1.2, "height": 3.0},
-                  translation=(10.0, 3.0, 0.0), density=density),
-        ShapeSpec("arch", {"outer_radius": 2.5, "inner_radius": 1.5,
-                           "width": 1.0},
-                  translation=(7.0, 9.0, 0.0), density=density),
-        ShapeSpec("helix", {"radius": 2.0, "pitch": 1.2, "turns": 3.0,
-                            "tube_radius": 0.3},
-                  translation=(3.0, 10.0, 0.2), density=density),
-    ]
+    big_r = float(p["radius"])
+    c = float(p["pitch"]) / (2 * math.pi)
+    length = math.sqrt(big_r ** 2 + c ** 2) * 2 * math.pi * float(p["turns"])
+    return 2 * math.pi * float(p["tube_radius"]) * length
 
 
 def scene_cloud(target_points: int, seed: int = 0) -> PointCloud:
-    """Demo scene sampled at a density chosen to land near target_points."""
-    base = demo_scene_specs(density=1.0)
-    area = sum(shape_surface_area(s) for s in base)
+    """Demo scene sampled at the surface density that lands near
+    target_points; a target outside (0, MAX_RASTER_CELLS] is refused
+    before anything is allocated."""
+    if not 0 < target_points <= MAX_RASTER_CELLS:
+        raise InvalidSpec(
+            f"scene target must be a positive point count of at most "
+            f"{MAX_RASTER_CELLS}, got {target_points}")
+    area = sum(_surface_area(sampler, p) for sampler, p, _ in _SCENE)
     density = target_points / area
-    specs = demo_scene_specs(density=density)
-    return gen_shape_cloud(specs, seed)
+    return PointCloud(np.vstack([
+        sampler(p, density, derive_seed(seed, i)) + move
+        for i, (sampler, p, move) in enumerate(_SCENE)]))
 
 
 # A ball and a box, interiors lattice-filled: the geometry never changes,

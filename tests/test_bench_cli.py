@@ -30,7 +30,7 @@ from octoplan.cli import main
 from octoplan.cloudio import write_binary, write_xyz
 from octoplan.errors import InvalidSpec, NoPathAtMaxDepth
 from octoplan.geometry import PointCloud
-from octoplan.gridmap import UniformGridMap, grid_from_json
+from octoplan.gridmap import UniformGridMap
 from octoplan.mapgen import derive_seed
 from octoplan.tree import DEFAULT_DEPTH_CAP, compute_depth
 
@@ -41,6 +41,12 @@ def strip_timing(csv_text):
     for row in csv_text.strip().splitlines():
         rows.append(",".join(row.split(",")[:-TIMING_COLUMNS]))
     return "\n".join(rows)
+
+
+def rle_decode(runs, dims):
+    """Occupancy from free-first run lengths in axis-0-fastest order."""
+    values = np.arange(len(runs)) % 2 == 1
+    return np.repeat(values, runs).reshape(dims, order="F")
 
 
 def small_config(**overrides):
@@ -277,9 +283,15 @@ def test_aggregate_matches_independent_csv_recount():
 # --------------------------------------------------------- endpoint draws
 
 
+def center_distance(grid, a, b):
+    """The documented endpoint distance, sqrt(dx*dx + dy*dy)."""
+    dx, dy = grid.cell_center(a) - grid.cell_center(b)
+    return math.sqrt(dx * dx + dy * dy)
+
+
 def draw_endpoints_per_pair(grid, rng, min_dist, attempts):
-    """The per-pair draw loop of earlier releases: the oracle of
-    bench._draw_endpoints."""
+    """The per-pair draw loop of earlier releases, on center_distance: the
+    oracle of bench._draw_endpoints."""
     free = np.argwhere(~grid.occupancy)
     if len(free) < 2:
         return None
@@ -289,9 +301,7 @@ def draw_endpoints_per_pair(grid, rng, min_dist, attempts):
         a, b = rng.integers(0, len(free), size=2)
         if a == b:
             continue
-        pa = grid.cell_center(tuple(free[a]))
-        pb = grid.cell_center(tuple(free[b]))
-        dist = float(np.linalg.norm(pa - pb))
+        dist = center_distance(grid, free[a], free[b])
         if dist >= min_dist:
             return tuple(free[a]), tuple(free[b]), False
         if dist > best_dist:
@@ -320,14 +330,12 @@ def endpoint_cases(draw):
     free = np.argwhere(~grid.occupancy)
     pairs = np.random.default_rng(seed).integers(
         0, max(1, len(free)), size=(attempts, 2))
-    dists = [float(np.linalg.norm(grid.cell_center(free[a])
-                                  - grid.cell_center(free[b])))
+    dists = [center_distance(grid, free[a], free[b])
              for a, b in pairs if a != b]
     mode = draw(st.sampled_from(["farthest", "drawn", "fraction"]))
     if dists and mode != "fraction":
         # A drawn pair's own distance as the threshold puts a decision on
-        # >=; at the farthest one, the bulk norm alone could pick a
-        # fallback where the per-pair norm finds a hit.
+        # >=, at the farthest one on the hit-or-fallback choice.
         min_dist = max(dists) if mode == "farthest" else draw(
             st.sampled_from(dists))
     else:
@@ -409,8 +417,10 @@ def test_cli_rasterize_fixed_writes_grid(tmp_path, capsys):
     report = json.loads(out)
     assert report["dims"] == [8, 4]
     assert report["occupied"] == 2
-    grid = grid_from_json((tmp_path / "grid.json").read_text())
-    assert grid.is_occupied((1, 1)) and grid.is_occupied((6, 3))
+    doc = json.loads((tmp_path / "grid.json").read_text())
+    occupancy = rle_decode(doc["rle_free_first"], doc["dims"])
+    assert occupancy[1, 1] and occupancy[6, 3]
+    assert occupancy.sum() == 2
     assert (tmp_path / "grid.pgm").read_text().startswith("P2\n8 4\n")
 
 
@@ -727,6 +737,9 @@ PLAN_2D = ("plan", "--perlin", "--domain", "0,0:40,30", "--goal", "30,20")
     (("bench", "--config", "missing.cfg"), 2),
     (("--out-dir", "/dev/null/x", "build", "--perlin", "--domain", "0,0:8,8",
       "--depth", "2"), 1),
+    # A scene target that is not a positive point count.
+    (("build", "--scene-points", "-5", "--depth", "3"), 2),
+    (("build", "--scene-points", "0", "--depth", "3"), 2),
 ])
 def test_cli_bad_values_end_in_one_json_line(tmp_path, capsys, monkeypatch,
                                              argv, code):

@@ -10,10 +10,16 @@ from hypothesis import strategies as st
 
 from octoplan.errors import InvalidSpec, PointOutOfDomain
 from octoplan.geometry import Aabb, PointCloud
-from octoplan.gridmap import (UniformGridMap, gap_preserved, grid_from_json,
-                              grid_to_json, grid_to_pgm, rasterize_adaptive,
-                              rasterize_fixed, rle_decode, rle_encode)
+from octoplan.gridmap import (UniformGridMap, gap_preserved, grid_to_json,
+                              grid_to_pgm, rasterize_adaptive,
+                              rasterize_fixed, rle_encode)
 from octoplan.tree import build, occupied_leaves
+
+
+def rle_decode(runs, dims):
+    """Occupancy from free-first run lengths in axis-0-fastest order."""
+    values = np.arange(len(runs)) % 2 == 1
+    return np.repeat(values, runs).reshape(dims, order="F")
 
 
 def domain2(w=10.0, h=5.0):
@@ -390,24 +396,18 @@ def test_rle_round_trip_random():
         assert sum(runs) == int(np.prod(dims))
 
 
-def test_rle_decode_rejects_bad_total():
-    with pytest.raises(ValueError):
-        rle_decode([3, 2], (2, 2))
-
-
 def test_grid_json_round_trip():
     rng = np.random.default_rng(17)
     occ = rng.uniform(size=(6, 4)) < 0.4
     grid = UniformGridMap((6, 4), np.array([0.5, 1.5]),
                           np.array([-1.0, 2.0]), occ)
-    text = grid_to_json(grid)
-    doc = json.loads(text)
+    doc = json.loads(grid_to_json(grid))
     assert doc["order"] == "axis0-fastest"
-    back = grid_from_json(text)
-    assert back.dims == grid.dims
-    assert np.allclose(back.cell_size, grid.cell_size)
-    assert np.allclose(back.origin, grid.origin)
-    assert np.array_equal(back.occupancy, grid.occupancy)
+    assert tuple(doc["dims"]) == grid.dims
+    assert np.allclose(doc["cell_size_m"], grid.cell_size)
+    assert np.allclose(doc["origin_m"], grid.origin)
+    assert np.array_equal(rle_decode(doc["rle_free_first"], doc["dims"]),
+                          grid.occupancy)
 
 
 def test_pgm_text_layout_and_values():

@@ -10,11 +10,9 @@ import octoplan.mapgen as mapgen_mod
 from octoplan.bench import BenchConfig
 from octoplan.errors import InvalidSpec
 from octoplan.geometry import Aabb, PointCloud
-from octoplan.mapgen import (PerlinParams, ShapeSpec, demo_scene_specs,
-                             derive_seed, gen_perlin_cloud, gen_shape_cloud,
+from octoplan.mapgen import (PerlinParams, derive_seed, gen_perlin_cloud,
                              gen_solid_cloud, multi_octave_noise, scene_cloud,
-                             shape_surface_area, solid_cloud_near,
-                             solid_domain)
+                             solid_cloud_near, solid_domain)
 
 
 def noise_domain(edge=10.0, d=2):
@@ -227,20 +225,17 @@ def test_perlin_lattice_budget_is_inclusive(monkeypatch):
 # ------------------------------------------------------------------ shapes
 
 
-def only_shape(kind, params, density, **kw):
-    spec = ShapeSpec(kind, params, density=density, **kw)
-    return spec, gen_shape_cloud([spec], seed=77).points
-
-
 def test_cuboid_count_tracks_area_times_density():
-    spec, pts = only_shape("cuboid", {"sx": 1.0, "sy": 1.0, "sz": 1.0}, 100.0)
-    expected = shape_surface_area(spec) * spec.density
-    assert expected == pytest.approx(600.0)
-    assert 0.9 * expected <= len(pts) <= 1.1 * expected
+    params = {"sx": 1.0, "sy": 1.0, "sz": 1.0}
+    pts = mapgen_mod._cuboid_points(params, 100.0, seed=77)
+    area = mapgen_mod._surface_area(mapgen_mod._cuboid_points, params)
+    assert area == pytest.approx(6.0)
+    assert 0.9 * 600.0 <= len(pts) <= 1.1 * 600.0
 
 
 def test_cuboid_points_lie_on_faces():
-    _, pts = only_shape("cuboid", {"sx": 2.0, "sy": 1.0, "sz": 0.5}, 200.0)
+    pts = mapgen_mod._cuboid_points({"sx": 2.0, "sy": 1.0, "sz": 0.5}, 200.0,
+                                    seed=77)
     sizes = np.array([2.0, 1.0, 0.5])
     assert np.all(pts >= -1e-12) and np.all(pts <= sizes + 1e-12)
     on_face = np.zeros(len(pts), dtype=bool)
@@ -251,7 +246,8 @@ def test_cuboid_points_lie_on_faces():
 
 
 def test_cylinder_points_lie_on_surface():
-    _, pts = only_shape("cylinder", {"radius": 1.5, "height": 3.0}, 150.0)
+    pts = mapgen_mod._cylinder_points({"radius": 1.5, "height": 3.0}, 150.0,
+                                      seed=77)
     rho = np.hypot(pts[:, 0], pts[:, 1])
     on_band = (np.abs(rho - 1.5) <= 1e-9) & (pts[:, 2] >= -1e-12) \
         & (pts[:, 2] <= 3.0 + 1e-12)
@@ -262,9 +258,9 @@ def test_cylinder_points_lie_on_surface():
 
 
 def test_arch_points_lie_on_surface():
-    _, pts = only_shape(
-        "arch", {"outer_radius": 2.5, "inner_radius": 1.5, "width": 1.0},
-        150.0)
+    pts = mapgen_mod._arch_points(
+        {"outer_radius": 2.5, "inner_radius": 1.5, "width": 1.0}, 150.0,
+        seed=77)
     x, y, z = pts.T
     rho = np.hypot(x, z)
     tol = 1e-9
@@ -281,9 +277,9 @@ def test_arch_points_lie_on_surface():
 
 
 def test_helix_points_sit_one_tube_radius_off_the_centerline():
-    spec, pts = only_shape(
-        "helix", {"radius": 2.0, "pitch": 1.2, "turns": 2.0,
-                  "tube_radius": 0.3}, 20.0)
+    pts = mapgen_mod._helix_points(
+        {"radius": 2.0, "pitch": 1.2, "turns": 2.0, "tube_radius": 0.3}, 20.0,
+        seed=77)
     c = 1.2 / (2 * math.pi)
     t = np.linspace(0.0, 2 * math.pi * 2.0, 20001)
     center = np.stack([2.0 * np.cos(t), 2.0 * np.sin(t), c * t], axis=1)
@@ -296,68 +292,45 @@ def test_helix_points_sit_one_tube_radius_off_the_centerline():
         assert np.all(nearest <= 0.3 + 1e-3)
 
 
-def test_orientation_permutes_axes():
-    spec = ShapeSpec("cylinder", {"radius": 1.0, "height": 5.0}, axis=0,
-                     density=50.0)
-    pts = gen_shape_cloud([spec], seed=3).points
-    # Local z becomes world x, so the long extent is on axis 0.
-    assert pts[:, 0].max() - pts[:, 0].min() == pytest.approx(5.0, abs=0.3)
-    assert np.all(np.hypot(pts[:, 1], pts[:, 2]) <= 1.0 + 1e-9)
-
-
 def test_translation_shifts_points_exactly():
-    base = ShapeSpec("cuboid", {"sx": 1.0, "sy": 2.0, "sz": 3.0}, density=80.0)
-    moved = ShapeSpec("cuboid", {"sx": 1.0, "sy": 2.0, "sz": 3.0},
-                      translation=(5.0, 6.0, 7.0), density=80.0)
-    a = gen_shape_cloud([base], seed=4).points
-    b = gen_shape_cloud([moved], seed=4).points
-    assert np.array_equal(b, a + np.array([5.0, 6.0, 7.0]))
+    # The scene is each shape's own samples, in table order, moved by its
+    # translation and by nothing else.
+    target, seed = 4000, 4
+    pts = scene_cloud(target, seed=seed).points
+    area = sum(mapgen_mod._surface_area(sampler, p)
+               for sampler, p, _ in mapgen_mod._SCENE)
+    start = 0
+    for i, (sampler, p, move) in enumerate(mapgen_mod._SCENE):
+        local = sampler(p, target / area, derive_seed(seed, i))
+        block = pts[start:start + len(local)]
+        assert np.array_equal(block, local + np.array(move))
+        start += len(local)
+    assert start == len(pts)
 
 
 def test_shape_cloud_deterministic_and_seed_sensitive():
-    specs = demo_scene_specs(density=30.0)
-    a = gen_shape_cloud(specs, seed=1).points
-    b = gen_shape_cloud(specs, seed=1).points
-    c = gen_shape_cloud(specs, seed=2).points
+    a = scene_cloud(3000, seed=1).points
+    b = scene_cloud(3000, seed=1).points
+    c = scene_cloud(3000, seed=2).points
     assert a.tobytes() == b.tobytes()
     assert a.shape == c.shape and not np.array_equal(a, c)
 
 
-def test_empty_spec_list_gives_empty_3d_cloud():
-    cloud = gen_shape_cloud([])
-    assert len(cloud) == 0 and cloud.dim == 3
-
-
-def test_invalid_specs_name_the_shape_index():
-    good = ShapeSpec("cuboid", {"sx": 1.0, "sy": 1.0, "sz": 1.0})
-    with pytest.raises(InvalidSpec, match="shape 0"):
-        gen_shape_cloud([ShapeSpec("sphere", {"radius": 1.0})])
-    with pytest.raises(InvalidSpec, match="shape 1"):
-        gen_shape_cloud([good, ShapeSpec("cylinder", {"radius": 1.0})])
-    with pytest.raises(InvalidSpec, match="positive"):
-        gen_shape_cloud([ShapeSpec("cuboid",
-                                   {"sx": -1.0, "sy": 1.0, "sz": 1.0})])
-    with pytest.raises(InvalidSpec, match="density"):
-        gen_shape_cloud([ShapeSpec("cuboid", {"sx": 1.0, "sy": 1.0, "sz": 1.0},
-                                   density=0.0)])
-    with pytest.raises(InvalidSpec, match="axis"):
-        gen_shape_cloud([ShapeSpec("cuboid", {"sx": 1.0, "sy": 1.0, "sz": 1.0},
-                                   axis=3)])
-
-
-def test_arch_and_helix_shape_constraints():
-    with pytest.raises(InvalidSpec, match="inner radius"):
-        gen_shape_cloud([ShapeSpec("arch", {"outer_radius": 1.0,
-                                            "inner_radius": 1.5,
-                                            "width": 1.0})])
-    with pytest.raises(InvalidSpec, match="tube radius"):
-        gen_shape_cloud([ShapeSpec("helix", {"radius": 1.0, "pitch": 1.0,
-                                             "turns": 2.0,
-                                             "tube_radius": 1.2})])
-    with pytest.raises(InvalidSpec, match="tube radius"):
-        gen_shape_cloud([ShapeSpec("helix", {"radius": 2.0, "pitch": 0.5,
-                                             "turns": 2.0,
-                                             "tube_radius": 0.4})])
+def test_scene_target_is_refused_before_allocation(monkeypatch):
+    for bad in (0, -5, math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidSpec, match="scene target"):
+            scene_cloud(bad)
+    monkeypatch.setattr(mapgen_mod, "MAX_RASTER_CELLS", 1000)
+    assert len(scene_cloud(1000)) > 0
+    tracemalloc.start()
+    try:
+        # Ten million points would take 240 MB; the refusal takes none.
+        with pytest.raises(InvalidSpec, match="at most 1000"):
+            scene_cloud(10_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_scene_cloud_hits_point_target():
