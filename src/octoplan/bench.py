@@ -20,7 +20,6 @@ strip them by position; the aggregate JSON contains no timing at all.
 """
 from __future__ import annotations
 
-import copy
 import csv
 import io
 import json
@@ -34,9 +33,9 @@ from .errors import InvalidSpec, PlanningError
 from .geometry import Aabb
 from .gridmap import rasterize_fixed
 from .mapgen import PerlinParams, derive_seed, gen_perlin_cloud
-from .planner import (PlanRequest, jps_plan, plan_with_refinement,
+from .planner import (PlanRequest, jps_plan, plan_with_refinement, refined,
                       release_map_tables)
-from .tree import McrSpec, compute_depth, dynamic_partition
+from .tree import McrSpec, compute_depth
 from .tree import build as build_tree
 
 
@@ -187,10 +186,11 @@ def _draw_endpoints(grid, rng, min_dist, attempts):
 def _world_maps(cloud, domain, depth, config, maps):
     """(tree, fixed grid, seconds) at depth from maps, the world's dict of
     both by depth, making what is missing: the world's one build runs at
-    the shallowest depth of its cell sizes, and a deeper depth partitions a
-    shallow copy of the next shallower tree, which equals a fresh build
-    (gate 7) and writes into no shared array.  seconds is the build and
-    partition time spent here, 0.0 when maps held the depth."""
+    the shallowest depth of its cell sizes, and a deeper depth walks the
+    refined() chain of the next shallower tree, which refinement shares, so
+    each depth is partitioned once.  seconds is the build and partition
+    time spent here: 0.0 when maps held the depth, next to none when a
+    refinement made its tree."""
     seconds = 0.0
     if not any(d <= depth for d in maps):
         base = min([depth] + [compute_depth(float(domain.edges.max()), c)
@@ -202,9 +202,9 @@ def _world_maps(cloud, domain, depth, config, maps):
                                            domain.edges / 2.0 ** base)
     if depth not in maps:
         t0 = perf_counter()
-        tree = copy.copy(maps[max(d for d in maps if d < depth)][0])
+        tree = maps[max(d for d in maps if d < depth)][0]
         while tree.depth < depth:
-            dynamic_partition(tree)
+            tree = refined(tree)
         seconds += perf_counter() - t0
         maps[depth] = tree, rasterize_fixed(cloud, domain,
                                             domain.edges / 2.0 ** depth)
@@ -217,13 +217,12 @@ def run_trial_cell(cloud, domain, cell, trial_index, trial_seed, cell_index,
 
     maps is the world's dict of trees and fixed grids by depth, shared by
     its cells (_world_maps); build_seconds is the tree time this cell
-    spent, 0.0 where its depth's tree already existed.  Refinement deepens
-    a shallow copy of the tree, so the held tree stays as made."""
+    spent, 0.0 where its depth's tree already existed.  Refinement shares
+    the world's refined trees and leaves the held tree as made."""
     longest = float(domain.edges.max())
     depth = compute_depth(longest, cell)
     tree, fixed_grid, build_seconds = _world_maps(cloud, domain, depth,
                                                   config, maps)
-    tree = copy.copy(tree)
 
     record = TrialRecord(
         trial_index=trial_index, cell_size_m=cell,

@@ -134,9 +134,6 @@ class PointCloud:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def __iter__(self):
-        return iter(self.points)
-
 
 def aabb_of(cloud: PointCloud) -> Aabb:
     """Tight bounding box of a cloud; EmptyInput on an empty cloud."""

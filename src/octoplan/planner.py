@@ -46,6 +46,7 @@ The entry takes about 10 bytes per cell: 4 of labels, 4 of stop tables,
 """
 from __future__ import annotations
 
+import copy
 import heapq
 import json
 import math
@@ -403,14 +404,22 @@ class RefinementResult:
     plan_seconds: float
 
 
+def refined(tree: OctoTree) -> OctoTree:
+    """The tree one level deeper: on the first call a partition of a shallow
+    copy, which equals a fresh build and writes into no array of tree, kept
+    as tree.finer, so every holder of tree shares it."""
+    if tree.finer is None:
+        tree.finer = dynamic_partition(copy.copy(tree))
+    return tree.finer
+
+
 def plan_with_refinement(tree: OctoTree, start_point, goal_point,
                          max_rounds: int = 2) -> RefinementResult:
     """Plan on the tree's occupancy; on failure, split occupied leaves one
     level and retry, up to max_rounds extra depths.
 
-    Refinement deepens the caller's tree in place: after a call that used
-    r rounds, tree.depth has grown by r.  Rebuild or copy the tree first to
-    keep the original depth.
+    Each retry plans on refined(tree), so the caller's tree stays as built
+    and keeps the deeper trees as its finer chain for later calls.
 
     Raises StartOrGoalOccupied when every attempted depth left an endpoint
     in an occupied cell, NoPathAtMaxDepth when all attempts failed for lack
@@ -444,7 +453,7 @@ def plan_with_refinement(tree: OctoTree, start_point, goal_point,
                 return RefinementResult(path, grid, rounds, elapsed)
         if rounds < max_rounds:
             try:
-                dynamic_partition(tree)
+                tree = refined(tree)
             except DepthCapExceeded:
                 break
     if endpoint_free_somewhere:

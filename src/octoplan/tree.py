@@ -59,15 +59,11 @@ def compute_depth(longest_edge: float, cell_edge: float) -> int:
         if not (math.isfinite(value) and value > 0):
             raise InvalidSpec(f"{name} edge must be positive, got {value}")
     ratio = longest_edge / cell_edge
-    if ratio <= 1.0:
-        return 0
-    depth = max(0, math.ceil(math.log2(ratio)))
-    # Guard against log2 rounding near exact powers of two.
-    while 2.0 ** depth < ratio:
-        depth += 1
-    while depth > 0 and 2.0 ** (depth - 1) >= ratio:
-        depth -= 1
-    return min(DEFAULT_DEPTH_CAP, depth)
+    # 2.0 ** depth is exact, and a ratio that overflowed to inf gets the cap.
+    for depth in range(DEFAULT_DEPTH_CAP):
+        if 2.0 ** depth >= ratio:
+            return depth
+    return DEFAULT_DEPTH_CAP
 
 
 def _boundaries(domain: Aabb, depth: int) -> np.ndarray:
@@ -110,7 +106,8 @@ class OctoTree:
 
     Leaf k has code codes[k] and grid index index[k] and owns the point ids
     order[offsets[k]:offsets[k + 1]].  boundaries[a] holds the cell faces on
-    axis a (_boundaries).
+    axis a (_boundaries).  finer is None or the tree one level deeper that
+    planner.refined made from this one, which the tree keeps until dropped.
     """
 
     def __init__(self, domain: Aabb, depth: int):
@@ -138,10 +135,7 @@ class OctoTree:
         self.index = index
         self.order = order
         self.offsets = np.r_[starts, len(order)].astype(np.int64)
-
-    @property
-    def point_count(self) -> int:
-        return len(self._points)
+        self.finer = None
 
     def points_array(self) -> np.ndarray:
         """The build's points, input order, as one read-only (n, d) array."""

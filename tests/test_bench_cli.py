@@ -158,15 +158,23 @@ def test_failed_adaptive_trial_records_search_time(monkeypatch):
     assert records[0].adaptive_plan_seconds == 0.125
 
 
-@pytest.mark.parametrize("threshold", [0.1, 1.5], ids=["noise", "empty"])
-def test_world_builds_once_and_rows_equal_fresh_builds(monkeypatch,
-                                                       threshold):
+@pytest.mark.parametrize("cells,threshold,held", [
+    ((3.0, 6.0, 2.0), 0.1, [False, True, False]),
+    ((3.0, 6.0, 2.0), 1.5, [False, True, False]),
+    ((6.0, 2.0), 0.1, [False, False]),
+], ids=["noise", "empty", "refined-first"])
+def test_world_builds_once_and_rows_equal_fresh_builds(monkeypatch, cells,
+                                                       threshold, held):
     # 3.0, 6.0 and 2.0 m resolve to depths 4, 3 and 5 on the 40 m edge:
     # deep, shallow, deeper.  The world builds depth 3 once and partitions
     # it; every non-timing column must equal a row built fresh at its depth.
-    config = small_config(cell_sizes_m=(3.0, 6.0, 2.0),
-                          noise_threshold=threshold)
-    assert [compute_depth(40.0, c) for c in config.cell_sizes_m] == [4, 3, 5]
+    # In "refined-first" the depth-3 cell fails twice, so its refinement
+    # makes the depth-5 tree before the 2.0 m cell asks for it.  held marks
+    # the cells whose depth the world's dict already held.
+    config = small_config(cell_sizes_m=cells, noise_threshold=threshold)
+    depth_of = {3.0: 4, 6.0: 3, 2.0: 5}
+    assert [compute_depth(40.0, c) for c in cells] == \
+        [depth_of[c] for c in cells]
     clouds, depths = [], []
 
     def world(params):
@@ -181,9 +189,11 @@ def test_world_builds_once_and_rows_equal_fresh_builds(monkeypatch,
     monkeypatch.setattr(bench_mod, "build_tree", build)
     records, _ = run_campaign(config)
     assert depths == [3] * config.trials
-    assert [r.build_seconds > 0 for r in records] == \
-        [True, False, True] * config.trials
+    assert [r.build_seconds == 0 for r in records] == held * config.trials
     assert (records[0].n_points == 0) == (threshold > 1)
+    if cells == (6.0, 2.0):
+        assert [r.adaptive_rounds for r in records[::2]] == \
+            [2] * config.trials
 
     fresh = []
     for trial, cloud in enumerate(clouds):
@@ -192,9 +202,35 @@ def test_world_builds_once_and_rows_equal_fresh_builds(monkeypatch,
             one = replace(config, cell_sizes_m=(cell,))
             fresh.append(bench_mod.run_trial_cell(
                 cloud, config.domain, cell, trial, seed, k, one, {}))
-    assert depths == [3] * config.trials + [4, 3, 5] * config.trials
+    assert depths == [3] * config.trials + \
+        [depth_of[c] for c in cells] * config.trials
     assert [r.to_row()[:-TIMING_COLUMNS] for r in records] == \
         [r.to_row()[:-TIMING_COLUMNS] for r in fresh]
+
+
+def test_campaign_partitions_each_world_depth_once(monkeypatch):
+    # The cells of a default world are at depths 7, 7 and 6, and failing
+    # cells refine up to two levels.  The world's own 6 -> 7 partition and
+    # every refinement take trees from one refined() chain, so each
+    # (world, depth) is partitioned once, all through planner's
+    # dynamic_partition.
+    worlds, made = [], []
+    partition = planner_mod.dynamic_partition
+
+    def world(params):
+        worlds.append(params.seed)
+        return mapgen_mod.gen_perlin_cloud(params)
+
+    def counted(tree):
+        made.append((len(worlds) - 1, tree.depth))
+        return partition(tree)
+
+    monkeypatch.setattr(bench_mod, "gen_perlin_cloud", world)
+    monkeypatch.setattr(planner_mod, "dynamic_partition", counted)
+    records, _ = run_campaign(BenchConfig(trials=4))
+    assert any(r.adaptive_rounds for r in records)
+    assert len(made) == len(set(made))
+    assert {w for w, depth in made if depth == 6} == set(range(4))
 
 
 def test_campaign_releases_map_tables_between_worlds(monkeypatch):
@@ -404,6 +440,18 @@ def test_cli_build_epsilon_depth(tmp_path, capsys):
         "--epsilon-max-m", "0.75", "--spm", "1.0")
     assert code == 0
     assert json.loads(out)["depth"] == 7
+
+
+def test_cli_build_depth_ratio_overflow_gets_the_cap(tmp_path, capsys):
+    # The domain edge over the 4e-10 m cell overflows to inf.
+    cloud_path = tmp_path / "two.xyz"
+    write_xyz(PointCloud(np.array([[1.0, 1.0], [5.0, 5.0]])), cloud_path)
+    code, out, _ = run_cli(
+        capsys, "--out-dir", str(tmp_path),
+        "build", "--cloud", str(cloud_path), "--domain", "0,0:1e300,1e300",
+        "--epsilon-max-m", "1e-10")
+    assert code == 0
+    assert json.loads(out)["depth"] == DEFAULT_DEPTH_CAP
 
 
 def test_cli_rasterize_fixed_writes_grid(tmp_path, capsys):
@@ -778,6 +826,18 @@ def test_cli_bench_endpoint_attempts_below_one_exits_2(tmp_path, capsys):
     assert payload["error"] == "invalidspec"
     assert "max_endpoint_attempts" in payload["message"]
     assert not (tmp_path / "records.csv").exists()
+
+
+def test_cli_bench_subnormal_cell_size_exits_2(tmp_path, capsys):
+    # 200 m over 1e-320 m overflows to inf, so the depth is the cap, and
+    # the raster budget refuses the 2^16 x 2^16 fixed grid.
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("trials = 1\ncell_sizes_m = 1e-320\n")
+    code, out, err = run_cli(capsys, "--out-dir", str(tmp_path),
+                             "bench", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert one_error_line(err)["error"] == "invalidspec"
 
 
 def test_cli_unknown_cloud_extension_exits_2(tmp_path, capsys):

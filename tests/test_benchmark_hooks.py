@@ -4,26 +4,36 @@ benchmark/workloads.py wraps package functions by (module, attribute) and
 reads OctoTree.leaves to count a build's leaves. Deleting or renaming any
 of these breaks `benchmark/run.py --trace 1`, which no other test runs.
 """
+import importlib
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from octoplan.bench import BenchConfig, run_campaign
 from octoplan.geometry import Aabb, PointCloud
 from octoplan.tree import build
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
 
 
-@pytest.fixture(scope="module")
-def workloads():
+def benchmark_module(name):
     sys.path.insert(0, str(BENCHMARK))
     try:
-        import workloads
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCHMARK))
-    return workloads
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return benchmark_module("workloads")
+
+
+@pytest.fixture(scope="module")
+def spans():
+    return benchmark_module("spans")
 
 
 def test_every_wrapped_call_site_exists(workloads, tmp_path):
@@ -46,3 +56,22 @@ def test_every_wrapped_call_site_exists(workloads, tmp_path):
                 assert count(tree, (cloud, domain, 3), {}) == \
                     {"points": 3, "leaves": 2}
     assert builds >= 1
+
+
+def test_traced_campaign_sees_every_partition(workloads, spans):
+    # 3.0, 6.0 and 2.0 m are depths 4, 3 and 5 on the 40 m edge: each world
+    # builds depth 3 and partitions it to 4 and then 5.  With no refinement
+    # those are all the partitions, and the planner's wrapped
+    # dynamic_partition must see them.
+    config = BenchConfig(domain_x_m=40.0, domain_y_m=30.0,
+                         cell_sizes_m=(3.0, 6.0, 2.0), trials=3,
+                         refinement_rounds=0)
+    tracer = spans.Tracer()
+    for entry in workloads.PLANNER_LAYERS:
+        tracer.wrap(*entry)
+    try:
+        run_campaign(config)
+    finally:
+        tracer.restore()
+    assert sum(s.name == "tree.dynamic_partition"
+               for s in tracer.spans) == 2 * config.trials

@@ -1,6 +1,5 @@
 """Planner tests: JPS vs Dijkstra and vs a cell-by-cell scan, legality checks,
 refinement rounds."""
-import copy
 import heapq
 import json
 import math
@@ -657,7 +656,7 @@ def test_refinement_exhausts_on_solid_wall(monkeypatch):
     # beyond the searches would exceed 0.1 s.
     def slow_partition(tree):
         time.sleep(0.1)
-        real_partition(tree)
+        return real_partition(tree)
 
     monkeypatch.setattr(planner_mod, "dynamic_partition", slow_partition)
     tree = build(wall_cloud(0.05), refinement_domain(), depth=2)
@@ -686,31 +685,32 @@ def same_grid(a, b):
             and np.array_equal(a.occupancy, b.occupancy))
 
 
-def test_refining_a_shallow_copy_leaves_the_tree_as_built():
-    # Campaign cells at one depth share a tree and refine copy.copy of it.
+def test_refinement_leaves_the_callers_tree_as_built(monkeypatch):
     # At depth 1 the start shares the wall's cell and at depth 2 the gap
     # [8, 10) is inside an occupied cell, so the search succeeds only after
-    # two partitions.
+    # two refinements.  The tree keeps them, and a second call reuses them.
     cloud = wall_cloud(0.5, gap_lo=8.0, gap_hi=10.0)
     tree = build(cloud, refinement_domain(), depth=1)
     tables = ("boundaries", "codes", "index", "order", "offsets")
     before = {name: getattr(tree, name).copy() for name in tables}
-    refined = plan_with_refinement(copy.copy(tree), (2.0, 8.0), (14.0, 8.0),
-                                   max_rounds=2)
-    assert refined.rounds_used == 2
+    first = plan_with_refinement(tree, (2.0, 8.0), (14.0, 8.0), max_rounds=2)
+    assert first.rounds_used == 2
     assert tree.depth == 1
     for name in tables:
         assert np.array_equal(getattr(tree, name), before[name]), name
     fresh = build(cloud, refinement_domain(), depth=1)
     assert same_grid(rasterize_adaptive(tree), rasterize_adaptive(fresh))
-
-    again = plan_with_refinement(copy.copy(tree), (2.0, 8.0), (14.0, 8.0),
-                                 max_rounds=2)
     expected = plan_with_refinement(fresh, (2.0, 8.0), (14.0, 8.0),
                                     max_rounds=2)
-    assert again.path == expected.path
+
+    partitions = []
+    monkeypatch.setattr(planner_mod, "dynamic_partition", partitions.append)
+    again = plan_with_refinement(tree, (2.0, 8.0), (14.0, 8.0), max_rounds=2)
+    assert partitions == []
+    assert again.path == expected.path == first.path
     assert again.rounds_used == expected.rounds_used == 2
     assert same_grid(again.grid, expected.grid)
+    assert tree.finer.finer.depth == 3
 
 
 def test_refinement_rejects_point_outside_domain():

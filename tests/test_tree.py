@@ -121,6 +121,12 @@ def test_compute_depth_clamps_to_cap():
     assert compute_depth(1e9, mcr_cell(0.5)) == 16
 
 
+def test_compute_depth_caps_ratios_that_overflow():
+    # Both ratios overflow to inf, which has no integer log2 ceiling.
+    assert compute_depth(1e300, mcr_cell(1e-10)) == 16
+    assert compute_depth(200.0, 1e-320) == 16
+
+
 def test_compute_depth_exact_powers_have_no_rounding_slack():
     # With k * edge = 2, a domain of 2^n meters needs exactly n - 1 levels.
     for n in range(1, 12):
@@ -190,7 +196,7 @@ def test_build_rejects_out_of_domain_point():
 def test_build_empty_cloud():
     tree = build(PointCloud.empty(2), unit_domain(2), depth=3)
     assert occupied_leaves(tree) == []
-    assert tree.point_count == 0
+    assert len(tree.points_array()) == 0
 
 
 def test_build_depth_zero_root_is_leaf():
