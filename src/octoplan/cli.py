@@ -30,7 +30,7 @@ from .gridmap import (grid_to_json, grid_to_pgm, rasterize_adaptive,
                       rasterize_fixed)
 from .mapgen import PerlinParams, gen_perlin_cloud, scene_cloud
 from .planner import (PlanRequest, jps_plan, path_to_json,
-                      plan_with_refinement)
+                      plan_with_refinement, require_2d)
 from .tree import DEFAULT_DEPTH_CAP, McrSpec, compute_depth
 from .tree import build as build_tree
 
@@ -190,7 +190,8 @@ def _cmd_downsample(args) -> int:
     if args.method == "convex":
         depth = _resolve_depth(args, domain)
         tree = build_tree(cloud, domain, depth)
-        result = downsample_tree(tree, workers=args.workers)
+        result = downsample_tree(tree, workers=args.workers,
+                                 mesh=bool(args.mesh_out))
         retained = result.retained
         if args.mesh_out:
             export_mesh(result.per_leaf_meshes,
@@ -258,6 +259,7 @@ def _cmd_rasterize(args) -> int:
 
 def _cmd_plan(args) -> int:
     cloud, domain = _load_cloud_args(args)
+    require_2d(domain.dim)
     start = _parse_point(args.start, "--start", domain.dim)
     goal = _parse_point(args.goal, "--goal", domain.dim)
     _maybe_save_cloud(args, cloud)

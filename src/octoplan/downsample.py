@@ -93,23 +93,25 @@ def convexify_leaf(points, split_boundary: Aabb | None = None) -> np.ndarray:
 
 
 def _leaf_job(args):
-    """Reduce and mesh one leaf; returns (retained, mesh, stage seconds)."""
-    pts, boundary = args
+    """Reduce one leaf and mesh it if asked: (retained, mesh, seconds)."""
+    pts, boundary, mesh = args
     t0 = perf_counter()
     retained = convexify_leaf(pts, boundary)
     eliminate_seconds = perf_counter() - t0
+    if not mesh:
+        return retained, None, eliminate_seconds, 0.0
     t1 = perf_counter()
     try:
-        mesh = quickhull(PointCloud(retained))
+        hull = quickhull(PointCloud(retained))
     except (EmptyInput, DegenerateInput):
-        mesh = None
-    mesh_seconds = perf_counter() - t1
-    return retained, mesh, eliminate_seconds, mesh_seconds
+        hull = None
+    return retained, hull, eliminate_seconds, perf_counter() - t1
 
 
-def downsample_tree(tree: OctoTree, workers: int = 1) -> DownsampleResult:
-    """Run the per-leaf reduction over every occupied leaf and mesh each
-    leaf's retained set where its hull is non-degenerate.
+def downsample_tree(tree: OctoTree, workers: int = 1,
+                    mesh: bool = False) -> DownsampleResult:
+    """Run the per-leaf reduction over every occupied leaf and, with mesh
+    only, mesh each leaf's retained set where its hull is non-degenerate.
 
     Leaves are processed in the tree's Morton order and results assembled
     in that order, so the output does not depend on the worker count. An
@@ -121,9 +123,9 @@ def downsample_tree(tree: OctoTree, workers: int = 1) -> DownsampleResult:
         return DownsampleResult(PointCloud.empty(tree.dim), 1.0, [],
                                 perf_counter() - t_start, 0.0, 0.0)
     points = tree.points_array()
-    payloads = [(points[leaf.point_ids], leaf.split_boundary)
+    payloads = [(points[leaf.point_ids], leaf.split_boundary, mesh)
                 for leaf in leaves]
-    total = sum(len(p) for p, _ in payloads)
+    total = sum(len(p[0]) for p in payloads)
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

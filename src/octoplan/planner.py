@@ -26,11 +26,12 @@ Harabor & Grastien, ICAPS 2014).  A table marks the cells where a straight
 scan in its direction ends: blocked cells, the goal, and free cells with a
 forced neighbour.  East and west tables are row-major, south and north
 tables column-major, so each straight scan is one bytes.find or
-bytes.rfind instead of a cell-by-cell loop; the diagonal walk stays a loop
-that runs the two scans from every cell it enters.  Heap tie-break keys
-come from two lists, one per axis, whose bitwise or is the cell's Morton
-key.  Every jump point, heap entry, path and cost is the same as the
-cell-by-cell scan gives.
+bytes.rfind instead of a cell-by-cell loop.  The diagonal walk steps a
+cell's row-major index and its column-major index together and runs both
+scans inline in every cell it enters, with no function call per cell.
+Heap tie-break keys come from two lists, one per axis, whose bitwise or is
+the cell's Morton key.  Every jump point, heap entry, path and cost is the
+same as the cell-by-cell scan gives.
 
 None of these tables depends on the query, so, as in JPS+ (Harabor &
 Grastien, ICAPS 2014), they are built once per map and reused: a one-entry
@@ -43,6 +44,11 @@ before it builds the new one.  Each query copies the four tables and
 marks its goal in the copies, so the shared tables never carry a goal.
 The entry takes about 10 bytes per cell: 4 of labels, 4 of stop tables,
 1 of free bytes and 1 of key.
+
+plan_with_refinement keeps each tree's adaptive raster, read-only, as
+tree.raster, so a long-lived tree is rasterized once however many queries
+it answers.  OctoTree._set_table drops it, so an in-place
+dynamic_partition or a refined() copy never plans on a stale raster.
 """
 from __future__ import annotations
 
@@ -61,6 +67,7 @@ from .gridmap import UniformGridMap, free_components, rasterize_adaptive
 from .tree import OctoTree, dynamic_partition, morton_encode
 
 SQRT2 = math.sqrt(2.0)
+OCTILE = SQRT2 - 2.0
 
 
 @dataclass(frozen=True)
@@ -85,9 +92,14 @@ class GridPath:
         return float(np.sum(np.sqrt((hops ** 2).sum(axis=1))))
 
 
+def require_2d(dim: int) -> None:
+    """Refuse a map of any dimension but 2, before anything rasterizes it."""
+    if dim != 2:
+        raise InvalidRequest("map_not_2d", f"planner needs a 2-D grid, got {dim}-D")
+
+
 def _check_request(grid: UniformGridMap, req: PlanRequest):
-    if grid.dim != 2:
-        raise InvalidRequest("map_not_2d", f"planner needs a 2-D grid, got {grid.dim}-D")
+    require_2d(grid.dim)
     for name, cell in (("start", req.start), ("goal", req.goal)):
         if len(cell) != 2 or not grid.in_bounds(cell):
             raise InvalidRequest(f"{name}_out_of_bounds",
@@ -101,7 +113,7 @@ def _check_request(grid: UniformGridMap, req: PlanRequest):
 def _octile(a, b) -> float:
     dx = abs(a[0] - b[0])
     dy = abs(a[1] - b[1])
-    return (dx + dy) + (SQRT2 - 2.0) * min(dx, dy)
+    return (dx + dy) + OCTILE * min(dx, dy)
 
 
 def _expand_segment(a, b):
@@ -193,7 +205,8 @@ def jps_plan(grid: UniformGridMap, req: PlanRequest) -> GridPath | None:
     # Cell (i, j) is fr[(i + 1) * S + j + 1] in a row-major copy padded with
     # a blocked border, so every neighbour of a grid cell is a valid index
     # and a step along (di, dj) adds di * S + dj.  The column-major copies
-    # put the same cell at (j + 1) * W + i + 1.
+    # put the same cell at (j + 1) * W + i + 1, where the step adds
+    # dj * W + di.
     S, W = h + 2, w + 2
     gi, gj = goal[0] + 1, goal[1] + 1
     goal_p = gi * S + gj
@@ -201,87 +214,53 @@ def jps_plan(grid: UniformGridMap, req: PlanRequest) -> GridPath | None:
     east[goal_p] = west[goal_p] = 1
     south[gj * W + gi] = north[gj * W + gi] = 1
 
-    # Each scan returns the first stop cell past p along its direction, or
-    # None when that cell is blocked.  The border is blocked, so a scan
-    # never leaves its row or column.
-    def scan_east(p):
-        r = east.find(1, p + 1)
-        return r if fr[r] else None
-
-    def scan_west(p):
-        r = west.rfind(1, 0, p)
-        return r if fr[r] else None
-
-    def scan_south(p):
-        i, j = divmod(p, S)
-        q = j * W + i
-        r = p + (south.find(1, q + 1) - q) * S
-        return r if fr[r] else None
-
-    def scan_north(p):
-        i, j = divmod(p, S)
-        q = j * W + i
-        r = p + (north.rfind(1, 0, q) - q) * S
-        return r if fr[r] else None
-
-    straight = {1: scan_east, -1: scan_west, S: scan_south, -S: scan_north}
-
-    def step_ok(p, a, b):
-        if not fr[p + a + b]:
-            return False
-        if a and b:
-            return fr[p + a] and fr[p + b]
-        return True
-
     def jump(p, a, b):
-        """Next jump point from p along (a, b) = (di * S, dj), or None."""
+        """Next jump point from p along (a, b) = (di * S, dj), or None.
+
+        A scan ends on the first stop cell past p, a jump point when it is
+        free; the blocked border keeps it in its row or column.  A diagonal
+        walk steps p and its column-major twin q together."""
         if not a:
-            return straight[b](p)
+            r = east.find(1, p + 1) if b > 0 else west.rfind(1, 0, p)
+            return r if fr[r] else None
+        i, j = divmod(p, S)
+        q = j * W + i
         if not b:
-            return straight[a](p)
-        d = a + b
-        scan_a, scan_b = straight[a], straight[b]
-        while True:
-            if not (fr[p + d] and fr[p + a] and fr[p + b]):
-                return None
+            r = south.find(1, q + 1) if a > 0 else north.rfind(1, 0, q)
+            r = p + (r - q) * S
+            return r if fr[r] else None
+        d, dq = a + b, b * W + a // S
+        while fr[p + d] and fr[p + a] and fr[p + b]:
             p += d
+            q += dq
             if p == goal_p:
                 return p
-            if scan_a(p) is not None or scan_b(p) is not None:
+            r = east.find(1, p + 1) if b > 0 else west.rfind(1, 0, p)
+            if fr[r]:
                 return p
+            r = south.find(1, q + 1) if a > 0 else north.rfind(1, 0, q)
+            if fr[p + (r - q) * S]:
+                return p
+        return None
 
+    # Directions worth a jump from p.  A direction whose first step is
+    # illegal needs no check here: jump returns None on it at once.
     def directions(p, parent_p):
         if parent_p is None:
-            dirs = []
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    if (di or dj) and step_ok(p, di * S, dj):
-                        dirs.append((di * S, dj))
-            return dirs
+            return [(di * S, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                    if di or dj]
         i, j = divmod(p, S)
         pi, pj = divmod(parent_p, S)
         a = ((i > pi) - (i < pi)) * S
         b = (j > pj) - (j < pj)
-        dirs = []
         if a and b:
-            if step_ok(p, a, 0):
-                dirs.append((a, 0))
-            if step_ok(p, 0, b):
-                dirs.append((0, b))
-            if step_ok(p, a, b):
-                dirs.append((a, b))
-        else:
-            # Straight move m: a free neighbour e across the line is forced
-            # when the cell behind it, p + e - m, is blocked.
-            m = a + b
-            if fr[p + m]:
-                dirs.append((a, b))
-            for ea, eb in ((0, -1), (0, 1)) if a else ((-S, 0), (S, 0)):
-                e = ea + eb
-                if fr[p + e] and not fr[p + e - m]:
-                    dirs.append((ea, eb))
-                    if fr[p + m] and fr[p + m + e]:
-                        dirs.append((a + ea, b + eb))
+            return (a, 0), (0, b), (a, b)
+        # Straight move m: a free neighbour e across the line is forced
+        # when the cell behind it, p + e - m, is blocked.
+        m, dirs = a + b, [(a, b)]
+        for ea, eb in ((0, -1), (0, 1)) if a else ((-S, 0), (S, 0)):
+            if fr[p + ea + eb] and not fr[p + ea + eb - m]:
+                dirs += (ea, eb), (a + ea, b + eb)
         return dirs
 
     start_p = (start[0] + 1) * S + start[1] + 1
@@ -306,10 +285,12 @@ def jps_plan(grid: UniformGridMap, req: PlanRequest) -> GridPath | None:
             if jp not in g or cost < g[jp] - 1e-12:
                 g[jp] = cost
                 parent[jp] = p
+                # The octile distance to the goal, as _octile computes it.
                 i, j = divmod(jp, S)
-                heapq.heappush(open_heap,
-                               (cost + _octile((i, j), (gi, gj)), -cost,
-                                key_i[i] | key_j[j], jp))
+                dx, dy = abs(i - gi), abs(j - gj)
+                heapq.heappush(open_heap, (
+                    cost + ((dx + dy) + OCTILE * (dx if dx <= dy else dy)),
+                    -cost, key_i[i] | key_j[j], jp))
     if goal_p not in closed:
         return None
 
@@ -419,7 +400,9 @@ def plan_with_refinement(tree: OctoTree, start_point, goal_point,
     level and retry, up to max_rounds extra depths.
 
     Each retry plans on refined(tree), so the caller's tree stays as built
-    and keeps the deeper trees as its finer chain for later calls.
+    and keeps the deeper trees as its finer chain for later calls; each
+    tree searched keeps its read-only raster as tree.raster.  A tree that
+    is not 2-D is refused with InvalidRequest before anything is rasterized.
 
     Raises StartOrGoalOccupied when every attempted depth left an endpoint
     in an occupied cell, NoPathAtMaxDepth when all attempts failed for lack
@@ -429,6 +412,7 @@ def plan_with_refinement(tree: OctoTree, start_point, goal_point,
     """
     if max_rounds < 0:
         raise InvalidSpec(f"max_rounds must be >= 0, got {max_rounds}")
+    require_2d(tree.dim)
     start_point = np.asarray(start_point, dtype=float)
     goal_point = np.asarray(goal_point, dtype=float)
     for name, p in (("start", start_point), ("goal", goal_point)):
@@ -440,7 +424,10 @@ def plan_with_refinement(tree: OctoTree, start_point, goal_point,
     last_grid = None
     rounds = 0
     for rounds in range(max_rounds + 1):
-        grid = rasterize_adaptive(tree)
+        grid = tree.raster
+        if grid is None:
+            grid = tree.raster = rasterize_adaptive(tree)
+            grid.occupancy.flags.writeable = False
         last_grid = grid
         s = grid.index_of(start_point)
         t = grid.index_of(goal_point)

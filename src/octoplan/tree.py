@@ -107,7 +107,9 @@ class OctoTree:
     Leaf k has code codes[k] and grid index index[k] and owns the point ids
     order[offsets[k]:offsets[k + 1]].  boundaries[a] holds the cell faces on
     axis a (_boundaries).  finer is None or the tree one level deeper that
-    planner.refined made from this one, which the tree keeps until dropped.
+    planner.refined made from this one, and raster None or the read-only
+    adaptive raster that planner.plan_with_refinement made of this table;
+    the tree keeps both until _set_table writes a new table.
     """
 
     def __init__(self, domain: Aabb, depth: int):
@@ -136,6 +138,7 @@ class OctoTree:
         self.order = order
         self.offsets = np.r_[starts, len(order)].astype(np.int64)
         self.finer = None
+        self.raster = None
 
     def points_array(self) -> np.ndarray:
         """The build's points, input order, as one read-only (n, d) array."""

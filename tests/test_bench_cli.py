@@ -527,6 +527,28 @@ def test_cli_downsample_convex_writes_golden_artifacts(tmp_path, capsys):
     }
 
 
+def test_cli_downsample_keeps_the_same_points_without_a_mesh(tmp_path,
+                                                            capsys):
+    cloud_path = tmp_path / "solids.bin"
+    write_binary(mapgen_mod.solid_cloud_near(20_000), cloud_path)
+    retained, summaries = [], []
+    for name, extra in (("with", ("--mesh-out", "hulls.obj")), ("without", ())):
+        out_dir = tmp_path / name
+        code, out, _ = run_cli(
+            capsys, "--out-dir", str(out_dir),
+            "downsample", "--cloud", str(cloud_path),
+            "--domain", "0,0,0:20,20,20", "--depth", "5",
+            "--method", "convex", *extra)
+        assert code == 0
+        retained.append(hashlib.sha256(
+            (out_dir / "retained.xyz").read_bytes()).hexdigest())
+        summaries.append(json.loads(out))
+    assert retained[0] == retained[1]
+    assert not (tmp_path / "without" / "hulls.obj").exists()
+    assert summaries[0]["mesh_seconds"] > 0.0
+    assert summaries[1]["mesh_seconds"] == 0.0
+
+
 def test_cli_downsample_convex_golden_through_the_vector_branch(
         tmp_path, capsys, monkeypatch):
     # Leaves of a depth-3 tree are large enough that conflict batches of
@@ -654,6 +676,26 @@ def test_cli_plan_fixed_occupied_start_exits_5(tmp_path, capsys):
         "--start", "0.5,0.5", "--goal", "7.5,7.5")
     assert code == 5
     assert json.loads(err)["error"] == "start_occupied"
+
+
+@pytest.mark.parametrize("mode_args", [
+    ("--mode", "adaptive", "--depth", "10"),
+    ("--mode", "fixed", "--cell", "0.001"),
+], ids=["adaptive", "fixed"])
+def test_cli_plan_on_a_3d_cloud_exits_5_before_rasterizing(tmp_path, capsys,
+                                                          mode_args):
+    # Either raster would be over the 2^28-cell budget (exit 2), so exit 5
+    # shows that the dimension is refused first.
+    cloud_path = tmp_path / "pts.xyz"
+    write_xyz(PointCloud(np.array([[1.0, 1.0, 1.0], [7.0, 6.0, 5.0]])),
+              cloud_path)
+    code, out, err = run_cli(
+        capsys, "--out-dir", str(tmp_path),
+        "plan", "--cloud", str(cloud_path), "--domain", "0,0,0:8,8,8",
+        *mode_args, "--start", "0.5,0.5,0.5", "--goal", "7.5,7.5,7.5")
+    assert code == 5
+    assert out == ""
+    assert json.loads(err)["error"] == "map_not_2d"
 
 
 def test_cli_plan_point_outside_domain_exits_5(tmp_path, capsys):

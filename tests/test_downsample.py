@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull as SciHull
 
+import octoplan.downsample as downsample_mod
 from octoplan.downsample import (calibrate_voxel_size, convexify_leaf,
                                  downsample_tree, export_mesh, metrics_csv,
                                  voxel_filter)
 from octoplan.errors import EmptyInput, InvalidSpec
-from octoplan.geometry import Aabb, PointCloud
+from octoplan.geometry import Aabb, PointCloud, quickhull
 from octoplan.tree import build
 
 CUBE = np.array([[float(i), float(j), float(k)]
@@ -104,15 +105,15 @@ def test_downsample_tree_preserves_global_hull():
 
 def test_downsample_tree_worker_count_does_not_change_output():
     _, tree = tree_fixture(n=2000, seed=6)
-    one = downsample_tree(tree, workers=1)
-    two = downsample_tree(tree, workers=2)
+    one = downsample_tree(tree, workers=1, mesh=True)
+    two = downsample_tree(tree, workers=2, mesh=True)
     assert one.retained.points.tobytes() == two.retained.points.tobytes()
     assert len(one.per_leaf_meshes) == len(two.per_leaf_meshes)
 
 
 def test_downsample_tree_reports_stage_times():
     _, tree = tree_fixture(n=1500, seed=9)
-    result = downsample_tree(tree)
+    result = downsample_tree(tree, mesh=True)
     assert result.eliminate_seconds >= 0.0
     assert result.mesh_seconds >= 0.0
     assert result.elapsed_seconds + 1e-6 >= (result.eliminate_seconds
@@ -130,9 +131,28 @@ def test_downsample_empty_tree():
 
 def test_downsample_meshes_cover_occupied_leaves():
     _, tree = tree_fixture(n=4000, seed=11)
-    result = downsample_tree(tree)
+    result = downsample_tree(tree, mesh=True)
     occupied = sum(1 for leaf in tree.leaves if len(leaf.point_ids))
     assert len(result.per_leaf_meshes) == occupied
+
+
+def test_downsample_without_mesh_hulls_nothing_more(monkeypatch):
+    # The reduction's own hulls are the only ones: a run with meshes makes
+    # one more quickhull call per occupied leaf and keeps the same points.
+    _, tree = tree_fixture(n=4000, seed=11)
+    calls = []
+
+    def counted(cloud):
+        calls.append(len(cloud))
+        return quickhull(cloud)
+
+    monkeypatch.setattr(downsample_mod, "quickhull", counted)
+    plain = downsample_tree(tree)
+    plain_calls = len(calls)
+    meshed = downsample_tree(tree, mesh=True)
+    assert len(calls) - 2 * plain_calls == len(tree.codes)
+    assert plain.per_leaf_meshes == [] and plain.mesh_seconds == 0.0
+    assert plain.retained.points.tobytes() == meshed.retained.points.tobytes()
 
 
 # ------------------------------------------------------------ voxel filter
@@ -218,7 +238,6 @@ def parse_obj(text):
 
 
 def test_export_cube_mesh(tmp_path):
-    from octoplan.geometry import quickhull
     mesh = quickhull(PointCloud(CUBE))
     path = tmp_path / "leaf.obj"
     export_mesh([mesh], path)
@@ -232,7 +251,6 @@ def test_export_cube_mesh(tmp_path):
 
 
 def test_export_multiple_groups_offsets_indices(tmp_path):
-    from octoplan.geometry import quickhull
     mesh1 = quickhull(PointCloud(CUBE))
     mesh2 = quickhull(PointCloud(CUBE + 10.0))
     path = tmp_path / "two.obj"
@@ -244,7 +262,6 @@ def test_export_multiple_groups_offsets_indices(tmp_path):
 
 
 def test_export_2d_hull_writes_closed_loop(tmp_path):
-    from octoplan.geometry import quickhull
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     mesh = quickhull(PointCloud(square))
     path = tmp_path / "flat.obj"

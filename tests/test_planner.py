@@ -467,6 +467,27 @@ def test_memo_forgets_earlier_goals():
     assert path == cell_by_cell_jps_plan(grid, req)
 
 
+@pytest.mark.parametrize("corner", [(0, 0), (1, 0), (0, 1), (1, 1)])
+@pytest.mark.parametrize("offset", [(10, 25), (25, 10)])
+def test_diagonal_run_stops_where_it_crosses_the_goals_line(corner, offset):
+    # On an open grid, w != h, the diagonal from a corner meets the goal's
+    # row or column after min(dx, dy) steps, where one of its two scans
+    # reaches the goal; the path turns there, as the cell-by-cell scan's
+    # does.  Each corner walks one of the four diagonals, and each offset
+    # has the turn found by the row-major or the column-major scan.
+    w, h = 31, 43
+    start = (corner[0] * (w - 1), corner[1] * (h - 1))
+    goal = tuple(s + (o if c == 0 else -o)
+                 for s, o, c in zip(start, offset, corner))
+    grid, req = empty_grid(w, h), PlanRequest(start, goal)
+    path = jps_plan(grid, req)
+    assert path == cell_by_cell_jps_plan(grid, req)
+    turn = min(offset)
+    di, dj = (1 - 2 * c for c in corner)
+    assert path.nodes[turn] == (start[0] + turn * di, start[1] + turn * dj)
+    assert path.cost == pytest.approx(turn * SQRT2 + abs(offset[0] - offset[1]))
+
+
 def count_builds(monkeypatch):
     """Reset the memo and count the maps built into it; each build asserts
     that the previous map's tables were dropped first."""
@@ -711,6 +732,86 @@ def test_refinement_leaves_the_callers_tree_as_built(monkeypatch):
     assert again.rounds_used == expected.rounds_used == 2
     assert same_grid(again.grid, expected.grid)
     assert tree.finer.finer.depth == 3
+
+
+def count_rasters(monkeypatch):
+    """Depths of the trees planner.rasterize_adaptive rasterizes."""
+    depths = []
+
+    def counted(tree):
+        depths.append(tree.depth)
+        return rasterize_adaptive(tree)
+
+    monkeypatch.setattr(planner_mod, "rasterize_adaptive", counted)
+    return depths
+
+
+def test_queries_on_one_tree_rasterize_it_once(monkeypatch):
+    depths = count_rasters(monkeypatch)
+    tree = build(wall_cloud(0.5, gap_lo=4.0, gap_hi=12.0),
+                 refinement_domain(), depth=3)
+    rng = np.random.default_rng(5)
+    grids = set()
+    for _ in range(20):
+        start = rng.uniform([0.0, 0.0], [6.0, 16.0])
+        goal = rng.uniform([8.0, 0.0], [16.0, 16.0])
+        result = plan_with_refinement(tree, start, goal, max_rounds=2)
+        assert result.rounds_used == 0
+        grids.add(id(result.grid))
+    assert depths == [3]
+    assert grids == {id(tree.raster)}
+
+
+def test_refinement_rasterizes_each_new_depth_once(monkeypatch):
+    depths = count_rasters(monkeypatch)
+    tree = build(wall_cloud(0.5, gap_lo=8.0, gap_hi=10.0),
+                 refinement_domain(), depth=1)
+    for _ in range(2):
+        result = plan_with_refinement(tree, (2.0, 8.0), (14.0, 8.0),
+                                      max_rounds=2)
+        assert result.rounds_used == 2
+        assert depths == [1, 2, 3]
+    assert result.grid is tree.finer.finer.raster
+
+
+def test_in_place_partition_drops_the_kept_raster():
+    tree = build(wall_cloud(0.5, gap_lo=4.0, gap_hi=12.0),
+                 refinement_domain(), depth=2)
+    assert plan_with_refinement(tree, (2.0, 8.0), (14.0, 8.0)).grid.dims \
+        == (4, 4)
+    assert tree.raster is not None
+    real_partition(tree)
+    assert tree.raster is None and tree.finer is None
+    result = plan_with_refinement(tree, (2.0, 8.0), (14.0, 8.0))
+    assert result.grid.dims == (8, 8)
+    assert result.grid is tree.raster
+
+
+def test_refined_tree_has_its_own_raster():
+    tree = build(wall_cloud(0.5, gap_lo=8.0, gap_hi=10.0),
+                 refinement_domain(), depth=2)
+    plan_with_refinement(tree, (2.0, 8.0), (14.0, 8.0), max_rounds=2)
+    finer = planner_mod.refined(tree)
+    assert finer.raster is not None and finer.raster is not tree.raster
+    assert finer.raster.dims == (8, 8) and tree.raster.dims == (4, 4)
+
+
+def test_kept_raster_is_read_only():
+    tree = build(wall_cloud(0.5, gap_lo=4.0, gap_hi=12.0),
+                 refinement_domain(), depth=2)
+    result = plan_with_refinement(tree, (2.0, 8.0), (14.0, 8.0))
+    with pytest.raises(ValueError):
+        result.grid.occupancy[0, 0] = True
+
+
+def test_refinement_refuses_3d_tree_before_rasterizing(monkeypatch):
+    depths = count_rasters(monkeypatch)
+    domain = Aabb(np.zeros(3), np.full(3, 16.0))
+    tree = build(PointCloud(np.array([[8.0, 8.0, 8.0]])), domain, depth=2)
+    with pytest.raises(InvalidRequest) as err:
+        plan_with_refinement(tree, (1.0, 1.0, 1.0), (15.0, 15.0, 15.0))
+    assert err.value.code == "map_not_2d"
+    assert depths == [] and tree.raster is None
 
 
 def test_refinement_rejects_point_outside_domain():
