@@ -49,8 +49,7 @@ def _shape_result(rows: np.ndarray, dim, path) -> PointCloud:
 def write_xyz(cloud: PointCloud, path) -> None:
     pts = _as_three_columns(cloud)
     with open(path, "w") as fh:
-        for row in pts.tolist():
-            fh.write(f"{row[0]!r} {row[1]!r} {row[2]!r}\n")
+        fh.write(("%r %r %r\n" * len(pts)) % tuple(pts.ravel().tolist()))
 
 
 def read_xyz(path, dim=None) -> PointCloud:

@@ -23,6 +23,7 @@ that hunts for the voxel size hitting a requested output count.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
@@ -127,8 +128,13 @@ def downsample_tree(tree: OctoTree, workers: int = 1,
                 for leaf in leaves]
     total = sum(len(p[0]) for p in payloads)
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    # At most `workers` processes, none past the CPUs this process may use
+    # or the 16-leaf chunks, and no pool for one.
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    procs = min(workers, cpus, -(-len(payloads) // 16))
+    if procs > 1:
+        with ProcessPoolExecutor(max_workers=procs) as pool:
             outcomes = list(pool.map(_leaf_job, payloads, chunksize=16))
     else:
         outcomes = [_leaf_job(p) for p in payloads]
@@ -215,12 +221,12 @@ def export_mesh(meshes: list, path) -> None:
         for i, mesh in enumerate(meshes):
             fh.write(f"g leaf_{i}\n")
             verts = np.asarray(mesh.vertices, dtype=float)
-            for row in verts.tolist():
-                z = row[2] if verts.shape[1] == 3 else 0.0
-                fh.write(f"v {row[0]!r} {row[1]!r} {z!r}\n")
+            row = "v %r %r %r\n" if verts.shape[1] == 3 else "v %r %r 0.0\n"
+            fh.write((row * len(verts)) % tuple(verts.ravel().tolist()))
             if verts.shape[1] == 3:
                 faces = np.asarray(mesh.faces, dtype=np.int64) + base
-                fh.writelines(f"f {a} {b} {c}\n" for a, b, c in faces.tolist())
+                fh.write(("f %d %d %d\n" * len(faces))
+                         % tuple(faces.ravel().tolist()))
             else:
                 loop = " ".join(str(base + v) for v in range(len(verts)))
                 fh.write(f"l {loop} {base}\n")

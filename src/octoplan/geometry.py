@@ -8,10 +8,13 @@ nanometre-level slack.
 
 The 3-D hull keeps its faces in flat parallel lists indexed by face id:
 vertex triple, plane tuple (nx, ny, nz, off), alive flag, conflict list and
-visit stamp, with directed edges keyed as the integer u * n + v.  Every
-per-face access is a scalar read, which is cheaper from a Python list than
-from a numpy array.  The decisions are fixed, so a hull is a function of its
-input bytes alone:
+visit stamp, with directed edges keyed as the integer u * n + v.  Leaves of
+a downsample are hulled by the thousand, mostly with under fifty points
+each, so this per-face work is most of a downsample's time.  It stays in
+the interpreter, where a scalar read from a list beats a numpy call at that
+size: new planes are computed inline, the seed simplex by scalar loops and
+the canonical output by Python sorts.  The decisions are fixed, so a hull
+is a function of its input bytes alone:
 
 - every plane and side test, on Python scalars or elementwise over numpy
   arrays, is the expression nx*x + ny*y + nz*z - off in that order, never
@@ -22,10 +25,6 @@ input bytes alone:
   new faces, come in the order the flood met them;
 - the face queue is last-in, first-out, and a point equally far outside two
   faces goes to the earlier one.
-
-Leaves of a downsample are hulled by the thousand, mostly with under fifty
-points each, so this per-face interpreter work is most of a downsample's
-time.
 """
 from __future__ import annotations
 
@@ -302,27 +301,36 @@ def _plane_side(pts, table):
 def _initial_simplex(pts, rows) -> tuple[int, int, int, int]:
     """Seed tetrahedron: the lexicographically smallest point, the point
     furthest from it, the point furthest from their line and the point
-    furthest from their plane, the first on ties."""
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    i0 = int(np.lexsort((z, y, x))[0])
+    furthest from their plane, the first on ties.  Scalar loops over rows
+    (pts is not read) pick what np.argmax would, which is the first NaN
+    where there is one, as coordinates beyond 1e154 can make."""
+    i0 = rows.index(min(rows))
     x0, y0, z0 = rows[i0]
-    dx, dy, dz = x - x0, y - y0, z - z0
-    d = dx * dx + dy * dy + dz * dz
-    i1 = int(np.argmax(d))
+    d = []
+    for x, y, z in rows:
+        dx, dy, dz = x - x0, y - y0, z - z0
+        d.append(dx * dx + dy * dy + dz * dz)
+    i1 = d.index(max(d))  # a sum of squares is never NaN
     if math.sqrt(d[i1]) <= HULL_EPS:
         raise DegenerateInput("all points coincide within tolerance")
     sx, sy, sz = rows[i1][0] - x0, rows[i1][1] - y0, rows[i1][2] - z0
     seg = math.sqrt(sx * sx + sy * sy + sz * sz)
     sx, sy, sz = sx / seg, sy / seg, sz / seg
-    proj = dx * sx + dy * sy + dz * sz
-    perp = d - proj * proj
-    i2 = int(np.argmax(perp))
-    if math.sqrt(max(perp[i2], 0.0)) <= HULL_EPS:
+    best, i2 = -math.inf, 0
+    for i, (x, y, z) in enumerate(rows):
+        proj = (x - x0) * sx + (y - y0) * sy + (z - z0) * sz
+        v = d[i] - proj * proj
+        if v > best or v != v and best == best:
+            best, i2 = v, i
+    if math.sqrt(max(best, 0.0)) <= HULL_EPS:
         raise DegenerateInput("points are collinear within tolerance")
     (nx, ny, nz), off = _plane_rows(rows[i0], rows[i1], rows[i2])
-    h = np.abs(nx * x + ny * y + nz * z - off)
-    i3 = int(np.argmax(h))
-    if h[i3] <= HULL_EPS:
+    best, i3 = -math.inf, 0
+    for i, (x, y, z) in enumerate(rows):
+        v = abs(nx * x + ny * y + nz * z - off)
+        if v > best or v != v and best == best:
+            best, i3 = v, i
+    if best <= HULL_EPS:
         raise DegenerateInput("points are coplanar within tolerance")
     return i0, i1, i2, i3
 
@@ -331,49 +339,48 @@ def _hull_3d(pts: np.ndarray) -> ConvexHull:
     n_pts = pts.shape[0]
     rows = pts.tolist()
     i0, i1, i2, i3 = _initial_simplex(pts, rows)
-    cx = (rows[i0][0] + rows[i1][0] + rows[i2][0] + rows[i3][0]) / 4.0
-    cy = (rows[i0][1] + rows[i1][1] + rows[i2][1] + rows[i3][1]) / 4.0
-    cz = (rows[i0][2] + rows[i1][2] + rows[i2][2] + rows[i3][2]) / 4.0
+    cx, cy, cz = [(a + b + c + d) / 4.0 for a, b, c, d in zip(
+        rows[i0], rows[i1], rows[i2], rows[i3])]
 
     # Face f is entry f of each table.  `owner` maps the directed edge
     # u -> v, keyed u * n_pts + v, to the face last created with it.  An
     # entry of a dead face is never deleted: the flood checks `alive`, and
     # the horizon test needs no check, as only live faces carry the stamp
     # of the current apex.
-    tri: list[tuple[int, int, int]] = []
-    plane: list[tuple[float, float, float, float]] = []
-    alive: list[bool] = []
-    conf: list[list[int] | None] = []
-    stamp: list[int] = []
+    tri, plane, alive, conf, stamp = [], [], [], [], []
     owner: dict[int, int] = {}
 
     new = [(i0, i1, i2), (i0, i1, i3), (i0, i2, i3), (i1, i2, i3)]
-    seed = {i0, i1, i2, i3}
-    cand = [i for i in range(n_pts) if i not in seed]
+    cand = [i for i in range(n_pts) if i not in (i0, i1, i2, i3)]
     queue: list[int] = []
     while True:
         start = len(tri)
-        for a, b, c in new:
-            normal, off = _plane_rows(rows[a], rows[b], rows[c])
-            if normal is None:
+        for f, (a, b, c) in enumerate(new, start):
+            # _plane_rows inline, then oriented away from the centroid.
+            (ax, ay, az), (bx, by, bz), (qx, qy, qz) = rows[a], rows[b], rows[c]
+            ux, uy, uz = bx - ax, by - ay, bz - az
+            vx, vy, vz = qx - ax, qy - ay, qz - az
+            nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+            norm = math.sqrt(nx * nx + ny * ny + nz * nz)
+            if norm == 0.0:
                 # Sliver triangle; keep it with a null plane.
                 pl = (0.0, 0.0, 0.0, 0.0)
             else:
-                nx, ny, nz = normal
+                nx, ny, nz = nx / norm, ny / norm, nz / norm
+                off = nx * ax + ny * ay + nz * az
                 if nx * cx + ny * cy + nz * cz > off:
                     # Same plane, opposite winding: negation is exact.
                     b, c = c, b
                     pl = (-nx, -ny, -nz, -off)
                 else:
                     pl = (nx, ny, nz, off)
-            f = len(tri)
             tri.append((a, b, c))
             plane.append(pl)
-            alive.append(True)
-            stamp.append(-1)
             owner[a * n_pts + b] = f
             owner[b * n_pts + c] = f
             owner[c * n_pts + a] = f
+        alive += [True] * len(new)
+        stamp += [-1] * len(new)
         buckets = _assign_conflicts(pts, rows, plane[start:], cand)
         conf.extend(buckets)
         queue += [f for f, mine in enumerate(buckets, start) if mine]
@@ -384,24 +391,28 @@ def _hull_3d(pts: np.ndarray) -> ConvexHull:
             break
         face = queue.pop()
         nx, ny, nz, _ = plane[face]
-        best = -math.inf
-        p = -1
+        best, p = -math.inf, -1
         for i in conf[face]:
-            r = rows[i]
-            rel = nx * r[0] + ny * r[1] + nz * r[2]
+            x, y, z = rows[i]
+            rel = nx * x + ny * y + nz * z
             if rel > best:
                 best, p = rel, i
         px, py, pz = rows[p]
 
         # Depth-first flood from `face` to every face visible from p.  Each
-        # point is an apex once, so p itself stamps the faces seen.
+        # point is an apex once, so p itself stamps the faces seen.  The
+        # twins of each visible face's edges are kept for the horizon.
         stamp[face] = p
         visible = [face]
         stack = [face]
+        twins = {}
         while stack:
-            a, b, c = tri[stack.pop()]
-            for g in (owner.get(b * n_pts + a), owner.get(c * n_pts + b),
-                      owner.get(a * n_pts + c)):
+            f = stack.pop()
+            a, b, c = tri[f]
+            twins[f] = near = (owner.get(b * n_pts + a),
+                               owner.get(c * n_pts + b),
+                               owner.get(a * n_pts + c))
+            for g in near:
                 if g is None or stamp[g] == p or not alive[g]:
                     continue
                 gx, gy, gz, go = plane[g]
@@ -410,29 +421,34 @@ def _hull_3d(pts: np.ndarray) -> ConvexHull:
                     visible.append(g)
                     stack.append(g)
 
+        # A point is in one conflict list at most: orphans need no set.
         new = []
-        orphan = set()
+        orphan = []
         for f in visible:
             a, b, c = tri[f]
-            for u, v in ((a, b), (b, c), (c, a)):
-                g = owner.get(v * n_pts + u)
-                if g is None or stamp[g] != p:
-                    new.append((u, v, p))
+            gab, gbc, gca = twins[f]
+            if gab is None or stamp[gab] != p:
+                new.append((a, b, p))
+            if gbc is None or stamp[gbc] != p:
+                new.append((b, c, p))
+            if gca is None or stamp[gca] != p:
+                new.append((c, a, p))
             if conf[f]:
-                orphan.update(conf[f])
+                orphan += conf[f]
             alive[f] = False
-        orphan.discard(p)
+        orphan.remove(p)
         cand = sorted(orphan)
 
-    # Canonical output: live vertices renumbered in ascending order, each
-    # triangle rotated to start at its smallest index, rows sorted.
-    live = np.array([t for t, ok in zip(tri, alive) if ok], dtype=np.int64)
-    used = np.unique(live)
-    faces = np.searchsorted(used, live)
-    turn = (np.argmin(faces, axis=1)[:, None] + np.arange(3)) % 3
-    faces = np.take_along_axis(faces, turn, axis=1)
-    faces = faces[np.lexsort((faces[:, 2], faces[:, 1], faces[:, 0]))]
-    return ConvexHull(pts[used], faces)
+    # Canonical output: live triangles rotated to start at their smallest
+    # index, rows sorted, then vertices renumbered in ascending order.
+    faces = [(a, b, c) if a < b and a < c else (b, c, a) if b < c else
+             (c, a, b) for (a, b, c), ok in zip(tri, alive) if ok]
+    faces.sort()
+    flat = [i for t in faces for i in t]
+    used = sorted(set(flat))
+    rank = dict(zip(used, range(len(used))))
+    return ConvexHull(pts[used], np.array([rank[i] for i in flat],
+                                          dtype=np.int64).reshape(-1, 3))
 
 
 def _assign_conflicts(pts, rows, planes, cand):
@@ -445,11 +461,8 @@ def _assign_conflicts(pts, rows, planes, cand):
         rel = _plane_side(pts[cand_arr], np.array(planes))
         best = np.argmax(rel, axis=1)
         outside = rel[np.arange(len(cand_arr)), best] > HULL_EPS
-        buckets = []
-        for fi in range(len(planes)):
-            mine = cand_arr[(best == fi) & outside]
-            buckets.append(mine.tolist() if mine.size else None)
-        return buckets
+        return [cand_arr[(best == fi) & outside].tolist() or None
+                for fi in range(len(planes))]
     buckets = [None] * len(planes)
     for i in cand:
         x, y, z = rows[i]

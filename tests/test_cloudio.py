@@ -39,6 +39,30 @@ def test_xyz_dim_override(tmp_path):
     assert not back.points[:, 2].any()
 
 
+# Coordinates whose repr is easy to get wrong: signed zero, the smallest
+# subnormal, the largest float and integral values.
+AWKWARD = np.array([[-0.0, 5e-324, 1.7976931348623157e308],
+                    [3.0, -2.0, 0.0],
+                    [-1.7976931348623157e308, -5e-324, 1e16],
+                    [0.1, 123456789.0, -7.25]])
+
+
+def row_at_a_time(pts):
+    """The xyz text written one row at a time, z = 0.0 for a 2-D cloud."""
+    return "".join(f"{r[0]!r} {r[1]!r} {r[2] if len(r) == 3 else 0.0!r}\n"
+                   for r in pts.tolist())
+
+
+@pytest.mark.parametrize("pts", [AWKWARD, AWKWARD[:, :2],
+                                 np.asfortranarray(AWKWARD)],
+                         ids=["3d", "2d", "fortran"])
+def test_xyz_text_equals_row_at_a_time_text(tmp_path, pts):
+    path = tmp_path / "pts.xyz"
+    write_xyz(PointCloud(pts), path)
+    assert path.read_bytes() == row_at_a_time(pts).encode()
+    assert read_xyz(path).points.tobytes() == pts.tobytes()
+
+
 def test_xyz_skips_blank_lines(tmp_path):
     path = tmp_path / "pts.xyz"
     path.write_text("1.0 2.0 3.0\n\n   \n4.0 5.0 6.0\n")

@@ -2,6 +2,8 @@
 
 scipy's hull is the independent cross-check for hull preservation.
 """
+import os
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull as SciHull
@@ -11,8 +13,8 @@ from octoplan.downsample import (calibrate_voxel_size, convexify_leaf,
                                  downsample_tree, export_mesh, metrics_csv,
                                  voxel_filter)
 from octoplan.errors import EmptyInput, InvalidSpec
-from octoplan.geometry import Aabb, PointCloud, quickhull
-from octoplan.tree import build
+from octoplan.geometry import Aabb, ConvexHull, PointCloud, quickhull
+from octoplan.tree import build, occupied_leaf_nodes
 
 CUBE = np.array([[float(i), float(j), float(k)]
                  for i in (0, 1) for j in (0, 1) for k in (0, 1)])
@@ -109,6 +111,47 @@ def test_downsample_tree_worker_count_does_not_change_output():
     two = downsample_tree(tree, workers=2, mesh=True)
     assert one.retained.points.tobytes() == two.retained.points.tobytes()
     assert len(one.per_leaf_meshes) == len(two.per_leaf_meshes)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, starts no
+    process and maps in this one."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("workers, cpus, n, want", [
+    (100_000, 2, 2000, [2]),    # capped by the usable CPUs
+    (100_000, 64, 2000, [4]),   # capped by the 16-leaf chunks
+    (3, 64, 2000, [3]),         # as asked
+    (8, 64, 10, []),            # one chunk: no pool
+    (8, 1, 2000, []),           # one CPU: no pool
+    (1, 64, 2000, []),
+])
+def test_downsample_pool_is_capped(monkeypatch, workers, cpus, n, want):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(downsample_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    _, tree = tree_fixture(n=n, seed=6)
+    chunks = -(-len(occupied_leaf_nodes(tree)) // 16)
+    assert chunks == {2000: 4, 10: 1}[n]
+    got = downsample_tree(tree, workers=workers, mesh=True)
+    assert RecordingPool.sizes == want
+    alone = downsample_tree(tree, workers=1, mesh=True)
+    assert got.retained.points.tobytes() == alone.retained.points.tobytes()
 
 
 def test_downsample_tree_reports_stage_times():
@@ -272,6 +315,29 @@ def test_export_2d_hull_writes_closed_loop(tmp_path):
     loop = lines[0]
     assert loop[0] == loop[-1] == 1
     assert sorted(loop[:-1]) == [1, 2, 3, 4]
+
+
+def test_export_text_equals_row_at_a_time_text(tmp_path):
+    awkward = np.array([[-0.0, 5e-324, 1.7976931348623157e308],
+                        [3.0, -2.0, 0.0], [1e16, 0.1, -7.25]])
+    meshes = [quickhull(PointCloud(CUBE)),
+              ConvexHull(awkward, np.array([[0, 1, 2], [0, 2, 1]])),
+              ConvexHull(awkward[:, :2], np.arange(3))]
+    want, base = [], 1
+    for i, mesh in enumerate(meshes):
+        want.append(f"g leaf_{i}\n")
+        for r in mesh.vertices.tolist():
+            z = r[2] if len(r) == 3 else 0.0
+            want.append(f"v {r[0]!r} {r[1]!r} {z!r}\n")
+        if mesh.dim == 3:
+            want += [f"f {a + base} {b + base} {c + base}\n"
+                     for a, b, c in mesh.faces.tolist()]
+        else:
+            want.append(f"l {base} {base + 1} {base + 2} {base}\n")
+        base += len(mesh.vertices)
+    path = tmp_path / "mixed.obj"
+    export_mesh(meshes, path)
+    assert path.read_text() == "".join(want)
 
 
 def test_export_empty_list(tmp_path):

@@ -239,8 +239,37 @@ def test_minimality_removing_any_vertex_loses_it():
 
 # ------------------------------------------------------- 3-D hull oracle
 # The same quickhull with one object per face, `id()` sets and an edge dict
-# keyed by vertex tuples.  It shares the package's initial simplex and plane
-# helper: only the face bookkeeping and the output order are under test.
+# keyed by vertex tuples, seeded by its own numpy simplex.  It shares only
+# the package's plane helper: the seed, the face bookkeeping and the output
+# order are under test.
+
+
+def reference_initial_simplex(pts, rows, argmax=np.argmax):
+    """The seed tetrahedron by whole-array numpy passes: lexsort, then the
+    elementwise distance, perpendicular and plane-height expressions, each
+    decided by np.argmax."""
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    i0 = int(np.lexsort((z, y, x))[0])
+    x0, y0, z0 = rows[i0]
+    dx, dy, dz = x - x0, y - y0, z - z0
+    d = dx * dx + dy * dy + dz * dz
+    i1 = int(argmax(d))
+    if math.sqrt(d[i1]) <= HULL_EPS:
+        raise DegenerateInput("all points coincide within tolerance")
+    sx, sy, sz = rows[i1][0] - x0, rows[i1][1] - y0, rows[i1][2] - z0
+    seg = math.sqrt(sx * sx + sy * sy + sz * sz)
+    sx, sy, sz = sx / seg, sy / seg, sz / seg
+    proj = dx * sx + dy * sy + dz * sz
+    perp = d - proj * proj
+    i2 = int(argmax(perp))
+    if math.sqrt(max(perp[i2], 0.0)) <= HULL_EPS:
+        raise DegenerateInput("points are collinear within tolerance")
+    (nx, ny, nz), off = _plane_rows(rows[i0], rows[i1], rows[i2])
+    h = np.abs(nx * x + ny * y + nz * z - off)
+    i3 = int(argmax(h))
+    if h[i3] <= HULL_EPS:
+        raise DegenerateInput("points are coplanar within tolerance")
+    return i0, i1, i2, i3
 
 
 class RefFace:
@@ -264,7 +293,7 @@ def reference_quickhull_3d(points):
         raise DegenerateInput("fewer than 4 distinct points")
     n_pts = pts.shape[0]
     rows = pts.tolist()
-    i0, i1, i2, i3 = _initial_simplex(pts, rows)
+    i0, i1, i2, i3 = reference_initial_simplex(pts, rows)
     interior = tuple(
         (rows[i0][k] + rows[i1][k] + rows[i2][k] + rows[i3][k]) / 4.0
         for k in range(3))
@@ -489,6 +518,44 @@ def test_hull_3d_matches_oracle_through_the_vector_branch(kind, monkeypatch):
     assert_matches_hull_oracle(pts)
     assert products[0] >= 4096
     assert min(products) < 4096
+
+
+def simplex_or_error(fn, pts):
+    try:
+        with np.errstate(all="ignore"):
+            return fn(pts, pts.tolist())
+    except (DegenerateInput, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+def test_initial_simplex_equals_the_numpy_pick(kind):
+    # Unsorted rows with repeats: the first of tied points must win.
+    rng = np.random.default_rng([62, len(kind)])
+    for _ in range(40):
+        pts = oracle_cloud(rng, kind, int(rng.integers(4, 80)))
+        assert simplex_or_error(_initial_simplex, pts) == \
+            simplex_or_error(reference_initial_simplex, pts)
+
+
+def test_initial_simplex_equals_the_numpy_pick_beyond_1e154():
+    # Squares overflow there, so distances reach inf, and near the largest
+    # float the perpendiculars and plane heights hold NaNs, which np.argmax
+    # picks first.  A pick blind to NaN must differ somewhere, or no NaN
+    # decided anything.
+    def blind(a):
+        return np.argmax(np.where(np.isnan(a), -np.inf, a))
+
+    rng = np.random.default_rng(63)
+    nan_decided = 0
+    for case in range(300):
+        scale = 1.7e308 if case % 2 else 10.0 ** rng.uniform(154.0, 308.0)
+        pts = scale * rng.uniform(-1.0, 1.0, (int(rng.integers(4, 30)), 3))
+        want = simplex_or_error(reference_initial_simplex, pts)
+        assert simplex_or_error(_initial_simplex, pts) == want, case
+        nan_decided += simplex_or_error(
+            lambda p, r: reference_initial_simplex(p, r, blind), pts) != want
+    assert nan_decided >= 10
 
 
 def test_assign_conflicts_vector_branch_equals_the_scalar_loop():
