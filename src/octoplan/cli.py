@@ -97,7 +97,7 @@ def _perlin_params(args, domain: Aabb, spm: float) -> PerlinParams:
 def _load_cloud_args(args) -> tuple[PointCloud, Aabb]:
     domain = _parse_domain(args.domain) if args.domain else None
     if args.cloud:
-        cloud = _read_cloud(args.cloud, dim=args.dim)
+        cloud = _read_cloud(args.cloud, dim=args.dim or domain and domain.dim)
     elif args.perlin:
         if domain is None:
             raise InvalidSpec("--perlin needs --domain")
@@ -123,7 +123,7 @@ def _resolve_depth(args, domain: Aabb) -> int:
 def _add_cloud_args(sub):
     sub.add_argument("--cloud", help="input cloud file (.xyz or .bin)")
     sub.add_argument("--dim", type=int, choices=(2, 3),
-                     help="override cloud dimensionality on read")
+                     help="cloud dimension on read (default: the --domain's)")
     sub.add_argument("--perlin", action="store_true",
                      help="generate a noise cloud instead of reading one")
     sub.add_argument("--scene-points", type=int,
@@ -327,6 +327,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_calibrate_perlin(args) -> int:
     domain = _parse_domain(args.domain)
+    if args.target < 1:
+        raise InvalidSpec(f"--target must be at least 1, got {args.target}")
     if not 0 <= args.tolerance_pct <= 100:
         raise InvalidSpec("--tolerance-pct must be in [0, 100],"
                           f" got {args.tolerance_pct}")

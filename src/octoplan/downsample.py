@@ -12,11 +12,11 @@ Each occupied leaf is reduced independently:
    extreme points from step 1.
 
 Leaves with at most 2 * d points, and any stage whose hull degenerates
-(too few points, collinear or coplanar input), retain that stage's points
-unchanged. The retained set therefore always contains every vertex of the
-leaf's full convex hull: such a vertex is never strictly inside the seed
-polytope, and a supporting hyperplane at it also supports its orthant's
-hull, so it survives both cuts.
+(too few points, collinear or coplanar input, or a spread too wide to
+hull), retain that stage's points unchanged. The retained set therefore
+always contains every vertex of the leaf's full convex hull: such a vertex
+is never strictly inside the seed polytope, and a supporting hyperplane at
+it also supports its orthant's hull, so it survives both cuts.
 
 The voxel-grid filter baseline lives here too, with a calibration helper
 that hunts for the voxel size hitting a requested output count.
@@ -160,28 +160,29 @@ def voxel_filter(cloud: PointCloud, voxel_size: float) -> PointCloud:
     if not voxel_size > 0:
         raise InvalidSpec(f"voxel_size must be positive, got {voxel_size}")
     pts = cloud.points
-    idx = np.floor((pts - pts.min(axis=0)) / voxel_size).astype(np.int64)
+    with np.errstate(over="ignore"):
+        cell = np.floor((pts - pts.min(axis=0)) / voxel_size)
+    if cell.max() == np.inf:
+        raise InvalidSpec(f"voxel_size {voxel_size!r} overflows a voxel index")
 
-    # Collapse the d-dimensional voxel index to one sortable key.
-    spans = idx.max(axis=0) + 1
-    key = np.zeros(len(pts), dtype=np.int64)
-    for a in range(pts.shape[1]):
-        key = key * spans[a] + idx[:, a]
-
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    starts = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
-    sums = np.add.reduceat(pts[order], starts, axis=0)
+    # Voxel rows in grid order, axis 0 first; the stable sort keeps input
+    # order within a voxel.
+    order = np.lexsort(cell.T[::-1])
+    ordered = pts[order]
+    srt = cell[order]
+    new = np.r_[True, np.any(srt[1:] != srt[:-1], axis=1)]
+    starts = np.flatnonzero(new)
+    sums = np.add.reduceat(ordered, starts, axis=0)
     counts = np.diff(np.r_[starts, len(pts)])
     centroids = sums / counts[:, None]
 
-    group_of = np.cumsum(np.r_[0, sorted_key[1:] != sorted_key[:-1]])
-    dist = np.linalg.norm(pts[order] - centroids[group_of], axis=1)
+    group_of = np.cumsum(new) - 1
+    dist = np.linalg.norm(ordered - centroids[group_of], axis=1)
     # Sort each voxel group by distance then by original index; the first
     # row per group is the representative.
-    pick = np.lexsort((order, dist, sorted_key))
+    pick = np.lexsort((order, dist, group_of))
     winners = pick[starts]
-    return PointCloud(pts[order][winners])
+    return PointCloud(ordered[winners])
 
 
 def calibrate_voxel_size(cloud: PointCloud, target_count: int,

@@ -10,7 +10,7 @@ class EmptyInput(OctoplanError):
 
 
 class DegenerateInput(OctoplanError):
-    """Input is affinely dependent (coincident, collinear, or coplanar)."""
+    """Hull input is affinely dependent or spread over geometry.MAX_SPREAD."""
 
 
 class PointOutOfDomain(OctoplanError):

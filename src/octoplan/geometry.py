@@ -6,6 +6,11 @@ Huhdanpaa, ACM TOMS 22(4), 1996).  All tolerance checks use a single
 absolute epsilon in coordinate units, so callers at metric scale get
 nanometre-level slack.
 
+A hull's input is its rows deduplicated by value (0.0 == -0.0, the first
+kept), spread by at most MAX_SPREAD on every axis: 2^511 in 2-D, where side
+tests multiply two coordinate differences, and 2^255 in 3-D, where plane
+normals square cross products of them, so every product stays finite.
+
 The 3-D hull keeps its faces in flat parallel lists indexed by face id:
 vertex triple, plane tuple (nx, ny, nz, off), alive flag, conflict list and
 visit stamp, with directed edges keyed as the integer u * n + v.  Leaves of
@@ -21,8 +26,8 @@ is a function of its input bytes alone:
   a BLAS product.  One ulp can move a point to another face, so the batch
   size, which picks scalars or arrays for speed alone, and the CPU's BLAS
   kernel must not choose the arithmetic;
-- the visible flood is depth-first, and horizon edges, and with them the
-  new faces, come in the order the flood met them;
+- the visible flood is depth-first, also into the faces _folds picks, and
+  horizon edges, and with them the new faces, come in the order it met them;
 - the face queue is last-in, first-out, and a point equally far outside two
   faces goes to the earlier one.
 """
@@ -37,6 +42,8 @@ from .errors import DegenerateInput, EmptyInput, InvalidSpec, PointOutOfDomain
 
 # Absolute tolerance (coordinate units) for every hull-side predicate.
 HULL_EPS = 1e-9
+# Largest per-axis spread of a hull input (see the module docstring).
+MAX_SPREAD = {2: 2.0 ** 511, 3: 2.0 ** 255}
 
 
 def as_point(p) -> np.ndarray:
@@ -56,8 +63,7 @@ class Aabb:
     max: np.ndarray
 
     def __post_init__(self):
-        lo = as_point(self.min)
-        hi = as_point(self.max)
+        lo, hi = as_point(self.min), as_point(self.max)
         object.__setattr__(self, "min", lo)
         object.__setattr__(self, "max", hi)
         if lo.shape != hi.shape:
@@ -94,14 +100,14 @@ class Aabb:
 
 
 def require_inside(pts: np.ndarray, box: Aabb) -> None:
-    """Raise InvalidSpec when a nonempty (n, d) array and the box differ in
-    dimension, and PointOutOfDomain naming its first row outside the closed
-    box.  The scan goes column by column: reducing a comparison of the
-    whole (n, d) array over axis 1 is an order of magnitude slower."""
+    """Raise InvalidSpec when an (n, d) array, empty or not, and the box
+    differ in dimension, and PointOutOfDomain naming its first row outside
+    the closed box.  The scan goes column by column: reducing a comparison
+    of the whole (n, d) array over axis 1 is an order of magnitude slower."""
     if pts.shape[1] != box.dim:
         raise InvalidSpec(f"cloud dim {pts.shape[1]} != domain dim {box.dim}")
-    if any(pts[:, a].min() < box.min[a] or pts[:, a].max() > box.max[a]
-           for a in range(box.dim)):
+    if len(pts) and any(pts[:, a].min() < box.min[a] or
+                        pts[:, a].max() > box.max[a] for a in range(box.dim)):
         ok = (pts >= box.min).all(axis=1) & (pts <= box.max).all(axis=1)
         bad = int(np.argmin(ok))
         raise PointOutOfDomain(pts[bad], box.min, box.max, index=bad)
@@ -158,18 +164,10 @@ class ConvexHull:
         return self.vertices.shape[1]
 
 
-_NEG_ZERO = np.float64(-0.0).view(np.int64)
-
-
 def _dedupe_rows(pts: np.ndarray) -> np.ndarray:
-    """Unique rows in lexicographic order (exact coordinate equality), the
-    same array as np.unique(pts, axis=0).
-
-    A stable lexsort keeps the first of equal rows.  np.unique keeps an
-    unspecified one, which shows only when equal rows differ in the sign of
-    a zero, so a cloud holding a negative zero goes through np.unique."""
-    if (pts.view(np.int64) == _NEG_ZERO).any():
-        return np.unique(pts, axis=0)
+    """Unique rows in lexicographic order.  Rows equal by value (0.0 ==
+    -0.0) are one row, and the first of them in input order is kept: a
+    stable lexsort leaves equal rows in input order."""
     srt = pts[np.lexsort(pts.T[::-1])]
     keep = np.empty(len(srt), dtype=bool)
     keep[:1] = True
@@ -181,8 +179,9 @@ def quickhull(cloud: PointCloud) -> ConvexHull:
     """Convex hull of a 2-D or 3-D cloud.
 
     Raises EmptyInput when the cloud has fewer than d+1 points and
-    DegenerateInput when the deduplicated points are affinely dependent
-    (within HULL_EPS).  Output vertices are a subset of the input points.
+    DegenerateInput when its rows, deduplicated by value, are affinely
+    dependent (within HULL_EPS) or spread over MAX_SPREAD[d].  Output
+    vertices are a subset of the input points.
     """
     d = cloud.dim
     if len(cloud) < d + 1:
@@ -190,12 +189,13 @@ def quickhull(cloud: PointCloud) -> ConvexHull:
     pts = _dedupe_rows(cloud.points)
     if pts.shape[0] < d + 1:
         raise DegenerateInput(
-            f"only {pts.shape[0]} distinct points after deduplication; need {d + 1}"
-        )
+            f"only {pts.shape[0]} distinct points after deduplication; need {d + 1}")
+    lo, hi = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+    if max(b - a for a, b in zip(lo, hi)) > MAX_SPREAD[d]:  # inf included
+        raise DegenerateInput(f"points spread over {MAX_SPREAD[d]:g} on an axis")
     if d == 2:
         ring = _hull_2d(pts)
-        verts = pts[ring]
-        return ConvexHull(verts, np.arange(len(ring), dtype=np.int64))
+        return ConvexHull(pts[ring], np.arange(len(ring), dtype=np.int64))
     return _hull_3d(pts)
 
 
@@ -203,38 +203,38 @@ def quickhull(cloud: PointCloud) -> ConvexHull:
 
 
 def _side(a, b, pts):
-    """Perpendicular signed distance of pts from line a->b (positive = left)."""
+    """Perpendicular signed distance of pts from line a->b (positive = left);
+    pts[:, None] against k lines in rows of a and b gives (points, k)."""
     ab = b - a
-    norm = float(np.hypot(ab[0], ab[1]))
-    return ((pts[:, 0] - a[0]) * ab[1] - (pts[:, 1] - a[1]) * ab[0]) / -norm
+    norm = np.hypot(ab[..., 0], ab[..., 1])
+    return ((pts[..., 0] - a[..., 0]) * ab[..., 1]
+            - (pts[..., 1] - a[..., 1]) * ab[..., 0]) / -norm
 
 
 def _hull_2d(pts: np.ndarray) -> list[int]:
     """Indices of hull vertices in counter-clockwise ring order.
 
-    pts must be deduplicated; raises DegenerateInput when collinear.
+    pts must be deduplicated rows in lexicographic order, as _dedupe_rows
+    gives, so row 0 and the last row are the extremes, and each chain
+    between them is monotone in row order.  Raises DegenerateInput when
+    the points are collinear.
     """
-    n = pts.shape[0]
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    lo, hi = order[0], order[-1]
+    lo, hi = 0, pts.shape[0] - 1
     a, b = pts[lo], pts[hi]
     if float(np.hypot(*(b - a))) <= HULL_EPS:
         raise DegenerateInput("all points coincide within tolerance")
 
     side = _side(a, b, pts)
-    below = np.nonzero(side < -HULL_EPS)[0]
-    above = np.nonzero(side > HULL_EPS)[0]
+    below, above = np.nonzero(side < -HULL_EPS)[0], np.nonzero(side > HULL_EPS)[0]
     if below.size == 0 and above.size == 0:
         raise DegenerateInput("points are collinear within tolerance")
 
-    ring: list[int] = [int(lo)]
-    _expand_2d(pts, lo, hi, below, ring)
-    ring.append(int(hi))
-    _expand_2d(pts, hi, lo, above, ring)
+    ring = [lo, *sorted(_expand_2d(pts, lo, hi, below)), hi,
+            *sorted(_expand_2d(pts, hi, lo, above), reverse=True)]
     # The expansion admits a point only when it is more than HULL_EPS
     # outside an edge; hold the two extremes, which enter unconditionally,
     # to the same rule against the chord of their ring neighbours.
-    for end in (int(lo), int(hi)):
+    for end in (lo, hi):
         k = ring.index(end)
         chord = pts[ring[k - 1]], pts[ring[(k + 1) % len(ring)]]
         if _side(*chord, pts[[end]])[0] >= -HULL_EPS:
@@ -244,45 +244,35 @@ def _hull_2d(pts: np.ndarray) -> list[int]:
     return ring
 
 
-def _expand_2d(pts, iu, iv, cand, ring):
-    """Append hull vertices strictly between iu and iv (CCW walk).
+def _expand_2d(pts, iu, iv, cand) -> list[int]:
+    """Hull vertices strictly between iu and iv on the CCW walk, in no
+    particular order.
 
     cand holds indices of points strictly on the outer side of edge iu->iv.
-    Iterative in-order expansion so pathological inputs cannot blow the
-    recursion limit.
+    A work list instead of recursion, so pathological inputs cannot blow
+    the recursion limit.
     """
-    work: list[tuple] = [("seg", iu, iv, cand)]
+    found, work = [], [(iu, iv, cand)]
     while work:
-        item = work.pop()
-        if item[0] == "emit":
-            ring.append(item[1])
-            continue
-        _, u, v, idxs = item
+        u, v, idxs = work.pop()
         if idxs.size == 0:
             continue
-        dist = -_side(pts[u], pts[v], pts[idxs])
-        far = int(idxs[int(np.argmax(dist))])
-        outer_uf = idxs[_side(pts[u], pts[far], pts[idxs]) < -HULL_EPS]
-        outer_fv = idxs[_side(pts[far], pts[v], pts[idxs]) < -HULL_EPS]
-        work.append(("seg", far, v, outer_fv))
-        work.append(("emit", far))
-        work.append(("seg", u, far, outer_uf))
+        far = int(idxs[int(np.argmin(_side(pts[u], pts[v], pts[idxs])))])
+        found.append(far)
+        work.append((u, far, idxs[_side(pts[u], pts[far], pts[idxs]) < -HULL_EPS]))
+        work.append((far, v, idxs[_side(pts[far], pts[v], pts[idxs]) < -HULL_EPS]))
+    return found
 
 
 # ---------------------------------------------------------------- 3-D hull
 
 
 def _plane_rows(pa, pb, pc):
-    """Unit normal and offset of the plane through three point rows.
-
-    Scalar arithmetic on purpose: hulls over many small leaves would spend
-    most of their time in numpy call overhead otherwise.
-    """
+    """Unit normal and offset of the plane through three point rows, and
+    (None, 0.0) when the rows are collinear."""
     ux, uy, uz = pb[0] - pa[0], pb[1] - pa[1], pb[2] - pa[2]
     vx, vy, vz = pc[0] - pa[0], pc[1] - pa[1], pc[2] - pa[2]
-    nx = uy * vz - uz * vy
-    ny = uz * vx - ux * vz
-    nz = ux * vy - uy * vx
+    nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
     norm = math.sqrt(nx * nx + ny * ny + nz * nz)
     if norm == 0.0:
         return None, 0.0
@@ -298,19 +288,15 @@ def _plane_side(pts, table):
     return table[:, 0] * x + table[:, 1] * y + table[:, 2] * z - table[:, 3]
 
 
-def _initial_simplex(pts, rows) -> tuple[int, int, int, int]:
+def _initial_simplex(rows) -> tuple[int, int, int, int]:
     """Seed tetrahedron: the lexicographically smallest point, the point
     furthest from it, the point furthest from their line and the point
-    furthest from their plane, the first on ties.  Scalar loops over rows
-    (pts is not read) pick what np.argmax would, which is the first NaN
-    where there is one, as coordinates beyond 1e154 can make."""
+    furthest from their plane, the first on ties."""
     i0 = rows.index(min(rows))
     x0, y0, z0 = rows[i0]
-    d = []
-    for x, y, z in rows:
-        dx, dy, dz = x - x0, y - y0, z - z0
-        d.append(dx * dx + dy * dy + dz * dz)
-    i1 = d.index(max(d))  # a sum of squares is never NaN
+    d = [(x - x0) * (x - x0) + (y - y0) * (y - y0) + (z - z0) * (z - z0)
+         for x, y, z in rows]
+    i1 = d.index(max(d))
     if math.sqrt(d[i1]) <= HULL_EPS:
         raise DegenerateInput("all points coincide within tolerance")
     sx, sy, sz = rows[i1][0] - x0, rows[i1][1] - y0, rows[i1][2] - z0
@@ -320,15 +306,17 @@ def _initial_simplex(pts, rows) -> tuple[int, int, int, int]:
     for i, (x, y, z) in enumerate(rows):
         proj = (x - x0) * sx + (y - y0) * sy + (z - z0) * sz
         v = d[i] - proj * proj
-        if v > best or v != v and best == best:
+        if v > best:
             best, i2 = v, i
-    if math.sqrt(max(best, 0.0)) <= HULL_EPS:
+    normal, off = _plane_rows(rows[i0], rows[i1], rows[i2])
+    # best can be rounding alone, picking i2 on the line, even i2 == i1.
+    if math.sqrt(max(best, 0.0)) <= HULL_EPS or normal is None:
         raise DegenerateInput("points are collinear within tolerance")
-    (nx, ny, nz), off = _plane_rows(rows[i0], rows[i1], rows[i2])
+    nx, ny, nz = normal
     best, i3 = -math.inf, 0
     for i, (x, y, z) in enumerate(rows):
         v = abs(nx * x + ny * y + nz * z - off)
-        if v > best or v != v and best == best:
+        if v > best:
             best, i3 = v, i
     if best <= HULL_EPS:
         raise DegenerateInput("points are coplanar within tolerance")
@@ -338,7 +326,7 @@ def _initial_simplex(pts, rows) -> tuple[int, int, int, int]:
 def _hull_3d(pts: np.ndarray) -> ConvexHull:
     n_pts = pts.shape[0]
     rows = pts.tolist()
-    i0, i1, i2, i3 = _initial_simplex(pts, rows)
+    i0, i1, i2, i3 = _initial_simplex(rows)
     cx, cy, cz = [(a + b + c + d) / 4.0 for a, b, c, d in zip(
         rows[i0], rows[i1], rows[i2], rows[i3])]
 
@@ -376,9 +364,7 @@ def _hull_3d(pts: np.ndarray) -> ConvexHull:
                     pl = (nx, ny, nz, off)
             tri.append((a, b, c))
             plane.append(pl)
-            owner[a * n_pts + b] = f
-            owner[b * n_pts + c] = f
-            owner[c * n_pts + a] = f
+            owner[a * n_pts + b] = owner[b * n_pts + c] = owner[c * n_pts + a] = f
         alive += [True] * len(new)
         stamp += [-1] * len(new)
         buckets = _assign_conflicts(pts, rows, plane[start:], cand)
@@ -416,14 +402,15 @@ def _hull_3d(pts: np.ndarray) -> ConvexHull:
                 if g is None or stamp[g] == p or not alive[g]:
                     continue
                 gx, gy, gz, go = plane[g]
-                if gx * px + gy * py + gz * pz - go > HULL_EPS:
+                h = gx * px + gy * py + gz * pz - go
+                if h > HULL_EPS or h > 0.0 and _folds(
+                        rows, tri[g], (a, b, c, a)[near.index(g):], p, cx, cy, cz):
                     stamp[g] = p
                     visible.append(g)
                     stack.append(g)
 
         # A point is in one conflict list at most: orphans need no set.
-        new = []
-        orphan = []
+        new, orphan = [], []
         for f in visible:
             a, b, c = tri[f]
             gab, gbc, gca = twins[f]
@@ -451,6 +438,20 @@ def _hull_3d(pts: np.ndarray) -> ConvexHull:
                                           dtype=np.int64).reshape(-1, 3))
 
 
+def _folds(rows, g_tri, edge, p, cx, cy, cz) -> bool:
+    """Whether apex p, within HULL_EPS above face g, must see g anyway: g's
+    vertex off edge[:2] is over HULL_EPS outside the face p raises on that
+    edge, oriented away from (cx, cy, cz), so keeping g bends the hull in."""
+    u, v = edge[0], edge[1]
+    normal, off = _plane_rows(rows[u], rows[v], rows[p])
+    if normal is None:
+        return False
+    nx, ny, nz = normal
+    qx, qy, qz = next(rows[i] for i in g_tri if i != u and i != v)
+    out = nx * qx + ny * qy + nz * qz - off
+    return (-out if nx * cx + ny * cy + nz * cz > off else out) > HULL_EPS
+
+
 def _assign_conflicts(pts, rows, planes, cand):
     """Conflict list of each plane (None when empty): every candidate goes
     to the plane it lies furthest outside of, ties to the earliest."""
@@ -466,8 +467,7 @@ def _assign_conflicts(pts, rows, planes, cand):
     buckets = [None] * len(planes)
     for i in cand:
         x, y, z = rows[i]
-        best = HULL_EPS
-        at = -1
+        best, at = HULL_EPS, -1
         for fi, (nx, ny, nz, off) in enumerate(planes):
             rel = nx * x + ny * y + nz * z - off
             if rel > best:
@@ -488,11 +488,7 @@ def _outside(hull: ConvexHull, pts: np.ndarray) -> np.ndarray:
     face (3-D), shape (points, sides); negative inside."""
     v = hull.vertices
     if hull.dim == 2:
-        edge = np.roll(v, -1, axis=0) - v
-        norm = np.hypot(edge[:, 0], edge[:, 1])
-        dx = pts[:, 0, None] - v[:, 0]
-        dy = pts[:, 1, None] - v[:, 1]
-        return (dx * edge[:, 1] - dy * edge[:, 0]) / norm
+        return -_side(v, np.roll(v, -1, axis=0), pts[:, None])
     rows = v.tolist()
     planes = [(*normal, off) for normal, off in (
         _plane_rows(rows[a], rows[b], rows[c]) for a, b, c in hull.faces.tolist())

@@ -109,8 +109,8 @@ def rasterize_fixed(cloud: PointCloud, domain: Aabb, cell_size) -> UniformGridMa
                      for e, c in zip(domain.edges, cell))
     occ = _dense_grid(dims)
     pts = cloud.points
+    require_inside(pts, domain)
     if pts.shape[0]:
-        require_inside(pts, domain)
         # One pass per axis column accumulates the row-major flat index.
         flat = np.zeros(len(pts), dtype=np.int64)
         for a, n in enumerate(dims):

@@ -27,7 +27,7 @@ from octoplan.bench import (CSV_COLUMNS, TIMING_COLUMNS, BenchConfig,
                             TrialRecord, aggregate_to_json, records_to_csv,
                             run_campaign)
 from octoplan.cli import main
-from octoplan.cloudio import write_binary, write_xyz
+from octoplan.cloudio import read_xyz, write_binary, write_xyz
 from octoplan.errors import InvalidSpec, NoPathAtMaxDepth
 from octoplan.geometry import PointCloud
 from octoplan.gridmap import UniformGridMap
@@ -571,6 +571,26 @@ def test_cli_downsample_convex_golden_through_the_vector_branch(
     assert max(products) >= 4096
 
 
+def test_cli_downsample_keeps_hull_vertices_of_a_cloud_too_wide_to_hull(
+        tmp_path, capsys):
+    # Spread 2e200 is over the 3-D hull bound, so every hull of the leaf is
+    # refused and convexify_leaf keeps all of its points.  Qhull fails at
+    # that scale too; the hull vertices come from the unscaled cloud.
+    from scipy.spatial import ConvexHull
+    unit = np.random.default_rng(66).uniform(-1.0, 1.0, (40, 3))
+    pts = 1e200 * unit
+    cloud_path = tmp_path / "wide.xyz"
+    write_xyz(PointCloud(pts), cloud_path)
+    code, out, _ = run_cli(
+        capsys, "--out-dir", str(tmp_path),
+        "downsample", "--cloud", str(cloud_path), "--method", "convex",
+        "--depth", "0", "--domain=-1e200,-1e200,-1e200:1e200,1e200,1e200")
+    assert code == 0
+    kept = {tuple(p) for p in read_xyz(tmp_path / "retained.xyz").points}
+    assert {tuple(pts[i]) for i in ConvexHull(unit).vertices} <= kept
+    assert json.loads(out)["retained_points"] == 40
+
+
 def test_cli_downsample_voxel(tmp_path, capsys):
     rng = np.random.default_rng(3)
     cloud_path = tmp_path / "pts.xyz"
@@ -830,6 +850,14 @@ PLAN_2D = ("plan", "--perlin", "--domain", "0,0:40,30", "--goal", "30,20")
     # A scene target that is not a positive point count.
     (("build", "--scene-points", "-5", "--depth", "3"), 2),
     (("build", "--scene-points", "0", "--depth", "3"), 2),
+    # A calibration target below one point.
+    (("calibrate-perlin", "--domain", "0,0:40,30", "--target", "0"), 2),
+    (("calibrate-perlin", "--domain", "0,0:40,30", "--target", "-5"), 2),
+    # An empty cloud read at a dimension its domain does not have.
+    (("build", "--cloud", "empty.xyz", "--dim", "3", "--domain", "0,0:5,5",
+      "--depth", "3"), 2),
+    (("rasterize", "--cloud", "empty.xyz", "--dim", "3", "--mode", "fixed",
+      "--domain", "0,0:5,5", "--cell", "1"), 2),
 ])
 def test_cli_bad_values_end_in_one_json_line(tmp_path, capsys, monkeypatch,
                                              argv, code):
@@ -838,11 +866,41 @@ def test_cli_bad_values_end_in_one_json_line(tmp_path, capsys, monkeypatch,
               "f.xyz")
     write_xyz(PointCloud(np.array([[1.0, 5.0], [3.0, 5.0], [6.0, 5.0]])),
               "flat.xyz")
+    write_xyz(PointCloud.empty(2), "empty.xyz")
     got, out, err = run_cli(capsys, "--out-dir", str(tmp_path), *argv)
     assert got == code
     assert out == ""
     assert "Traceback" not in err
     one_error_line(err)
+
+
+@pytest.mark.parametrize("command", ["build", "downsample"])
+def test_cli_flat_cloud_takes_the_dimension_of_its_domain(tmp_path, capsys,
+                                                          command):
+    # Every z is 0, which alone would make the file a 2-D cloud.
+    cloud_path = tmp_path / "flat.xyz"
+    write_xyz(PointCloud(np.array([[1.0, 1.0], [3.0, 4.0], [5.0, 2.0]])),
+              cloud_path)
+    code, out, err = run_cli(
+        capsys, "--out-dir", str(tmp_path), command, "--cloud",
+        str(cloud_path), "--domain", "0,0,0:8,8,8", "--depth", "2")
+    assert code == 0, err
+    if command == "build":
+        assert json.loads(out)["dim"] == 3
+    else:
+        assert len(read_xyz(tmp_path / "retained.xyz", dim=3)) == 3
+
+
+def test_cli_build_on_an_empty_cloud_reports_the_domain_dimension(tmp_path,
+                                                                 capsys):
+    cloud_path = tmp_path / "empty.xyz"
+    cloud_path.write_text("")
+    code, out, _ = run_cli(
+        capsys, "--out-dir", str(tmp_path), "build", "--cloud",
+        str(cloud_path), "--domain", "0,0:8,8", "--depth", "2")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["dim"], report["n_points"]) == (2, 0)
 
 
 def test_cli_bench_workers_above_one_exits_2(tmp_path, capsys):

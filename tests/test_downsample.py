@@ -244,6 +244,39 @@ def test_voxel_errors():
         voxel_filter(cloud, 0.0)
 
 
+@pytest.mark.parametrize("extent,size", [
+    ((200.0, 150.0), 1e-8), ((20.0, 20.0, 20.0), 1e-6),
+    ((200.0, 150.0), 1e-300), ((20.0, 20.0, 20.0), 0.7),
+], ids=["2d-1e-8", "3d-1e-6", "2d-1e-300", "3d-0.7"])
+def test_voxel_groups_exactly_in_grid_order(extent, size):
+    # The first three grids have more voxels than an int64 key can number;
+    # the oracle numbers them with Python ints.
+    rng = np.random.default_rng(19)
+    pts = rng.uniform(0.0, 1.0, (3000, len(extent))) * extent
+    pts = pts[rng.integers(0, len(pts), len(pts))]
+    low = pts.min(axis=0).tolist()
+
+    def voxel(p):
+        return tuple(int(np.floor((x - lo) / size)) for x, lo in zip(p, low))
+
+    members = {}
+    for i, p in enumerate(pts.tolist()):
+        members.setdefault(voxel(p), []).append(i)
+    out = voxel_filter(PointCloud(pts), size).points
+    keys = [voxel(p) for p in out.tolist()]
+    assert keys == sorted(members)
+    assert all(rows(out[[k]]) <= rows(pts[members[key]])
+               for k, key in enumerate(keys))
+    if size == 1e-300:
+        assert np.array_equal(out, np.unique(pts, axis=0))
+
+
+def test_voxel_size_with_an_index_over_the_float_range_is_refused():
+    cloud = PointCloud(np.array([[0.0, 0.0], [100.0, 1.0]]))
+    with pytest.raises(InvalidSpec, match="overflows a voxel index"):
+        voxel_filter(cloud, 5e-324)
+
+
 def test_calibrate_voxel_size_hits_ten_percent():
     rng = np.random.default_rng(17)
     cloud = PointCloud(rng.uniform(0.0, 20.0, size=(10000, 3)))

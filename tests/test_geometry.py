@@ -12,15 +12,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull as SciHull
 
 import octoplan.geometry as geometry
 from octoplan.errors import DegenerateInput, EmptyInput
-from octoplan.geometry import (HULL_EPS, Aabb, PointCloud, _dedupe_rows,
-                               _initial_simplex, _plane_rows, aabb_of,
-                               as_point, contains, quickhull, strictly_inside)
+from octoplan.geometry import (HULL_EPS, MAX_SPREAD, Aabb, PointCloud,
+                               _dedupe_rows, _initial_simplex, _plane_rows,
+                               aabb_of, as_point, contains, quickhull,
+                               strictly_inside)
 
 
 def hull_volume(hull):
@@ -153,6 +154,44 @@ def test_degenerate_inputs_raise():
         quickhull(PointCloud(same))
 
 
+def assert_hull_or_wide_refusal(pts):
+    """A cloud spread over MAX_SPREAD is refused, and any other one gets
+    scipy's vertex set; True when refused."""
+    d = pts.shape[1]
+    with np.errstate(over="ignore"):
+        wide = bool(np.ptp(pts, axis=0).max() > MAX_SPREAD[d])
+    if wide:
+        with pytest.raises(DegenerateInput, match="spread"):
+            quickhull(PointCloud(pts))
+    else:
+        want = {tuple(pts[i]) for i in SciHull(pts).vertices}
+        assert vertex_set(quickhull(PointCloud(pts))) == want
+    return wide
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_hull_is_right_or_refused_at_every_scale(d):
+    # Past MAX_SPREAD the kernel's products of coordinate differences
+    # overflow and its decisions would rest on inf and NaN.
+    assert MAX_SPREAD[d] == 2.0 ** {2: 511, 3: 255}[d]
+    rng = np.random.default_rng([64, d])
+    refused = sum(assert_hull_or_wide_refusal(
+        10.0 ** rng.uniform(0.0, 308.0) * rng.uniform(-1.0, 1.0, (40, d)))
+        for _ in range(160))
+    assert 20 < refused < 140
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_spread_bound_is_inclusive(d):
+    # Axis 0 runs from exactly -1 to 1, so the spread is twice the scale.
+    rng = np.random.default_rng([65, d])
+    unit = rng.uniform(-1.0, 1.0, (40, d))
+    unit[0, 0], unit[1, 0] = -1.0, 1.0
+    at = MAX_SPREAD[d] / 2.0
+    assert not assert_hull_or_wide_refusal(at * unit)
+    assert assert_hull_or_wide_refusal(np.nextafter(at, np.inf) * unit)
+
+
 def test_2d_ring_is_counter_clockwise():
     rng = np.random.default_rng(31)
     for _ in range(10):
@@ -215,6 +254,13 @@ def test_hull_properties_2d(pts):
 
 @settings(max_examples=40, deadline=None)
 @given(pts=point_clouds(3))
+# The apex (0, 0, 0) lies 1e-9 above the face through the other points
+# with x = 0: unless it sees that face too, (0, -1, 1) ends 2e-9 outside.
+@example(pts=np.array([[0.0, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, -1.0, -1.0],
+                       [1.0, 0.0, 0.0], [1e-9, 0.0, 1.0]]))
+# Rounding puts the second seed point 2.1e-8 off its own line: coplanar.
+@example(pts=np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 3.70355205e-153],
+                       [0.0, 0.0, 3.3976855e-227], [0.0, 1.0, 1.0]]))
 def test_hull_properties_3d(pts):
     try:
         hull = quickhull(PointCloud(pts))
@@ -244,7 +290,7 @@ def test_minimality_removing_any_vertex_loses_it():
 # order are under test.
 
 
-def reference_initial_simplex(pts, rows, argmax=np.argmax):
+def reference_initial_simplex(pts, rows):
     """The seed tetrahedron by whole-array numpy passes: lexsort, then the
     elementwise distance, perpendicular and plane-height expressions, each
     decided by np.argmax."""
@@ -253,7 +299,7 @@ def reference_initial_simplex(pts, rows, argmax=np.argmax):
     x0, y0, z0 = rows[i0]
     dx, dy, dz = x - x0, y - y0, z - z0
     d = dx * dx + dy * dy + dz * dz
-    i1 = int(argmax(d))
+    i1 = int(np.argmax(d))
     if math.sqrt(d[i1]) <= HULL_EPS:
         raise DegenerateInput("all points coincide within tolerance")
     sx, sy, sz = rows[i1][0] - x0, rows[i1][1] - y0, rows[i1][2] - z0
@@ -261,15 +307,22 @@ def reference_initial_simplex(pts, rows, argmax=np.argmax):
     sx, sy, sz = sx / seg, sy / seg, sz / seg
     proj = dx * sx + dy * sy + dz * sz
     perp = d - proj * proj
-    i2 = int(argmax(perp))
-    if math.sqrt(max(perp[i2], 0.0)) <= HULL_EPS:
+    i2 = int(np.argmax(perp))
+    normal, off = _plane_rows(rows[i0], rows[i1], rows[i2])
+    if math.sqrt(max(perp[i2], 0.0)) <= HULL_EPS or normal is None:
         raise DegenerateInput("points are collinear within tolerance")
-    (nx, ny, nz), off = _plane_rows(rows[i0], rows[i1], rows[i2])
+    nx, ny, nz = normal
     h = np.abs(nx * x + ny * y + nz * z - off)
-    i3 = int(argmax(h))
+    i3 = int(np.argmax(h))
     if h[i3] <= HULL_EPS:
         raise DegenerateInput("points are coplanar within tolerance")
     return i0, i1, i2, i3
+
+
+def first_unique_rows(points):
+    """Rows equal by value once each, the first in input order, sorted."""
+    _, first = np.unique(points, axis=0, return_index=True)
+    return points[first]
 
 
 class RefFace:
@@ -285,10 +338,10 @@ class RefFace:
 
 def reference_quickhull_3d(points):
     """(vertices, faces) of a 3-D cloud, as np.unique-deduplicated input
-    hulled face object by face object."""
+    (the first of rows equal by value) hulled face object by face object."""
     if len(points) < 4:
         raise EmptyInput("need at least 4 points")
-    pts = np.unique(points, axis=0)
+    pts = first_unique_rows(points)
     if pts.shape[0] < 4:
         raise DegenerateInput("fewer than 4 distinct points")
     n_pts = pts.shape[0]
@@ -353,8 +406,9 @@ def reference_quickhull_3d(points):
                 if g is None or id(g) in seen or not g.alive:
                     continue
                 gn = g.normal
-                if (gn[0] * px + gn[1] * py + gn[2] * pz
-                        - g.offset > HULL_EPS):
+                h = gn[0] * px + gn[1] * py + gn[2] * pz - g.offset
+                if h > HULL_EPS or h > 0.0 and reference_folds(
+                        rows, g, u, v, p, interior):
                     seen.add(id(g))
                     visible.append(g)
                     stack.append(g)
@@ -385,6 +439,19 @@ def reference_quickhull_3d(points):
         k = t.index(min(t))
         tri.append((t[k], t[(k + 1) % 3], t[(k + 2) % 3]))
     return pts[used], np.array(sorted(tri), dtype=np.int64)
+
+
+def reference_folds(rows, g, u, v, p, interior):
+    """Whether g's vertex off the edge u -> v lies more than HULL_EPS
+    outside the face (u, v, p), oriented away from the interior point."""
+    normal, offset = _plane_rows(rows[u], rows[v], rows[p])
+    if normal is None:
+        return False
+    sign = 1.0
+    if sum(n * c for n, c in zip(normal, interior)) > offset:
+        sign = -1.0
+    q = next(rows[i] for i in g.verts if i not in (u, v))
+    return sign * (sum(n * c for n, c in zip(normal, q)) - offset) > HULL_EPS
 
 
 def reference_assign(rows, faces, cand):
@@ -520,11 +587,10 @@ def test_hull_3d_matches_oracle_through_the_vector_branch(kind, monkeypatch):
     assert min(products) < 4096
 
 
-def simplex_or_error(fn, pts):
+def simplex_or_error(fn, *args):
     try:
-        with np.errstate(all="ignore"):
-            return fn(pts, pts.tolist())
-    except (DegenerateInput, TypeError) as exc:
+        return fn(*args)
+    except DegenerateInput as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -534,28 +600,8 @@ def test_initial_simplex_equals_the_numpy_pick(kind):
     rng = np.random.default_rng([62, len(kind)])
     for _ in range(40):
         pts = oracle_cloud(rng, kind, int(rng.integers(4, 80)))
-        assert simplex_or_error(_initial_simplex, pts) == \
-            simplex_or_error(reference_initial_simplex, pts)
-
-
-def test_initial_simplex_equals_the_numpy_pick_beyond_1e154():
-    # Squares overflow there, so distances reach inf, and near the largest
-    # float the perpendiculars and plane heights hold NaNs, which np.argmax
-    # picks first.  A pick blind to NaN must differ somewhere, or no NaN
-    # decided anything.
-    def blind(a):
-        return np.argmax(np.where(np.isnan(a), -np.inf, a))
-
-    rng = np.random.default_rng(63)
-    nan_decided = 0
-    for case in range(300):
-        scale = 1.7e308 if case % 2 else 10.0 ** rng.uniform(154.0, 308.0)
-        pts = scale * rng.uniform(-1.0, 1.0, (int(rng.integers(4, 30)), 3))
-        want = simplex_or_error(reference_initial_simplex, pts)
-        assert simplex_or_error(_initial_simplex, pts) == want, case
-        nan_decided += simplex_or_error(
-            lambda p, r: reference_initial_simplex(p, r, blind), pts) != want
-    assert nan_decided >= 10
+        assert simplex_or_error(_initial_simplex, pts.tolist()) == \
+            simplex_or_error(reference_initial_simplex, pts, pts.tolist())
 
 
 def test_assign_conflicts_vector_branch_equals_the_scalar_loop():
@@ -590,11 +636,11 @@ def test_assign_conflicts_vector_branch_equals_the_scalar_loop():
 def test_dedupe_rows_equals_numpy_unique(n, values, seed):
     rng = np.random.default_rng(seed)
     pts = np.asarray(values)[rng.integers(0, len(values), (n, 3))]
-    want = np.unique(pts, axis=0)
+    want = first_unique_rows(pts)
     assert_same_arrays(_dedupe_rows(pts), want)
     assert_same_arrays(_dedupe_rows(np.asfortranarray(pts)), want)
     noisy = pts + rng.integers(0, 3, (n, 3)) * 0.5
-    assert_same_arrays(_dedupe_rows(noisy), np.unique(noisy, axis=0))
+    assert_same_arrays(_dedupe_rows(noisy), first_unique_rows(noisy))
 
 
 # -------------------------------------------------- containment and volume
