@@ -62,10 +62,10 @@ class BenchConfig:
             raise InvalidSpec(f"trials must be >= 1, got {self.trials}")
         if not self.cell_sizes_m:
             raise InvalidSpec("cell_sizes_m must list at least one size")
-        if any(c <= 0 for c in self.cell_sizes_m):
-            raise InvalidSpec("cell sizes must be positive")
-        if self.domain_x_m <= 0 or self.domain_y_m <= 0:
-            raise InvalidSpec("domain edges must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in
+                   (*self.cell_sizes_m, self.domain_x_m, self.domain_y_m)):
+            raise InvalidSpec("cell sizes and domain edges must be positive "
+                              "and finite")
         if not 0 < self.min_separation_fraction < 1:
             raise InvalidSpec("min_separation_fraction must be in (0, 1)")
         if self.refinement_rounds < 0:
@@ -73,12 +73,23 @@ class BenchConfig:
         if self.max_endpoint_attempts < 1:
             raise InvalidSpec("max_endpoint_attempts must be >= 1")
         # Validates the sensing-range pair even though the nominal cell
-        # sizes drive the benchmark depths directly.
+        # sizes drive the benchmark depths directly, and the noise settings
+        # before any world is drawn.
         McrSpec(self.epsilon_max_m, self.range_multiplier_k)
+        self.noise_params(self.campaign_seed)
 
     @property
     def domain(self) -> Aabb:
         return Aabb(np.zeros(2), np.asarray([self.domain_x_m, self.domain_y_m]))
+
+    def noise_params(self, seed: int) -> PerlinParams:
+        """The noise field of the world drawn from seed."""
+        return PerlinParams(
+            seed=seed, domain=self.domain,
+            frequency=self.noise_frequency_per_m, octaves=self.noise_octaves,
+            persistence=self.noise_persistence,
+            threshold=self.noise_threshold,
+            samples_per_meter=self.samples_per_meter)
 
     def to_text(self) -> str:
         lines = []
@@ -271,15 +282,8 @@ def run_campaign(config: BenchConfig) -> tuple[list, dict]:
     records = []
     for trial in range(config.trials):
         trial_seed = derive_seed(config.campaign_seed, trial)
-        params = PerlinParams(
-            seed=trial_seed, domain=domain,
-            frequency=config.noise_frequency_per_m,
-            octaves=config.noise_octaves,
-            persistence=config.noise_persistence,
-            threshold=config.noise_threshold,
-            samples_per_meter=config.samples_per_meter)
         maps = {}
-        cloud = gen_perlin_cloud(params)
+        cloud = gen_perlin_cloud(config.noise_params(trial_seed))
         for cell_index, cell in enumerate(config.cell_sizes_m):
             records.append(run_trial_cell(
                 cloud, domain, cell, trial, trial_seed, cell_index, config,

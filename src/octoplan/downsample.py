@@ -157,8 +157,9 @@ def voxel_filter(cloud: PointCloud, voxel_size: float) -> PointCloud:
     Output is ordered by voxel grid index."""
     if len(cloud) == 0:
         raise EmptyInput("cannot voxel-filter an empty cloud")
-    if not voxel_size > 0:
-        raise InvalidSpec(f"voxel_size must be positive, got {voxel_size}")
+    if not (np.isfinite(voxel_size) and voxel_size > 0):
+        raise InvalidSpec(
+            f"voxel_size must be positive and finite, got {voxel_size}")
     pts = cloud.points
     with np.errstate(over="ignore"):
         cell = np.floor((pts - pts.min(axis=0)) / voxel_size)

@@ -51,11 +51,13 @@ class UniformGridMap:
         """Cell containing a metric point (far faces closed).
 
         A hair of slack absorbs the rounding of extent_max = dims * cell when
-        the per-axis cell size is not exactly representable.
+        the per-axis cell size is not exactly representable.  A NaN
+        coordinate is inside no box.
         """
         q = np.asarray(p, dtype=float)
         tol = 1e-9 * np.maximum(1.0, np.abs(self.extent_max - self.origin))
-        if np.any(q < self.origin - tol) or np.any(q > self.extent_max + tol):
+        if not (np.all(q >= self.origin - tol)
+                and np.all(q <= self.extent_max + tol)):
             raise PointOutOfDomain(q, self.origin, self.extent_max)
         idx = np.floor((q - self.origin) / self.cell_size).astype(np.int64)
         idx = np.clip(idx, 0, np.asarray(self.dims) - 1)

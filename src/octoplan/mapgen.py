@@ -11,20 +11,18 @@ is wrapped to 0..255 in float before the integer cast, so no octave
 overflows; PerlinParams refuses an octave count whose top frequency would
 carry a domain coordinate to infinity.
 
-One kernel serves every dimension, scattered points and lattices: it takes
-one coordinate array per axis, all of one ndim, each varying along at most
-one dimension, and the arrays broadcast against each other. On the lattice
-each axis is passed as its own vector, shaped (n, 1) and (1, m) in 2-D, so
-floor, fraction and fade run once per axis value. A corner's hashed
-gradient is constant inside a noise cell (Perlin 2002), so the permutation
-hash and the gradient lookups run once per run of samples sharing every
-axis's cell, each gradient term once per sample of its own axis and run of
-the others, and only the sums of the gradient dot and the blends run per
-sample. Broadcasting and np.repeat copy operands without changing any
-float operation or its order, so values are bit-identical to evaluating
-every sample's coordinates. The lattice is evaluated in blocks of at most
-2^16 samples (slabs along axis 0), each writing its threshold test into
-one bool keep mask, the only array as large as the lattice; lattices over
+One kernel serves every dimension and takes the lattice only: one axis
+vector per dimension, shaped (n, 1) and (1, m) in 2-D, so floor, fraction
+and fade run once per axis value. A corner's hashed gradient is constant
+inside a noise cell (Perlin 2002), so the permutation hash and the
+gradient lookups run once per run of samples sharing every axis's cell,
+each gradient term once per sample of its own axis and run of the others,
+and only the sums of the gradient dot and the blends run per sample.
+Broadcasting and np.repeat copy operands without changing any float
+operation or its order, so values are bit-identical to evaluating every
+sample's coordinates. The lattice is evaluated in blocks of at most 2^16
+samples (slabs along axis 0), each writing its threshold test into one
+bool keep mask, the only array as large as the lattice; lattices over
 MAX_RASTER_CELLS (2^28) samples are refused with InvalidSpec before
 anything is allocated.
 
@@ -129,59 +127,44 @@ def _lerp(a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
 
 
 def _cell_runs(cells: list[np.ndarray]):
-    """Cut each broadcast dimension of cell arrays of equal ndim into runs
-    of samples over which no axis's hash cell changes.  Every array varies
-    along at most one dimension (its own on a lattice, the first for
-    scattered points), so its changes along that dimension are those of
-    its flattened values.  Returns the cells at each run's first sample,
-    and per dimension the run lengths, or None where every run is one
-    sample long (scattered points, as a rule)."""
-    shape = np.broadcast_shapes(*(c.shape for c in cells))
-    runs = []
-    for j, n in enumerate(shape):
-        first = np.zeros(n, dtype=bool)
-        first[:1] = True
-        for c in cells:
-            if c.shape[j] > 1:
-                v = c.reshape(-1)
-                first[1:] |= v[1:] != v[:-1]
-        starts = np.flatnonzero(first)
-        if len(starts) == n:
-            runs.append(None)
-            continue
-        cells = [c.take(starts, axis=j) if c.shape[j] > 1 else c
-                 for c in cells]
-        runs.append(np.diff(starts, append=n))
-    return cells, runs
+    """Cut each lattice axis into runs of samples over which its hash cell
+    does not change; cells[a] varies along dimension a alone.  Returns the
+    cells at each run's first sample, and per axis the run lengths, or None
+    where every run is one sample long."""
+    firsts, runs = [], []
+    for a, c in enumerate(cells):
+        v = c.reshape(-1)
+        starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
+        firsts.append(c.take(starts, axis=a))
+        runs.append(None if len(starts) == len(v)
+                    else np.diff(starts, append=len(v)))
+    return firsts, runs
 
 
 def _noise(perm: np.ndarray, grads, *coords: np.ndarray) -> np.ndarray:
-    """Single-octave noise at one coordinate array per axis, any dimension.
+    """Single-octave noise on a lattice, one axis vector per dimension,
+    coords[a] varying along dimension a alone.
 
     A corner's hash chains perm over the axes, h = perm[h] + (cell + o),
     starting from axis 0's cell.  The hash, and so each corner's gradient,
     is constant inside a noise cell (Perlin 2002), so the hash and the
     gradient lookups run once per run of samples that share every axis's
     cell (_cell_runs).  Each gradient term g_a * (frac_a - o) is formed
-    once np.repeat has copied g_a out along the dimensions frac_a varies
-    along, and only then repeated along the others: on a lattice a term
-    is multiplied once per sample of its own axis and run of the others,
-    not once per sample.  The gradient dot accumulates from axis 0 up and
-    the blend runs along axis 0 first, so the float operations come in one
-    fixed order for every dimension."""
+    once np.repeat has copied g_a out along dimension a, and only then
+    repeated along the others: a term is multiplied once per sample of its
+    own axis and run of the others, not once per sample.  The gradient dot
+    accumulates from axis 0 up and the blend runs along axis 0 first, so
+    the float operations come in one fixed order for every dimension."""
     axes = [_axis(t) for t in coords]
     cells, runs = _cell_runs([cell for cell, _, _ in axes])
 
-    def term(g, frac, o):
-        # Last dimension first within each pass: the later repeats then
-        # copy whole rows.
-        own = [j for j, n in enumerate(frac.shape) if n > 1]
-        for j in reversed(own):
-            if runs[j] is not None:
-                g = np.repeat(g, runs[j], axis=j)
-        g *= frac - o
+    def term(g, a, o):
+        if runs[a] is not None:
+            g = np.repeat(g, runs[a], axis=a)
+        g *= axes[a][1] - o
+        # Last dimension first: the later repeats then copy whole rows.
         for j in reversed(range(len(runs))):
-            if runs[j] is not None and j not in own:
+            if runs[j] is not None and j != a:
                 g = np.repeat(g, runs[j], axis=j)
         return g
 
@@ -189,9 +172,9 @@ def _noise(perm: np.ndarray, grads, *coords: np.ndarray) -> np.ndarray:
         h = cells[0] + offs[0]
         for cell, o in zip(cells[1:], offs[1:]):
             h = perm[h] + (cell + o)
-        n = term(grads[0][h], axes[0][1], offs[0])
-        for g, (_, frac, _), o in zip(grads[1:], axes[1:], offs[1:]):
-            n += term(g[h], frac, o)
+        n = term(grads[0][h], 0, offs[0])
+        for a in range(1, len(axes)):
+            n += term(grads[a][h], a, offs[a])
         return n
 
     def blend(a, offs):
@@ -212,8 +195,9 @@ class PerlinParams:
 
     frequency is in lattice cycles per metre; samples_per_meter sets the
     emission lattice pitch; threshold in [-1, 1] picks the occupied fraction
-    (-1 emits every sample). The top octave's frequency times the domain's
-    largest absolute coordinate must stay finite.
+    (-1 emits every sample, and any finite value is accepted). The top
+    octave's frequency times the domain's largest absolute coordinate must
+    stay finite.
     """
 
     seed: int
@@ -227,6 +211,8 @@ class PerlinParams:
     def __post_init__(self):
         if self.octaves < 1:
             raise InvalidSpec(f"octaves must be >= 1, got {self.octaves}")
+        if not math.isfinite(self.threshold):
+            raise InvalidSpec(f"threshold must be finite, got {self.threshold}")
         if not 0.0 < self.persistence <= 1.0:
             raise InvalidSpec(f"persistence must be in (0, 1], got {self.persistence}")
         if not (math.isfinite(self.frequency) and self.frequency > 0):
@@ -249,7 +235,8 @@ class PerlinParams:
 
 def _octave_sum(params: PerlinParams, tables,
                 axes: list[np.ndarray]) -> np.ndarray:
-    """Normalised octave sum over coordinate arrays that broadcast together."""
+    """Normalised octave sum on the lattice of axis vectors, as _noise
+    takes them."""
     total = np.zeros(np.broadcast_shapes(*(a.shape for a in axes)))
     amp = 1.0
     amp_sum = 0.0
@@ -260,14 +247,6 @@ def _octave_sum(params: PerlinParams, tables,
         amp *= params.persistence
         freq *= 2.0
     return total / amp_sum
-
-
-def multi_octave_noise(params: PerlinParams, coords: np.ndarray) -> np.ndarray:
-    """Noise values at metric coordinates, one row per sample; the same
-    kernel as gen_perlin_cloud, fed the columns instead of lattice axes."""
-    d = coords.shape[1]
-    return _octave_sum(params, _hash_tables(params.seed, d),
-                       [coords[:, a] for a in range(d)])
 
 
 def _lattice_axes(domain: Aabb, spm: float) -> list[np.ndarray]:

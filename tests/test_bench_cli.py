@@ -89,6 +89,13 @@ def test_config_validation():
         BenchConfig(cell_sizes_m=(2.0, -1.0))
     with pytest.raises(InvalidSpec):
         BenchConfig(min_separation_fraction=1.0)
+    # Non-finite values are refused at construction, not inside a world.
+    for value in (math.nan, math.inf):
+        for field in ("domain_x_m", "domain_y_m", "noise_threshold"):
+            with pytest.raises(InvalidSpec):
+                BenchConfig(**{field: value})
+        with pytest.raises(InvalidSpec):
+            BenchConfig(cell_sizes_m=(2.0, value))
 
 
 # ----------------------------------------------------------- trial records
@@ -858,6 +865,14 @@ PLAN_2D = ("plan", "--perlin", "--domain", "0,0:40,30", "--goal", "30,20")
       "--depth", "3"), 2),
     (("rasterize", "--cloud", "empty.xyz", "--dim", "3", "--mode", "fixed",
       "--domain", "0,0:5,5", "--cell", "1"), 2),
+    # Non-finite values: an endpoint, a voxel size, a noise threshold.
+    (("plan", "--perlin", "--domain", "0,0:40,30", "--goal", "8,2",
+      "--mode", "fixed", "--cell", "1", "--start", "nan,nan"), 5),
+    (("downsample", "--cloud", "f.xyz", "--method", "voxel",
+      "--voxel-size", "inf"), 2),
+    (("build", "--perlin", "--domain", "0,0:8,8", "--depth", "2",
+      "--threshold", "nan"), 2),
+    (("bench", "--config", "nan.cfg"), 2),
 ])
 def test_cli_bad_values_end_in_one_json_line(tmp_path, capsys, monkeypatch,
                                              argv, code):
@@ -867,6 +882,7 @@ def test_cli_bad_values_end_in_one_json_line(tmp_path, capsys, monkeypatch,
     write_xyz(PointCloud(np.array([[1.0, 5.0], [3.0, 5.0], [6.0, 5.0]])),
               "flat.xyz")
     write_xyz(PointCloud.empty(2), "empty.xyz")
+    (tmp_path / "nan.cfg").write_text("trials = 1\nnoise_threshold = nan\n")
     got, out, err = run_cli(capsys, "--out-dir", str(tmp_path), *argv)
     assert got == code
     assert out == ""

@@ -2,6 +2,7 @@
 
 scipy's hull is the independent cross-check for hull preservation.
 """
+import math
 import os
 
 import numpy as np
@@ -240,8 +241,9 @@ def test_voxel_errors():
     with pytest.raises(EmptyInput):
         voxel_filter(PointCloud.empty(3), 1.0)
     cloud = PointCloud(np.array([[0.0, 0.0]]))
-    with pytest.raises(InvalidSpec):
-        voxel_filter(cloud, 0.0)
+    for size in (0.0, math.inf, math.nan):
+        with pytest.raises(InvalidSpec):
+            voxel_filter(cloud, size)
 
 
 @pytest.mark.parametrize("extent,size", [

@@ -1,5 +1,6 @@
 """Occupancy grid tests: rasterization, gap checks, serialization."""
 import json
+import math
 import tracemalloc
 from collections import deque
 
@@ -144,6 +145,14 @@ def test_index_of_far_face_closed():
     assert grid.index_of((10.0, 5.0)) == (9, 4)
     with pytest.raises(PointOutOfDomain):
         grid.index_of((10.5, 1.0))
+
+
+def test_index_of_refuses_a_nan_coordinate():
+    # NaN fails every comparison, so only a test for "inside" refuses it.
+    grid = rasterize_fixed(PointCloud(np.empty((0, 2))), domain2(), 1.0)
+    for p in ((math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)):
+        with pytest.raises(PointOutOfDomain):
+            grid.index_of(p)
 
 
 # --------------------------------------------------------- rasterize_adaptive

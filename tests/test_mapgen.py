@@ -1,5 +1,6 @@
 """Map generator tests: noise fields, analytic shapes, volume solids."""
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -11,25 +12,81 @@ from octoplan.bench import BenchConfig
 from octoplan.errors import InvalidSpec
 from octoplan.geometry import Aabb, PointCloud
 from octoplan.mapgen import (PerlinParams, derive_seed, gen_perlin_cloud,
-                             gen_solid_cloud, multi_octave_noise, scene_cloud,
-                             solid_cloud_near, solid_domain)
+                             gen_solid_cloud, scene_cloud, solid_cloud_near,
+                             solid_domain)
 
 
 def noise_domain(edge=10.0, d=2):
     return Aabb(np.zeros(d), np.full(d, float(edge)))
 
 
+def reference_noise(params, coords):
+    """Octave-summed noise at each row of coords, written from the kernel's
+    documented operation order with no runs and no broadcasting between
+    axes: every sample is evaluated on its own coordinates."""
+    n, d = coords.shape
+    perm = mapgen_mod._permutation(params.seed)
+    grad, pick = ((mapgen_mod._GRAD2, perm & 7) if d == 2
+                  else (mapgen_mod._GRAD3, perm % 12))
+    total, amp, amp_sum, freq = np.zeros(n), 1.0, 0.0, params.frequency
+    for _ in range(params.octaves):
+        t = coords * freq
+        cell = np.floor(t)
+        frac = t - cell
+        cell = np.mod(cell, 256.0).astype(np.int64)
+        fade = frac * frac * frac * (frac * (frac * 6.0 - 15.0) + 10.0)
+        corners = {}
+        for offs in itertools.product((0, 1), repeat=d):
+            h = cell[:, 0] + offs[0]
+            for a in range(1, d):
+                h = perm[h] + (cell[:, a] + offs[a])
+            g = grad[pick[h]]
+            dot = g[:, 0] * (frac[:, 0] - offs[0])
+            for a in range(1, d):
+                dot = dot + g[:, a] * (frac[:, a] - offs[a])
+            corners[offs] = dot
+        for a in range(d):
+            # Blend along axis a; a key holds the later axes' offsets.
+            blended = {}
+            for k in itertools.product((0, 1), repeat=d - a - 1):
+                lo, hi = corners[(0,) + k], corners[(1,) + k]
+                blended[k] = lo + fade[:, a] * (hi - lo)
+            corners = blended
+        total = total + amp * (corners[()] * (2.0 / math.sqrt(d)))
+        amp_sum += amp
+        amp *= params.persistence
+        freq *= 2.0
+    return total / amp_sum
+
+
+def lattice_noise(params, axes):
+    """The kernel's octave sum on the lattice of axes, in C order."""
+    d = len(axes)
+    parts = [a.reshape([-1 if j == k else 1 for j in range(d)])
+             for k, a in enumerate(axes)]
+    tables = mapgen_mod._hash_tables(params.seed, d)
+    return mapgen_mod._octave_sum(params, tables, parts).reshape(-1)
+
+
+def lattice_coords(axes):
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
 # ------------------------------------------------------------------- noise
+
+
+def random_axes(rng, lo, hi, sizes):
+    return [np.sort(rng.uniform(lo, hi, n)) for n in sizes]
 
 
 def test_noise_is_deterministic():
     params = PerlinParams(seed=42, domain=noise_domain())
-    coords = np.random.default_rng(1).uniform(0, 10, size=(500, 2))
-    a = multi_octave_noise(params, coords)
-    b = multi_octave_noise(params, coords)
+    axes = random_axes(np.random.default_rng(1), 0, 10, (25, 20))
+    a = lattice_noise(params, axes)
+    b = lattice_noise(params, axes)
     assert np.array_equal(a, b)
-    other = multi_octave_noise(PerlinParams(seed=43, domain=noise_domain()),
-                               coords)
+    other = lattice_noise(PerlinParams(seed=43, domain=noise_domain()), axes)
     assert not np.array_equal(a, other)
 
 
@@ -38,8 +95,8 @@ def test_noise_stays_in_unit_range():
     for d, octaves in [(2, 1), (2, 4), (3, 1), (3, 4)]:
         params = PerlinParams(seed=7, domain=noise_domain(d=d),
                               octaves=octaves)
-        coords = rng.uniform(0, 100, size=(2000, d))
-        values = multi_octave_noise(params, coords)
+        axes = random_axes(rng, 0, 100, (45, 45) if d == 2 else (13,) * 3)
+        values = lattice_noise(params, axes)
         assert np.all(np.abs(values) <= 1.0 + 1e-12)
 
 
@@ -47,8 +104,23 @@ def test_noise_vanishes_on_integer_lattice():
     # Gradient noise is zero wherever every scaled coordinate is integral,
     # and doubling frequencies keeps integral points integral.
     params = PerlinParams(seed=5, domain=noise_domain(), frequency=0.25)
-    coords = np.array([[0.0, 0.0], [4.0, 8.0], [-4.0, 12.0], [40.0, -16.0]])
-    assert np.all(multi_octave_noise(params, coords) == 0.0)
+    axes = [np.array([-4.0, 0.0, 4.0, 40.0]),
+            np.array([-16.0, 0.0, 8.0, 12.0])]
+    assert np.all(lattice_noise(params, axes) == 0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("octaves", [4, 70])
+def test_lattice_noise_values_equal_reference(d, octaves):
+    # Bit for bit, at a fractional and an integral coordinate in each cell
+    # run; from octave 64 on, the scaled coordinates pass 2^53.
+    rng = np.random.default_rng(8)
+    axes = random_axes(rng, -100.0, 100.0, (40, 31) if d == 2 else (9, 8, 7))
+    axes[0][::3] = np.floor(axes[0][::3])
+    dom = Aabb(np.full(d, -100.0), np.full(d, 100.0))
+    params = PerlinParams(seed=17, domain=dom, octaves=octaves)
+    expected = reference_noise(params, lattice_coords(axes))
+    assert lattice_noise(params, axes).tobytes() == expected.tobytes()
 
 
 def test_perlin_cloud_threshold_floor_takes_whole_lattice():
@@ -98,6 +170,11 @@ def test_perlin_params_validation():
         PerlinParams(seed=1, domain=noise_domain(), frequency=-1.0)
     with pytest.raises(InvalidSpec):
         PerlinParams(seed=1, domain=noise_domain(), samples_per_meter=0.0)
+    # A finite threshold outside [-1, 1] is allowed (an empty or a full
+    # cloud); NaN and infinities are not.
+    for threshold in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidSpec, match="threshold"):
+            PerlinParams(seed=1, domain=noise_domain(), threshold=threshold)
 
 
 def test_noise_bound_holds_at_high_octave_counts():
@@ -105,11 +182,12 @@ def test_noise_bound_holds_at_high_octave_counts():
     # hash cell must wrap in float instead of overflowing the int cast.
     rng = np.random.default_rng(4)
     for d in (2, 3):
-        coords = rng.uniform(-100.0, 100.0, size=(1000, d))
+        axes = random_axes(rng, -100.0, 100.0,
+                           (32, 32) if d == 2 else (10,) * 3)
         dom = Aabb(np.full(d, -100.0), np.full(d, 100.0))
         for octaves in (64, 70, 500):
-            values = multi_octave_noise(
-                PerlinParams(seed=13, domain=dom, octaves=octaves), coords)
+            values = lattice_noise(
+                PerlinParams(seed=13, domain=dom, octaves=octaves), axes)
             assert np.all(np.isfinite(values))
             assert np.all(np.abs(values) <= 1.0)
 
@@ -127,12 +205,7 @@ def test_overflowing_octave_count_is_rejected():
 
 def campaign_world_params(trial):
     config = BenchConfig()
-    return PerlinParams(
-        seed=derive_seed(config.campaign_seed, trial), domain=config.domain,
-        frequency=config.noise_frequency_per_m, octaves=config.noise_octaves,
-        persistence=config.noise_persistence,
-        threshold=config.noise_threshold,
-        samples_per_meter=config.samples_per_meter)
+    return config.noise_params(derive_seed(config.campaign_seed, trial))
 
 
 @pytest.mark.parametrize("params,digest", [
@@ -157,13 +230,13 @@ def test_perlin_cloud_golden_digest(params, digest):
 def test_noise_values_golden_digest(d, digest):
     # A cloud keeps only threshold decisions, so a value one ulp off rarely
     # moves a point; these digests pin the bits of every value, which fix
-    # the order of the kernel's float operations.  Every seventh row is
-    # integral, where the fraction is 0.
+    # the order of the float operations that the kernel and the reference
+    # share.  Every seventh row is integral, where the fraction is 0.
     coords = (np.arange(3000 * d).reshape(-1, d) * 0.7548776662466927
               % 400.0 - 200.0)
     coords[::7] = np.floor(coords[::7])
     params = PerlinParams(seed=5, domain=noise_domain(d=d))
-    values = multi_octave_noise(params, coords)
+    values = reference_noise(params, coords)
     assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
 
@@ -186,9 +259,8 @@ def test_lattice_cloud_equals_noise_on_explicit_coordinates(lo, hi):
     cloud = gen_perlin_cloud(params)
     axes = [a + (np.arange(max(1, math.floor(e * 2.0))) + 0.5) / 2.0
             for a, e in zip(domain.min, domain.edges)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([g.ravel() for g in grids], axis=1)
-    expected = coords[multi_octave_noise(params, coords) >= 0.0]
+    coords = lattice_coords(axes)
+    expected = coords[reference_noise(params, coords) >= 0.0]
     assert 0 < len(expected) < len(coords)
     assert cloud.points.tobytes() == expected.tobytes()
 
