@@ -25,6 +25,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -35,6 +36,7 @@ from .gridmap import rasterize_fixed
 from .mapgen import PerlinParams, derive_seed, gen_perlin_cloud
 from .planner import (PlanRequest, jps_plan, plan_with_refinement, refined,
                       release_map_tables)
+from .pool import ordered_map
 from .tree import McrSpec, compute_depth
 from .tree import build as build_tree
 
@@ -273,22 +275,27 @@ def run_trial_cell(cloud, domain, cell, trial_index, trial_seed, cell_index,
     return record
 
 
-def run_campaign(config: BenchConfig) -> tuple[list, dict]:
-    """Run every (trial, cell size) pair; returns (records, aggregate).
-    A world's cells share its trees and fixed rasters (_world_maps), and
-    the planner's map tables are released after each world, so they are
-    not held through the next world's noise."""
+def _run_world(config: BenchConfig, trial: int) -> list:
+    """World `trial`'s records, one per cell size.  Its cells share its
+    trees and fixed rasters (_world_maps); the planner's map tables are
+    released at the end, not held through the next world's noise."""
     domain = config.domain
-    records = []
-    for trial in range(config.trials):
-        trial_seed = derive_seed(config.campaign_seed, trial)
-        maps = {}
-        cloud = gen_perlin_cloud(config.noise_params(trial_seed))
-        for cell_index, cell in enumerate(config.cell_sizes_m):
-            records.append(run_trial_cell(
-                cloud, domain, cell, trial, trial_seed, cell_index, config,
-                maps))
-        release_map_tables()
+    trial_seed = derive_seed(config.campaign_seed, trial)
+    maps = {}
+    cloud = gen_perlin_cloud(config.noise_params(trial_seed))
+    records = [run_trial_cell(cloud, domain, cell, trial, trial_seed,
+                              cell_index, config, maps)
+               for cell_index, cell in enumerate(config.cell_sizes_m)]
+    release_map_tables()
+    return records
+
+
+def run_campaign(config: BenchConfig, workers: int = 1) -> tuple[list, dict]:
+    """Run every (trial, cell size) pair, worlds in at most `workers`
+    processes; returns (records, aggregate), the same at every count."""
+    worlds = ordered_map(partial(_run_world, config), range(config.trials),
+                         workers, 1)
+    records = [record for world in worlds for record in world]
     return records, aggregate_records(config, records)
 
 

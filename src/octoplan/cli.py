@@ -31,6 +31,7 @@ from .gridmap import (grid_to_json, grid_to_pgm, rasterize_adaptive,
 from .mapgen import PerlinParams, gen_perlin_cloud, scene_cloud
 from .planner import (PlanRequest, jps_plan, path_to_json,
                       plan_with_refinement, require_2d)
+from .pool import usable_cpus
 from .tree import DEFAULT_DEPTH_CAP, McrSpec, compute_depth
 from .tree import build as build_tree
 
@@ -297,9 +298,6 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.workers > 1:
-        raise InvalidSpec(
-            f"bench runs its worlds serially; --workers must be 1, got {args.workers}")
     if args.write_default_config:
         sys.stdout.write(bench_mod.BenchConfig().to_text())
         return 0
@@ -316,7 +314,7 @@ def _cmd_bench(args) -> int:
     if overrides:
         from dataclasses import replace
         config = replace(config, **overrides)
-    records, aggregate = bench_mod.run_campaign(config)
+    records, aggregate = bench_mod.run_campaign(config, workers=args.workers)
     bench_mod.write_outputs(args.out_dir, records, aggregate)
     if args.format == "csv":
         sys.stdout.write(bench_mod.records_to_csv(records))
@@ -379,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="octoplan",
         description="Adaptive subdivision maps, downsampling, and planning.")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=usable_cpus())
     parser.add_argument("--out-dir", default=".")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     subs = parser.add_subparsers(dest="command", required=True)

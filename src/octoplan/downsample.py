@@ -23,8 +23,6 @@ that hunts for the voxel size hitting a requested output count.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -33,6 +31,7 @@ import numpy as np
 from .errors import DegenerateInput, EmptyInput, InvalidSpec
 from .geometry import (Aabb, ConvexHull, PointCloud, _dedupe_rows, quickhull,
                        strictly_inside)
+from .pool import ordered_map
 from .tree import OctoTree, morton_encode, occupied_leaf_nodes
 
 
@@ -114,9 +113,10 @@ def downsample_tree(tree: OctoTree, workers: int = 1,
     """Run the per-leaf reduction over every occupied leaf and, with mesh
     only, mesh each leaf's retained set where its hull is non-degenerate.
 
-    Leaves are processed in the tree's Morton order and results assembled
-    in that order, so the output does not depend on the worker count. An
-    empty tree yields an empty retained cloud at retention 1.0.
+    Leaves go in 16-leaf chunks to at most `workers` processes and come
+    back in the tree's Morton order, so the output does not depend on the
+    worker count; stage seconds are summed over leaves. An empty tree
+    yields an empty retained cloud at retention 1.0.
     """
     t_start = perf_counter()
     leaves = occupied_leaf_nodes(tree)
@@ -127,17 +127,7 @@ def downsample_tree(tree: OctoTree, workers: int = 1,
     payloads = [(points[leaf.point_ids], leaf.split_boundary, mesh)
                 for leaf in leaves]
     total = sum(len(p[0]) for p in payloads)
-
-    # At most `workers` processes, none past the CPUs this process may use
-    # or the 16-leaf chunks, and no pool for one.
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    procs = min(workers, cpus, -(-len(payloads) // 16))
-    if procs > 1:
-        with ProcessPoolExecutor(max_workers=procs) as pool:
-            outcomes = list(pool.map(_leaf_job, payloads, chunksize=16))
-    else:
-        outcomes = [_leaf_job(p) for p in payloads]
+    outcomes = ordered_map(_leaf_job, payloads, workers, 16)
 
     retained = np.vstack([o[0] for o in outcomes])
     meshes = [o[1] for o in outcomes if o[1] is not None]

@@ -1,8 +1,14 @@
 """Exception types shared across the package."""
+import copyreg
 
 
 class OctoplanError(Exception):
     """Base class for all package-specific errors."""
+
+    def __reduce__(self):
+        # Rebuild from args and attributes, not through __init__, so an
+        # error raised in a pool worker reaches the caller as itself.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class EmptyInput(OctoplanError):
@@ -42,6 +48,11 @@ class CloudParseError(OctoplanError):
         self.path = path
         self.line = line
         super().__init__(f"{path}:{line}: {message}")
+
+
+class WorkerFailed(OctoplanError):
+    """A pool worker process ended before returning its results."""
+    code = "worker_failed"
 
 
 class PlanningError(OctoplanError):

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull as SciHull
 
+import octoplan.pool as pool_mod
 from octoplan.bench import (TIMING_COLUMNS, BenchConfig, aggregate_to_json,
                             records_to_csv, run_campaign)
+from octoplan.cli import main
 from octoplan.cloudio import write_binary, write_xyz
 from octoplan.downsample import convexify_leaf, downsample_tree
 from octoplan.geometry import Aabb, PointCloud, aabb_of
@@ -278,4 +280,26 @@ def test_criterion_10_reruns_are_byte_identical(tmp_path, acceptance_log):
     assert blobs[0] == blobs[1]
     acceptance_log.append(
         f"criterion 10: campaign, generators, and artifacts byte-identical "
+        f"in {perf_counter() - t0:.0f} s")
+
+
+def test_criterion_10_cli_campaign_is_identical_at_two_workers(
+        tmp_path, monkeypatch, capsys, acceptance_log):
+    # The CLI rerun of the gate's campaign: bench at --workers 1 and 2
+    # (two processes even on one CPU) writes the same rows and aggregate.
+    t0 = perf_counter()
+    monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 2)
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert main(["--workers", workers, "--out-dir", str(out),
+                     "bench", "--trials", "20"]) == 0
+        rows = (out / "records.csv").read_text().strip().splitlines()
+        outputs.append(([r.rsplit(",", TIMING_COLUMNS)[0] for r in rows],
+                        (out / "aggregate.json").read_bytes()))
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][0]) == 1 + 20 * len(BenchConfig().cell_sizes_m)
+    acceptance_log.append(
+        f"criterion 10: bench rows identical at --workers 1 and 2 "
         f"in {perf_counter() - t0:.0f} s")

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -18,10 +19,12 @@ from hypothesis import strategies as st
 
 import octoplan.bench as bench_mod
 import octoplan.cli as cli_mod
+import octoplan.downsample as downsample_mod
 import octoplan.geometry as geometry_mod
 import octoplan.gridmap as gridmap_mod
 import octoplan.mapgen as mapgen_mod
 import octoplan.planner as planner_mod
+import octoplan.pool as pool_mod
 import octoplan.tree as tree_mod
 from octoplan.bench import (CSV_COLUMNS, TIMING_COLUMNS, BenchConfig,
                             TrialRecord, aggregate_to_json, records_to_csv,
@@ -812,6 +815,68 @@ def test_cli_workers_below_one_exits_2(tmp_path, capsys, workers):
     assert "--workers" in payload["message"]
 
 
+def test_cli_workers_default_to_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)),
+                        raising=False)
+    args = cli_mod.build_parser().parse_args(["bench"])
+    assert args.workers == pool_mod.usable_cpus() == 5
+
+
+def solid_pair_argv(tmp_path, out_dir):
+    """A convex downsample of the 20k solid pair at depth 5: 35 leaves, so
+    3 chunks of 16 and a pool at two workers."""
+    cloud_path = tmp_path / "solids.bin"
+    write_binary(mapgen_mod.solid_cloud_near(20_000), cloud_path)
+    return ["--out-dir", str(out_dir), "downsample", "--cloud",
+            str(cloud_path), "--domain", "0,0,0:20,20,20", "--depth", "5",
+            "--method", "convex", "--mesh-out", "hulls.obj"]
+
+
+class CountingPool(pool_mod.ProcessPoolExecutor):
+    """A real process pool that records its size."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+def test_cli_downsample_default_workers_write_the_same_files(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(CountingPool, "sizes", [])
+    monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", CountingPool)
+    blobs = []
+    for extra in ([], ["--workers", "1"]):
+        out_dir = tmp_path / f"out{len(extra)}"
+        code, _, err = run_cli(capsys, *extra,
+                               *solid_pair_argv(tmp_path, out_dir))
+        assert code == 0, err
+        blobs.append([(out_dir / name).read_bytes()
+                      for name in ("retained.xyz", "hulls.obj")])
+    assert CountingPool.sizes == [2]
+    assert blobs[0] == blobs[1]
+
+
+def exit_in_worker(payload):
+    """A leaf job whose process ends abruptly, as an OOM kill would end it."""
+    os._exit(3)
+
+
+def test_cli_dead_worker_ends_in_one_json_line(tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(downsample_mod, "_leaf_job", exit_in_worker)
+    code, out, err = run_cli(capsys, "--workers", "2",
+                             *solid_pair_argv(tmp_path, tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert one_error_line(err)["error"] == "worker_failed"
+
+
 PLAN_2D = ("plan", "--perlin", "--domain", "0,0:40,30", "--goal", "30,20")
 
 
@@ -919,16 +984,24 @@ def test_cli_build_on_an_empty_cloud_reports_the_domain_dimension(tmp_path,
     assert (report["dim"], report["n_points"]) == (2, 0)
 
 
-def test_cli_bench_workers_above_one_exits_2(tmp_path, capsys):
-    code, out, err = run_cli(
-        capsys, "--workers", "2", "--out-dir", str(tmp_path),
-        "bench", "--trials", "1")
-    assert code == 2
-    assert out == ""
-    payload = one_error_line(err)
-    assert payload["error"] == "invalidspec"
-    assert "--workers" in payload["message"]
-    assert not (tmp_path / "records.csv").exists()
+def test_cli_bench_rows_do_not_depend_on_workers(tmp_path, capsys,
+                                                monkeypatch):
+    # Each world runs whole in one worker, and the records come back in
+    # world order, so only the wall-clock columns may differ.
+    monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 2)
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(small_config(trials=4).to_text())
+    outputs = []
+    for workers in ("1", "2"):
+        out_dir = tmp_path / workers
+        code, out, err = run_cli(
+            capsys, "--workers", workers, "--out-dir", str(out_dir),
+            "bench", "--config", str(cfg))
+        assert code == 0, err
+        outputs.append((strip_timing((out_dir / "records.csv").read_text()),
+                        (out_dir / "aggregate.json").read_bytes(), out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].count("\n") == 4 * 2
 
 
 def test_cli_bench_endpoint_attempts_below_one_exits_2(tmp_path, capsys):
@@ -1223,8 +1296,9 @@ def cloud_args(draw):
 def fuzz_case(draw):
     """Files to write and the whole argv of one octoplan run."""
     argv = draw(flag("seed", numbers(0, 99, integer=True)))
+    # Always given: without the flag a run would start one worker per CPU.
     argv += draw(flag("workers", rarely(st.sampled_from(("0", "-1", "x")),
-                                        st.just("1"))))
+                                        st.just("1")), always=True))
     command = draw(st.sampled_from(("build", "rasterize", "plan",
                                     "downsample", "calibrate-perlin",
                                     "bench")))

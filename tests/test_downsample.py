@@ -10,6 +10,7 @@ import pytest
 from scipy.spatial import ConvexHull as SciHull
 
 import octoplan.downsample as downsample_mod
+import octoplan.pool as pool_mod
 from octoplan.downsample import (calibrate_voxel_size, convexify_leaf,
                                  downsample_tree, export_mesh, metrics_csv,
                                  voxel_filter)
@@ -112,6 +113,9 @@ def test_downsample_tree_worker_count_does_not_change_output():
     two = downsample_tree(tree, workers=2, mesh=True)
     assert one.retained.points.tobytes() == two.retained.points.tobytes()
     assert len(one.per_leaf_meshes) == len(two.per_leaf_meshes)
+    for a, b in zip(one.per_leaf_meshes, two.per_leaf_meshes):
+        assert a.vertices.tobytes() == b.vertices.tobytes()
+        assert a.faces.tobytes() == b.faces.tobytes()
 
 
 class RecordingPool:
@@ -143,7 +147,7 @@ class RecordingPool:
 ])
 def test_downsample_pool_is_capped(monkeypatch, workers, cpus, n, want):
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(downsample_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     _, tree = tree_fixture(n=n, seed=6)
