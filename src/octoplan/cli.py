@@ -25,7 +25,7 @@ from .downsample import (calibrate_voxel_size, downsample_tree, export_mesh,
 from .errors import (CloudParseError, InvalidRequest, InvalidSpec,
                      NoPathAtMaxDepth, OctoplanError, PointOutOfDomain,
                      StartOrGoalOccupied)
-from .geometry import Aabb, PointCloud, aabb_of
+from .geometry import Aabb, PointCloud, aabb_of, require_inside
 from .gridmap import (grid_to_json, grid_to_pgm, rasterize_adaptive,
                       rasterize_fixed)
 from .mapgen import PerlinParams, gen_perlin_cloud, scene_cloud
@@ -263,6 +263,7 @@ def _cmd_plan(args) -> int:
     require_2d(domain.dim)
     start = _parse_point(args.start, "--start", domain.dim)
     goal = _parse_point(args.goal, "--goal", domain.dim)
+    require_inside(np.array([start, goal]), domain)
     _maybe_save_cloud(args, cloud)
     report = {"mode": args.mode}
     if args.mode == "fixed":

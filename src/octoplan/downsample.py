@@ -34,6 +34,9 @@ from .geometry import (Aabb, ConvexHull, PointCloud, _dedupe_rows, quickhull,
 from .pool import ordered_map
 from .tree import OctoTree, morton_encode, occupied_leaf_nodes
 
+CALIBRATE_TOLERANCE = 5
+CALIBRATE_MAX_ITERS = 64
+
 
 @dataclass(frozen=True)
 class DownsampleResult:
@@ -176,12 +179,11 @@ def voxel_filter(cloud: PointCloud, voxel_size: float) -> PointCloud:
     return PointCloud(ordered[winners])
 
 
-def calibrate_voxel_size(cloud: PointCloud, target_count: int,
-                         tolerance: int = 5,
-                         max_iters: int = 64) -> tuple[float, int]:
-    """Bisect for a voxel size whose filtered count lands within tolerance
-    of target_count; returns (voxel_size, achieved_count), the closest pair
-    found if the tolerance is unreachable."""
+def calibrate_voxel_size(cloud: PointCloud,
+                         target_count: int) -> tuple[float, int]:
+    """Bisect, for at most CALIBRATE_MAX_ITERS steps, for a voxel size whose
+    filtered count lands within CALIBRATE_TOLERANCE of target_count; returns
+    (voxel_size, achieved_count), the closest pair found if none does."""
     n_unique = len(_dedupe_rows(cloud.points))
     if not 1 <= target_count <= n_unique:
         raise InvalidSpec(
@@ -190,12 +192,12 @@ def calibrate_voxel_size(cloud: PointCloud, target_count: int,
     hi = float(edges.max()) * (1 + 1e-9) or 1.0
     lo = hi * 2.0 ** -40
     best = (hi, 1)
-    for _ in range(max_iters):
+    for _ in range(CALIBRATE_MAX_ITERS):
         mid = 0.5 * (lo + hi)
         count = len(voxel_filter(cloud, mid))
         if abs(count - target_count) < abs(best[1] - target_count):
             best = (mid, count)
-        if abs(count - target_count) <= tolerance:
+        if abs(count - target_count) <= CALIBRATE_TOLERANCE:
             return mid, count
         if count > target_count:
             lo = mid

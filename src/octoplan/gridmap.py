@@ -112,16 +112,15 @@ def rasterize_fixed(cloud: PointCloud, domain: Aabb, cell_size) -> UniformGridMa
     occ = _dense_grid(dims)
     pts = cloud.points
     require_inside(pts, domain)
-    if pts.shape[0]:
-        # One pass per axis column accumulates the row-major flat index.
-        flat = np.zeros(len(pts), dtype=np.int64)
-        for a, n in enumerate(dims):
-            idx = np.floor((pts[:, a] - domain.min[a]) / cell[a])
-            idx = idx.astype(np.int64)
-            np.minimum(idx, n - 1, out=idx)
-            flat *= n
-            flat += idx
-        occ.reshape(-1)[flat] = True
+    # One pass per axis column accumulates the row-major flat index.
+    flat = np.zeros(len(pts), dtype=np.int64)
+    for a, n in enumerate(dims):
+        idx = np.floor((pts[:, a] - domain.min[a]) / cell[a])
+        idx = idx.astype(np.int64)
+        np.minimum(idx, n - 1, out=idx)
+        flat *= n
+        flat += idx
+    occ.reshape(-1)[flat] = True
     return UniformGridMap(dims, cell, domain.min.copy(), occ)
 
 

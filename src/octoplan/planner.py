@@ -62,7 +62,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidRequest, InvalidSpec, NoPathAtMaxDepth,
-                     PointOutOfDomain, StartOrGoalOccupied, DepthCapExceeded)
+                     StartOrGoalOccupied, DepthCapExceeded)
+from .geometry import require_inside
 from .gridmap import UniformGridMap, free_components, rasterize_adaptive
 from .tree import OctoTree, dynamic_partition, morton_encode
 
@@ -402,7 +403,8 @@ def plan_with_refinement(tree: OctoTree, start_point, goal_point,
     Each retry plans on refined(tree), so the caller's tree stays as built
     and keeps the deeper trees as its finer chain for later calls; each
     tree searched keeps its read-only raster as tree.raster.  A tree that
-    is not 2-D is refused with InvalidRequest before anything is rasterized.
+    is not 2-D (InvalidRequest) or an endpoint outside the domain's closed
+    box (PointOutOfDomain, row 0 start, row 1 goal) is refused first.
 
     Raises StartOrGoalOccupied when every attempted depth left an endpoint
     in an occupied cell, NoPathAtMaxDepth when all attempts failed for lack
@@ -413,11 +415,8 @@ def plan_with_refinement(tree: OctoTree, start_point, goal_point,
     if max_rounds < 0:
         raise InvalidSpec(f"max_rounds must be >= 0, got {max_rounds}")
     require_2d(tree.dim)
-    start_point = np.asarray(start_point, dtype=float)
-    goal_point = np.asarray(goal_point, dtype=float)
-    for name, p in (("start", start_point), ("goal", goal_point)):
-        if not tree.domain.contains(p):
-            raise PointOutOfDomain(p, tree.domain.min, tree.domain.max)
+    ends = np.array([start_point, goal_point], dtype=float)
+    require_inside(ends, tree.domain)
 
     elapsed = 0.0
     endpoint_free_somewhere = False
@@ -429,8 +428,7 @@ def plan_with_refinement(tree: OctoTree, start_point, goal_point,
             grid = tree.raster = rasterize_adaptive(tree)
             grid.occupancy.flags.writeable = False
         last_grid = grid
-        s = grid.index_of(start_point)
-        t = grid.index_of(goal_point)
+        s, t = (grid.index_of(p) for p in ends)
         if not grid.is_occupied(s) and not grid.is_occupied(t):
             endpoint_free_somewhere = True
             t0 = time.perf_counter()

@@ -162,8 +162,6 @@ def build(cloud: PointCloud, domain: Aabb, depth: int) -> OctoTree:
     tree = OctoTree(domain, depth)
     pts = np.array(cloud.points, dtype=float)
     require_inside(pts, domain)
-    if pts.shape[0] == 0:
-        return tree
     pts.flags.writeable = False
     tree._points = pts
     index = np.column_stack([np.searchsorted(faces[1:-1], coord, side="right")

@@ -728,16 +728,27 @@ def test_cli_plan_on_a_3d_cloud_exits_5_before_rasterizing(tmp_path, capsys,
     assert json.loads(err)["error"] == "map_not_2d"
 
 
-def test_cli_plan_point_outside_domain_exits_5(tmp_path, capsys):
+@pytest.mark.parametrize("mode", ["adaptive", "fixed"])
+@pytest.mark.parametrize("start, goal, row", [
+    pytest.param("-1,4", "7,7", 0, id="start"),
+    pytest.param("1,1", "7,8.5", 1, id="goal"),
+    # 3 m cells cover 9 m of the 8 m domain: inside the fixed grid only.
+    pytest.param("8.5,8.5", "1,1", 0, id="overhang"),
+])
+def test_cli_plan_point_outside_domain_exits_5(tmp_path, capsys, mode, start,
+                                               goal, row):
     cloud_path = tmp_path / "pts.xyz"
     write_xyz(PointCloud(np.array([[4.0, 4.0]])), cloud_path)
-    code, _, err = run_cli(
-        capsys, "--out-dir", str(tmp_path),
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "--out-dir", str(out_dir),
         "plan", "--cloud", str(cloud_path), "--domain", "0,0:8,8",
-        "--mode", "adaptive", "--depth", "2",
-        "--start=-1,4", "--goal", "7,7")
+        "--mode", mode, "--depth", "2", "--cell", "3", "--save-cloud", "c.xyz",
+        f"--start={start}", "--goal", goal)
     assert code == 5
-    assert "error" in json.loads(err)
+    assert out == ""
+    assert f"(input row {row})" in one_error_line(err)["message"]
+    assert os.listdir(out_dir) == []
 
 
 def test_cli_malformed_cloud_exits_2_naming_line(tmp_path, capsys):
@@ -938,6 +949,11 @@ PLAN_2D = ("plan", "--perlin", "--domain", "0,0:40,30", "--goal", "30,20")
     (("build", "--perlin", "--domain", "0,0:8,8", "--depth", "2",
       "--threshold", "nan"), 2),
     (("bench", "--config", "nan.cfg"), 2),
+    # A non-finite endpoint in adaptive mode too, and a start on the fixed
+    # grid's overhang past the domain.
+    (PLAN_2D + ("--depth", "5", "--start", "nan,nan"), 5),
+    (("plan", "--perlin", "--domain", "0,0:10,10", "--mode", "fixed",
+      "--cell", "3", "--start", "11,11", "--goal", "1,1"), 5),
 ])
 def test_cli_bad_values_end_in_one_json_line(tmp_path, capsys, monkeypatch,
                                              argv, code):
@@ -1157,13 +1173,21 @@ def test_cli_calibrate_perlin_evaluates_each_rate_once(tmp_path, capsys,
     assert report["samples_per_meter"] in rates
 
 
+def package_env():
+    """The environment with the tested package's copy first on PYTHONPATH,
+    so a subprocess imports the same octoplan as this process."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(cli_mod.__file__)))
+    paths = [root, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 def test_cli_runs_as_subprocess(tmp_path):
     bad = tmp_path / "bad.xyz"
     bad.write_text("not a point\n")
     proc = subprocess.run(
         [sys.executable, "-m", "octoplan.cli", "--out-dir", str(tmp_path),
          "build", "--cloud", str(bad), "--domain", "0,0:8,8", "--depth", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=package_env())
     assert proc.returncode == 2
     assert json.loads(proc.stderr)["error"] == "cloudparseerror"
 
@@ -1177,7 +1201,7 @@ def test_package_never_imports_scipy(tmp_path):
         "             '--scene-points', '3000', '--depth', '3'])\n"
         "print(code, 'scipy' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False"
 

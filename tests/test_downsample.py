@@ -11,9 +11,9 @@ from scipy.spatial import ConvexHull as SciHull
 
 import octoplan.downsample as downsample_mod
 import octoplan.pool as pool_mod
-from octoplan.downsample import (calibrate_voxel_size, convexify_leaf,
-                                 downsample_tree, export_mesh, metrics_csv,
-                                 voxel_filter)
+from octoplan.downsample import (CALIBRATE_TOLERANCE, calibrate_voxel_size,
+                                 convexify_leaf, downsample_tree, export_mesh,
+                                 metrics_csv, voxel_filter)
 from octoplan.errors import EmptyInput, InvalidSpec
 from octoplan.geometry import Aabb, ConvexHull, PointCloud, quickhull
 from octoplan.tree import build, occupied_leaf_nodes
@@ -286,8 +286,8 @@ def test_voxel_size_with_an_index_over_the_float_range_is_refused():
 def test_calibrate_voxel_size_hits_ten_percent():
     rng = np.random.default_rng(17)
     cloud = PointCloud(rng.uniform(0.0, 20.0, size=(10000, 3)))
-    size, achieved = calibrate_voxel_size(cloud, 1000, tolerance=50)
-    assert abs(achieved - 1000) <= 50
+    size, achieved = calibrate_voxel_size(cloud, 1000)
+    assert abs(achieved - 1000) <= CALIBRATE_TOLERANCE
     assert len(voxel_filter(cloud, size)) == achieved
 
 

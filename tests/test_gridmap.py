@@ -56,6 +56,13 @@ def test_fixed_domain_max_stays_in_last_cell():
 def test_fixed_empty_cloud_all_free():
     grid = rasterize_fixed(PointCloud(np.empty((0, 2))), domain2(), 1.0)
     assert grid.occupied_count == 0
+    for dim in (2, 3):
+        dom = Aabb(np.zeros(dim), np.full(dim, 5.0))
+        grid = rasterize_fixed(PointCloud.empty(dim), dom, 2.0)
+        assert grid.dims == (3,) * dim
+        assert grid.occupancy.dtype == bool and not grid.occupancy.any()
+        assert grid.cell_size.tolist() == [2.0] * dim
+        assert grid.origin.tolist() == [0.0] * dim
 
 
 def test_fixed_dims_are_ceilings():

@@ -820,6 +820,19 @@ def test_refinement_rejects_point_outside_domain():
         plan_with_refinement(tree, (-1.0, 8.0), (14.0, 8.0))
 
 
+@pytest.mark.parametrize("start, goal, row", [
+    ((-1.0, 8.0), (14.0, 8.0), 0),
+    ((1.0, 8.0), (14.0, math.nan), 1),
+])
+def test_refinement_names_the_endpoint_row_before_rasterizing(start, goal,
+                                                              row):
+    tree = build(wall_cloud(0.5), refinement_domain(), depth=2)
+    with pytest.raises(PointOutOfDomain) as err:
+        plan_with_refinement(tree, start, goal)
+    assert err.value.index == row
+    assert tree.raster is None
+
+
 # ------------------------------------------------------------------- JSON
 
 

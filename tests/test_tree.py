@@ -194,9 +194,17 @@ def test_build_rejects_out_of_domain_point():
 
 
 def test_build_empty_cloud():
-    tree = build(PointCloud.empty(2), unit_domain(2), depth=3)
-    assert occupied_leaves(tree) == []
-    assert len(tree.points_array()) == 0
+    for dim in (2, 3):
+        tree = build(PointCloud.empty(dim), unit_domain(dim), depth=3)
+        assert occupied_leaves(tree) == []
+        # The table a new tree starts with, dtypes and shapes included.
+        fresh = OctoTree(unit_domain(dim), 3)
+        for name in ("codes", "index", "order", "offsets"):
+            got, want = getattr(tree, name), getattr(fresh, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+        pts = tree.points_array()
+        assert pts.shape == (0, dim) and not pts.flags.writeable
 
 
 def test_build_depth_zero_root_is_leaf():
