@@ -187,8 +187,12 @@ def _draw_endpoints(grid, rng, min_dist, attempts):
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     if not len(pairs):
         return None
-    dx, dy = (grid.cell_center(free[pairs[:, 0]])
-              - grid.cell_center(free[pairs[:, 1]])).T
+    # Each axis's cell centres, origin + (index + 0.5) * cell as
+    # cell_center computes them, gathered per drawn cell.
+    centres = [o + (np.arange(n) + 0.5) * c
+               for o, c, n in zip(grid.origin, grid.cell_size, grid.dims)]
+    dx, dy = (c[free[pairs[:, 0], a]] - c[free[pairs[:, 1], a]]
+              for a, c in enumerate(centres))
     dist = np.sqrt(dx * dx + dy * dy)
     hits = np.flatnonzero(dist >= min_dist)
     # argmax keeps the first of equal distances.

@@ -52,16 +52,23 @@ class UniformGridMap:
 
         A hair of slack absorbs the rounding of extent_max = dims * cell when
         the per-axis cell size is not exactly representable.  A NaN
-        coordinate is inside no box.
+        coordinate is inside no box.  The axes run in Python floats through
+        the IEEE operations of extent_max and of the array expression
+        floor((q - origin) / cell), so the cell is the same bit for bit.
         """
-        q = np.asarray(p, dtype=float)
-        tol = 1e-9 * np.maximum(1.0, np.abs(self.extent_max - self.origin))
-        if not (np.all(q >= self.origin - tol)
-                and np.all(q <= self.extent_max + tol)):
-            raise PointOutOfDomain(q, self.origin, self.extent_max)
-        idx = np.floor((q - self.origin) / self.cell_size).astype(np.int64)
-        idx = np.clip(idx, 0, np.asarray(self.dims) - 1)
-        return tuple(int(i) for i in idx)
+        q = [float(v) for v in p]
+        if len(q) != self.dim:
+            raise InvalidSpec(f"point has {len(q)} coordinates, grid is"
+                              f" {self.dim}-D")
+        cell = []
+        for v, o, c, n in zip(q, self.origin.tolist(),
+                              self.cell_size.tolist(), self.dims):
+            e = o + n * c
+            tol = 1e-9 * max(1.0, abs(e - o))
+            if not o - tol <= v <= e + tol:
+                raise PointOutOfDomain(q, self.origin, self.extent_max)
+            cell.append(min(max(math.floor((v - o) / c), 0), n - 1))
+        return tuple(cell)
 
     def cell_center(self, idx) -> np.ndarray:
         return self.origin + (np.asarray(idx, dtype=float) + 0.5) * self.cell_size

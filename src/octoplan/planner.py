@@ -26,24 +26,30 @@ Harabor & Grastien, ICAPS 2014).  A table marks the cells where a straight
 scan in its direction ends: blocked cells, the goal, and free cells with a
 forced neighbour.  East and west tables are row-major, south and north
 tables column-major, so each straight scan is one bytes.find or
-bytes.rfind instead of a cell-by-cell loop.  The diagonal walk steps a
-cell's row-major index and its column-major index together and runs both
-scans inline in every cell it enters, with no function call per cell.
-Heap tie-break keys come from two lists, one per axis, whose bitwise or is
-the cell's Morton key.  Every jump point, heap entry, path and cost is the
-same as the cell-by-cell scan gives.
+bytes.rfind instead of a cell-by-cell loop.  Four scan-hit tables, one per
+direction and all row-major, say for each cell whether the scan leaving it
+ends on a free stop, a jump point, rather than on a blocked cell, with the
+goal left out.  A diagonal walk returns at the first cell that either hit
+table of its move marks, and runs the goal test and both scans only
+where it crosses the goal's row or column, the only cells where the goal
+can end a scan.  Heap tie-break keys come from two lists, one per axis,
+whose bitwise or is the cell's Morton key.  Every jump point, heap entry,
+path and cost is the same as the cell-by-cell scan gives.
 
 None of these tables depends on the query, so, as in JPS+ (Harabor &
 Grastien, ICAPS 2014), they are built once per map and reused: a one-entry
 memo holds the int32 component labels, the padded free bytes, the four
-stop tables without any goal, and the two key lists.  Its key is the
-grid's content, the occupancy's shape and bytes, so an equal raster hits
-whichever grid object carries it, and an in-place edit, a refined raster
-or another map misses.  Only one map is held: a miss drops the old entry
-before it builds the new one.  Each query copies the four tables and
-marks its goal in the copies, so the shared tables never carry a goal.
-The entry takes about 10 bytes per cell: 4 of labels, 4 of stop tables,
-1 of free bytes and 1 of key.
+stop tables without any goal, the two key lists and the four hit tables.
+The hit tables are built on the first query that passes the label check,
+so a map whose queries all lie in different components never pays for
+them.  The memo's key is the grid's content, the occupancy's shape and
+bytes, so an equal raster hits whichever grid object carries it, and an
+in-place edit, a refined raster or another map misses.  Only one map is
+held: a miss drops the old entry before it builds the new one.  Each query
+copies the four stop tables and marks its goal in the copies, so the
+shared tables never carry a goal.  The entry takes about 14 bytes per
+cell: 4 of labels, 4 of stop tables, 4 of hit tables, 1 of free bytes and
+1 of key.
 
 plan_with_refinement keeps each tree's adaptive raster, read-only, as
 tree.raster, so a long-lived tree is rasterized once however many queries
@@ -58,6 +64,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -86,9 +93,11 @@ class GridPath:
 
     def metric_length(self, grid: UniformGridMap) -> float:
         """Geometric length of the polyline through cell centers."""
-        if len(self.nodes) < 2:
+        n = len(self.nodes)
+        if n < 2:
             return 0.0
-        pts = np.asarray(self.nodes, dtype=float) * grid.cell_size
+        pts = np.fromiter(chain.from_iterable(self.nodes), dtype=float,
+                          count=2 * n).reshape(n, 2) * grid.cell_size
         hops = np.diff(pts, axis=0)
         return float(np.sum(np.sqrt((hops ** 2).sum(axis=1))))
 
@@ -119,15 +128,11 @@ def _octile(a, b) -> float:
 
 def _expand_segment(a, b):
     """Cells strictly after a up to b along a straight or diagonal ray."""
-    di = (b[0] > a[0]) - (b[0] < a[0])
-    dj = (b[1] > a[1]) - (b[1] < a[1])
-    out = []
-    i, j = a
-    while (i, j) != b:
-        i += di
-        j += dj
-        out.append((i, j))
-    return out
+    (i, j), (k, l) = a, b
+    di = (k > i) - (k < i)
+    dj = (l > j) - (l < j)
+    return list(zip(range(i + di, k + di, di) if di else [i] * abs(l - j),
+                    range(j + dj, l + dj, dj) if dj else [j] * abs(k - i)))
 
 
 def _stop_tables(free: np.ndarray) -> tuple[bytes, ...]:
@@ -154,8 +159,33 @@ def _stop_tables(free: np.ndarray) -> tuple[bytes, ...]:
     return tuple(tables)
 
 
+def _scan_hits(free: np.ndarray, stops: tuple[bytes, ...]) -> tuple[bytes, ...]:
+    """Hit tables of the east, west, south and north straight scans.
+
+    free is the padded free grid and stops its _stop_tables.  A table holds,
+    row-major for every direction, the free byte of the stop where the scan
+    leaving a cell ends (0 past the last stop).  In scan order the stops
+    sit at pos, the first and last on the blocked border, so a forward scan
+    from [pos[m], pos[m + 1]) ends at pos[m + 1], a backward one from
+    (pos[m], pos[m + 1]] at pos[m].
+    """
+    rows, cols = free.reshape(-1), free.T.reshape(-1)
+    tables = []
+    for stop, fv, forward in zip(stops, (rows, rows, cols, cols),
+                                 (True, False, True, False)):
+        pos = np.flatnonzero(np.frombuffer(stop, dtype=bool))
+        hit, run = fv[pos], np.diff(pos)
+        hit = (np.append(np.repeat(hit[1:], run), False) if forward
+               else np.insert(np.repeat(hit[:-1], run), 0, False))
+        if fv is cols:
+            hit = hit.reshape(free.shape[::-1]).T
+        tables.append(hit.tobytes())
+    return tuple(tables)
+
+
 # The memo of _map_tables: None, or one tuple (shape, occupancy bytes,
-# labels, padded free bytes, stop tables, key_i, key_j), replaced whole.
+# labels, padded free bytes, stop tables, key_i, key_j, hit tables),
+# replaced whole.  The hit tables are None until _memo_hits builds them.
 _map_memo = None
 
 
@@ -180,8 +210,19 @@ def _map_tables(occupancy: np.ndarray) -> tuple:
                          max(w - 1, h - 1).bit_length())
     _map_memo = (shape, data, labels, free.tobytes(),
                  _stop_tables(free), [0] + keys.tolist(),
-                 [0] + (keys << 1).tolist())
+                 [0] + (keys << 1).tolist(), None)
     return _map_memo
+
+
+def _memo_hits(memo: tuple) -> tuple[bytes, ...]:
+    """The hit tables of memo, the current _map_memo, built into it on the
+    first call."""
+    global _map_memo
+    if memo[7] is None:
+        w, h = memo[0]
+        free = np.frombuffer(memo[3], dtype=bool).reshape(w + 2, h + 2)
+        memo = _map_memo = memo[:7] + (_scan_hits(free, memo[4]),)
+    return memo[7]
 
 
 def release_map_tables() -> None:
@@ -198,9 +239,11 @@ def jps_plan(grid: UniformGridMap, req: PlanRequest) -> GridPath | None:
     goal = (int(req.goal[0]), int(req.goal[1]))
     if start == goal:
         return GridPath((start,), 0.0)
-    _, _, labels, fr, stops, key_i, key_j = _map_tables(grid.occupancy)
+    memo = _map_tables(grid.occupancy)
+    _, _, labels, fr, stops, key_i, key_j, _ = memo
     if labels[start] != labels[goal]:
         return None
+    hit_e, hit_w, hit_s, hit_n = _memo_hits(memo)
 
     w, h = grid.dims
     # Cell (i, j) is fr[(i + 1) * S + j + 1] in a row-major copy padded with
@@ -220,28 +263,40 @@ def jps_plan(grid: UniformGridMap, req: PlanRequest) -> GridPath | None:
 
         A scan ends on the first stop cell past p, a jump point when it is
         free; the blocked border keeps it in its row or column.  A diagonal
-        walk steps p and its column-major twin q together."""
+        walk ends at the first cell where either scan would: a cell either
+        of its hit tables marks, or a crossing of the goal's row or column
+        (x_row, x_col) where a scan reaches the goal."""
         if not a:
             r = east.find(1, p + 1) if b > 0 else west.rfind(1, 0, p)
             return r if fr[r] else None
         i, j = divmod(p, S)
-        q = j * W + i
         if not b:
+            q = j * W + i
             r = south.find(1, q + 1) if a > 0 else north.rfind(1, 0, q)
             r = p + (r - q) * S
             return r if fr[r] else None
-        d, dq = a + b, b * W + a // S
+        d = a + b
+        hit_row = hit_e if b > 0 else hit_w
+        hit_col = hit_s if a > 0 else hit_n
+        k = gi - i if a > 0 else i - gi
+        x_row = p + k * d if k > 0 else -1
+        k = (gj - j) * b
+        x_col = p + k * d if k > 0 else -1
         while fr[p + d] and fr[p + a] and fr[p + b]:
             p += d
-            q += dq
-            if p == goal_p:
+            if hit_row[p] or hit_col[p]:
                 return p
-            r = east.find(1, p + 1) if b > 0 else west.rfind(1, 0, p)
-            if fr[r]:
-                return p
-            r = south.find(1, q + 1) if a > 0 else north.rfind(1, 0, q)
-            if fr[p + (r - q) * S]:
-                return p
+            if p == x_row or p == x_col:
+                if p == goal_p:
+                    return p
+                r = east.find(1, p + 1) if b > 0 else west.rfind(1, 0, p)
+                if fr[r]:
+                    return p
+                i, j = divmod(p, S)
+                q = j * W + i
+                r = south.find(1, q + 1) if a > 0 else north.rfind(1, 0, q)
+                if fr[p + (r - q) * S]:
+                    return p
         return None
 
     # Directions worth a jump from p.  A direction whose first step is
@@ -403,8 +458,9 @@ def plan_with_refinement(tree: OctoTree, start_point, goal_point,
     Each retry plans on refined(tree), so the caller's tree stays as built
     and keeps the deeper trees as its finer chain for later calls; each
     tree searched keeps its read-only raster as tree.raster.  A tree that
-    is not 2-D (InvalidRequest) or an endpoint outside the domain's closed
-    box (PointOutOfDomain, row 0 start, row 1 goal) is refused first.
+    is not 2-D (InvalidRequest), an endpoint that is not 2 numbers
+    (InvalidSpec naming it) or one outside the domain's closed box or NaN
+    (PointOutOfDomain, row 0 start, row 1 goal) is refused first.
 
     Raises StartOrGoalOccupied when every attempted depth left an endpoint
     in an occupied cell, NoPathAtMaxDepth when all attempts failed for lack
@@ -415,8 +471,15 @@ def plan_with_refinement(tree: OctoTree, start_point, goal_point,
     if max_rounds < 0:
         raise InvalidSpec(f"max_rounds must be >= 0, got {max_rounds}")
     require_2d(tree.dim)
-    ends = np.array([start_point, goal_point], dtype=float)
-    require_inside(ends, tree.domain)
+    ends = []
+    for name, p in (("start", start_point), ("goal", goal_point)):
+        try:
+            ends.append(np.asarray(p, dtype=float))
+        except (TypeError, ValueError):
+            raise InvalidSpec(f"{name} point is not numeric: {p!r}") from None
+        if ends[-1].shape != (2,):
+            raise InvalidSpec(f"{name} point must have 2 coordinates: {p!r}")
+    require_inside(np.array(ends), tree.domain)
 
     elapsed = 0.0
     endpoint_free_somewhere = False

@@ -162,6 +162,72 @@ def test_index_of_refuses_a_nan_coordinate():
             grid.index_of(p)
 
 
+def numpy_index_of(grid, p):
+    """The array form of index_of, the reference for its cells and its
+    refusals."""
+    q = np.asarray(p, dtype=float)
+    tol = 1e-9 * np.maximum(1.0, np.abs(grid.extent_max - grid.origin))
+    if not (np.all(q >= grid.origin - tol)
+            and np.all(q <= grid.extent_max + tol)):
+        raise PointOutOfDomain(q, grid.origin, grid.extent_max)
+    idx = np.floor((q - grid.origin) / grid.cell_size).astype(np.int64)
+    idx = np.clip(idx, 0, np.asarray(grid.dims) - 1)
+    return tuple(int(i) for i in idx)
+
+
+@pytest.mark.parametrize("dims, cell, origin", [
+    ((10, 5), (1.0, 1.0), (0.0, 0.0)),
+    ((7, 13), (0.1, 1 / 3), (-2.5, 1e-3)),
+    ((256, 256), (0.78125, 0.3), (-100.0, 37.7)),
+    ((3, 1), (2e9, 1e-12), (1e9, -1e-12)),
+    ((4, 6, 5), (0.7, 1 / 7, 3.0), (0.1, -0.2, 0.3)),
+])
+def test_index_of_matches_the_array_form(dims, cell, origin):
+    # Points on every cell face, one ulp either side, within the tolerance
+    # and just past it, NaN, and of the wrong length: the same cell or the
+    # same refusal as the array form.
+    grid = UniformGridMap(dims, np.array(cell), np.array(origin),
+                          np.zeros(dims, dtype=bool))
+    tol = 1e-9 * np.maximum(1.0, np.abs(grid.extent_max - grid.origin))
+    per_axis = []
+    for a, n in enumerate(dims):
+        faces = [grid.origin[a] + k * grid.cell_size[a] for k in range(n)]
+        faces += [grid.extent_max[a]]
+        values = [f for face in faces
+                  for f in (face, np.nextafter(face, -np.inf),
+                            np.nextafter(face, np.inf))]
+        for edge, sign in ((grid.origin[a], -1), (grid.extent_max[a], 1)):
+            values += [edge + sign * t for t in (0.5 * tol[a], tol[a],
+                                                  2 * tol[a])]
+        per_axis.append(values + [math.nan])
+    rng = np.random.default_rng(len(dims))
+    points = [[v[rng.integers(len(v))] for v in per_axis]
+              for _ in range(3000)]
+    # One coordinate broadcast over every axis in the array form, so the
+    # short points keep two (see the test below).
+    points += [list(p) + [0.0] for p in points[:20]] + [[]]
+    points += [p[:-1] for p in points[:20] if len(dims) > 2]
+    outcomes = set()
+    for p in points:
+        try:
+            old = numpy_index_of(grid, p)
+        except (PointOutOfDomain, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                grid.index_of(p)
+            outcomes.add(type(exc))
+        else:
+            assert grid.index_of(p) == old
+            outcomes.add(tuple)
+    assert outcomes == {tuple, PointOutOfDomain, ValueError}
+
+
+def test_index_of_refuses_one_coordinate_on_a_2d_grid():
+    # The array form broadcast a 1-coordinate point over both axes.
+    grid = rasterize_fixed(PointCloud(np.empty((0, 2))), domain2(), 1.0)
+    with pytest.raises(InvalidSpec):
+        grid.index_of((1.0,))
+
+
 # --------------------------------------------------------- rasterize_adaptive
 
 

@@ -12,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from octoplan.errors import (InvalidRequest, NoPathAtMaxDepth,
+from octoplan.errors import (InvalidRequest, InvalidSpec, NoPathAtMaxDepth,
                              PointOutOfDomain, StartOrGoalOccupied)
 from octoplan.geometry import Aabb, PointCloud
 from octoplan.gridmap import UniformGridMap, rasterize_adaptive
 import octoplan.planner as planner_mod
 from octoplan.planner import (GridPath, PlanRequest, _check_request,
-                              _expand_segment, _octile, dijkstra_plan,
+                              _octile, dijkstra_plan,
                               free_components, jps_plan, path_to_json,
                               plan_with_refinement, validate_path)
 from octoplan.tree import build, dynamic_partition as real_partition
@@ -318,7 +318,14 @@ def cell_by_cell_jps_plan(grid, req):
     waypoints = [cell_of(p) for p in reversed(waypoints)]
     cells = [start]
     for a, b in zip(waypoints, waypoints[1:]):
-        cells.extend(_expand_segment(a, b))
+        # The cells strictly after a up to b, one step at a time.
+        di = (b[0] > a[0]) - (b[0] < a[0])
+        dj = (b[1] > a[1]) - (b[1] < a[1])
+        i, j = a
+        while (i, j) != b:
+            i += di
+            j += dj
+            cells.append((i, j))
     return GridPath(tuple(cells), g[goal_p])
 
 
@@ -416,6 +423,47 @@ def test_jps_matches_cell_by_cell_oracle(case):
     assert jps_plan(grid, req) == cell_by_cell_jps_plan(grid, req)
 
 
+@settings(max_examples=200, deadline=None)
+@given(occ=occupancies())
+def test_scan_hits_match_cell_by_cell_scans(occ):
+    # Every byte of every hit table, blocked and border cells included, is
+    # the free byte of the stop that a scan stepping one cell at a time
+    # from that cell reaches, or 0 when the scan leaves the padded grid.
+    free = np.pad(~occ, 1)
+    W, S = free.shape
+    stops = planner_mod._stop_tables(free)
+    hits = planner_mod._scan_hits(free, stops)
+    assert [len(t) for t in hits] == [W * S] * 4
+    for k, (di, dj) in enumerate(((0, 1), (0, -1), (1, 0), (-1, 0))):
+        stop = np.frombuffer(stops[k], dtype=bool)
+        stop = stop.reshape(W, S) if k < 2 else stop.reshape(S, W).T
+        hit = np.frombuffer(hits[k], dtype=np.uint8).reshape(W, S)
+        for i in range(W):
+            for j in range(S):
+                r, c = i + di, j + dj
+                while 0 <= r < W and 0 <= c < S and not stop[r, c]:
+                    r, c = r + di, c + dj
+                inside = 0 <= r < W and 0 <= c < S
+                assert hit[i, j] == (inside and free[r, c]), (k, i, j)
+
+
+def test_metric_length_keeps_the_array_form_bits():
+    # The old form converted the node tuples with np.asarray; the sums
+    # over the same array are the same bits.
+    rng = np.random.default_rng(5)
+    for cell in ([1.0, 1.0], [0.1, 0.3], [1 / 3, 2 / 7], [1e-7, 3e5]):
+        grid = UniformGridMap((64, 64), np.array(cell), np.zeros(2),
+                              np.zeros((64, 64), dtype=bool))
+        for n in (2, 3, 17, 200):
+            steps = rng.integers(-1, 2, size=(n - 1, 2))
+            nodes = np.vstack([[30, 30], 30 + np.cumsum(steps, axis=0)])
+            path = GridPath(tuple(map(tuple, nodes.tolist())), 0.0)
+            pts = np.asarray(path.nodes, dtype=float) * grid.cell_size
+            hops = np.diff(pts, axis=0)
+            old = float(np.sum(np.sqrt((hops ** 2).sum(axis=1))))
+            assert path.metric_length(grid) == old
+
+
 # ------------------------------------------------- the per-map table memo
 
 
@@ -430,10 +478,14 @@ def query_runs(draw, count):
 
 
 def assert_tables_carry_no_goal():
-    """The memo's stop tables are exactly those of its own free bytes."""
-    shape, _, _, fr, stops, _, _ = planner_mod._map_memo
+    """The memo's stop tables are exactly those of its own free bytes, and
+    its hit tables, once built, exactly those of its free bytes and stop
+    tables."""
+    memo = planner_mod._map_memo
+    shape, _, _, fr, stops, _, _ = memo[:7]
     free = np.frombuffer(fr, dtype=bool).reshape(shape[0] + 2, shape[1] + 2)
     assert stops == planner_mod._stop_tables(free)
+    assert memo[7] in (None, planner_mod._scan_hits(free, stops))
 
 
 @settings(max_examples=300, deadline=None)
@@ -830,6 +882,18 @@ def test_refinement_names_the_endpoint_row_before_rasterizing(start, goal,
     with pytest.raises(PointOutOfDomain) as err:
         plan_with_refinement(tree, start, goal)
     assert err.value.index == row
+    assert tree.raster is None
+
+
+@pytest.mark.parametrize("start, goal, name", [
+    ((1.0, 8.0, 1.0), (14.0, 8.0), "start"),
+    ((1.0, 8.0), "ab", "goal"),
+    ((1.0,), (14.0, 8.0), "start"),
+])
+def test_refinement_names_a_malformed_endpoint(start, goal, name):
+    tree = build(wall_cloud(0.5), refinement_domain(), depth=2)
+    with pytest.raises(InvalidSpec, match=f"^{name} point"):
+        plan_with_refinement(tree, start, goal)
     assert tree.raster is None
 
 
