@@ -47,7 +47,10 @@ MAX_SPREAD = {2: 2.0 ** 511, 3: 2.0 ** 255}
 
 
 def as_point(p) -> np.ndarray:
-    a = np.asarray(p, dtype=float)
+    try:
+        a = np.asarray(p, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidSpec(f"point must be numeric, got {p!r}") from None
     if a.ndim != 1 or a.shape[0] not in (2, 3):
         raise InvalidSpec(f"point must be a flat 2-D or 3-D coordinate, got shape {a.shape}")
     if not np.all(np.isfinite(a)):

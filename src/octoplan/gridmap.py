@@ -1,11 +1,11 @@
 """Uniform occupancy grids rasterized from clouds or subdivision trees.
 
-Cells are half-open boxes [origin + i*cell, origin + (i+1)*cell) per axis,
-with the map's far faces closed so sources that touch the domain's maximal
-corner stay representable.  A cell is occupied exactly when at least one
-point falls inside it; the adaptive path inherits this from the tree (a cell
-is occupied iff the matching leaf holds a point), whose grid indices
-rasterize_adaptive reads from tree.index.
+rasterize_fixed and index_of use half-open boxes [origin + i*cell,
+origin + (i+1)*cell) per axis, far faces closed so a point on the domain's
+maximal corner stays representable; such a cell is occupied iff a point
+falls in it.  An adaptive cell is a leaf slot (tree.index), occupied iff the
+leaf holds a point; its faces are the tree's midpoints, which can round off
+origin + i*cell, so index_of may put a face point one cell off its leaf.
 """
 from __future__ import annotations
 

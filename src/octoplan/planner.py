@@ -23,18 +23,18 @@ labelling pass instead of an exhaustive search.
 The search also scans four stop tables, one per cardinal scan direction,
 built with numpy from the padded free grid (block-based scanning, after
 Harabor & Grastien, ICAPS 2014).  A table marks the cells where a straight
-scan in its direction ends: blocked cells, the goal, and free cells with a
-forced neighbour.  East and west tables are row-major, south and north
+scan in its direction ends on any query: blocked cells and free cells with
+a forced neighbour.  East and west tables are row-major, south and north
 tables column-major, so each straight scan is one bytes.find or
-bytes.rfind instead of a cell-by-cell loop.  Four scan-hit tables, one per
-direction and all row-major, say for each cell whether the scan leaving it
-ends on a free stop, a jump point, rather than on a blocked cell, with the
-goal left out.  A diagonal walk returns at the first cell that either hit
-table of its move marks, and runs the goal test and both scans only
-where it crosses the goal's row or column, the only cells where the goal
-can end a scan.  Heap tie-break keys come from two lists, one per axis,
-whose bitwise or is the cell's Morton key.  Every jump point, heap entry,
-path and cost is the same as the cell-by-cell scan gives.
+bytes.rfind, cut short at the goal if the goal lies before its stop.  Four
+scan-hit tables, one per direction and all row-major, say for each cell
+whether the scan leaving it ends on a free stop, a jump point.  A diagonal
+walk returns at the first cell that either hit table of its move marks,
+and runs one scan only where it crosses the goal's row (the row scan) or
+column (the column scan), the only cells where the goal can end a scan.
+Heap tie-break keys come from two lists, one per axis, whose bitwise or is
+the cell's Morton key.  Every jump point, heap entry, path and cost is the
+same as the cell-by-cell scan gives.
 
 None of these tables depends on the query, so, as in JPS+ (Harabor &
 Grastien, ICAPS 2014), they are built once per map and reused: a one-entry
@@ -45,11 +45,10 @@ so a map whose queries all lie in different components never pays for
 them.  The memo's key is the grid's content, the occupancy's shape and
 bytes, so an equal raster hits whichever grid object carries it, and an
 in-place edit, a refined raster or another map misses.  Only one map is
-held: a miss drops the old entry before it builds the new one.  Each query
-copies the four stop tables and marks its goal in the copies, so the
-shared tables never carry a goal.  The entry takes about 14 bytes per
-cell: 4 of labels, 4 of stop tables, 4 of hit tables, 1 of free bytes and
-1 of key.
+held: a miss drops the old entry before it builds the new one.  A search
+only reads the tables, so a query copies none of them and they never
+carry a goal.  The entry takes about 14 bytes per cell: 4 of labels, 4 of
+stop tables, 4 of hit tables, 1 of free bytes and 1 of key.
 
 plan_with_refinement keeps each tree's adaptive raster, read-only, as
 tree.raster, so a long-lived tree is rasterized once however many queries
@@ -143,7 +142,7 @@ def _stop_tables(free: np.ndarray) -> tuple[bytes, ...]:
     free cells with a forced neighbour, i.e. an open cell beside the scan
     line whose cell diagonally behind is blocked.  East and west tables
     are row-major, south and north column-major, so every scan reads a
-    contiguous run of bytes.  The goal is marked per query, in copies.
+    contiguous run of bytes.  The goal is never marked: it bounds a scan.
     """
     w, h = free.shape[0] - 2, free.shape[1] - 2
 
@@ -248,31 +247,34 @@ def jps_plan(grid: UniformGridMap, req: PlanRequest) -> GridPath | None:
     w, h = grid.dims
     # Cell (i, j) is fr[(i + 1) * S + j + 1] in a row-major copy padded with
     # a blocked border, so every neighbour of a grid cell is a valid index
-    # and a step along (di, dj) adds di * S + dj.  The column-major copies
+    # and a step along (di, dj) adds di * S + dj.  The column-major tables
     # put the same cell at (j + 1) * W + i + 1, where the step adds
     # dj * W + di.
     S, W = h + 2, w + 2
     gi, gj = goal[0] + 1, goal[1] + 1
-    goal_p = gi * S + gj
-    east, west, south, north = (bytearray(t) for t in stops)
-    east[goal_p] = west[goal_p] = 1
-    south[gj * W + gi] = north[gj * W + gi] = 1
+    goal_p, goal_q = gi * S + gj, gj * W + gi
+    east, west, south, north = stops
 
     def jump(p, a, b):
         """Next jump point from p along (a, b) = (di * S, dj), or None.
 
-        A scan ends on the first stop cell past p, a jump point when it is
-        free; the blocked border keeps it in its row or column.  A diagonal
-        walk ends at the first cell where either scan would: a cell either
-        of its hit tables marks, or a crossing of the goal's row or column
-        (x_row, x_col) where a scan reaches the goal."""
+        A straight scan ends on the first stop cell past p, a jump point
+        when it is free, or on the goal if it lies strictly between; the
+        blocked border keeps it in its row or column.  A diagonal walk ends
+        at the first cell either of its hit tables marks, or where it
+        crosses the goal's row (x_row) or column (x_col) and the one scan
+        along that line reaches the goal."""
         if not a:
             r = east.find(1, p + 1) if b > 0 else west.rfind(1, 0, p)
+            if p < goal_p < r or r < goal_p < p:
+                return goal_p
             return r if fr[r] else None
         i, j = divmod(p, S)
         if not b:
             q = j * W + i
             r = south.find(1, q + 1) if a > 0 else north.rfind(1, 0, q)
+            if q < goal_q < r or r < goal_q < q:
+                return goal_p
             r = p + (r - q) * S
             return r if fr[r] else None
         d = a + b
@@ -284,19 +286,10 @@ def jps_plan(grid: UniformGridMap, req: PlanRequest) -> GridPath | None:
         x_col = p + k * d if k > 0 else -1
         while fr[p + d] and fr[p + a] and fr[p + b]:
             p += d
-            if hit_row[p] or hit_col[p]:
+            if (hit_row[p] or hit_col[p]
+                    or p == x_row and (p == goal_p or jump(p, 0, b))
+                    or p == x_col and jump(p, a, 0)):
                 return p
-            if p == x_row or p == x_col:
-                if p == goal_p:
-                    return p
-                r = east.find(1, p + 1) if b > 0 else west.rfind(1, 0, p)
-                if fr[r]:
-                    return p
-                i, j = divmod(p, S)
-                q = j * W + i
-                r = south.find(1, q + 1) if a > 0 else north.rfind(1, 0, q)
-                if fr[p + (r - q) * S]:
-                    return p
         return None
 
     # Directions worth a jump from p.  A direction whose first step is

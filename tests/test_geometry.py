@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull as SciHull
 
 import octoplan.geometry as geometry
-from octoplan.errors import DegenerateInput, EmptyInput, PointOutOfDomain
+from octoplan.errors import (DegenerateInput, EmptyInput, InvalidSpec,
+                             PointOutOfDomain)
 from octoplan.geometry import (HULL_EPS, MAX_SPREAD, Aabb, PointCloud,
                                _dedupe_rows, _initial_simplex, _plane_rows,
                                aabb_of, as_point, contains, quickhull,
@@ -760,6 +761,11 @@ def test_as_point_validation():
         as_point([1.0, float("nan")])
     with pytest.raises(ValueError):
         as_point([[1.0, 2.0]])
+    for bad in ("ab", [1, "x"], [1, [2]]):
+        with pytest.raises(InvalidSpec, match="must be numeric"):
+            as_point(bad)
+    with pytest.raises(InvalidSpec, match="must be numeric"):
+        Aabb(["a", 0], [1, 1])
 
 
 def test_aabb_of_trivials():

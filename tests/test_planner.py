@@ -4,6 +4,7 @@ import heapq
 import json
 import math
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -618,6 +619,26 @@ def test_memo_holds_only_the_last_map(monkeypatch):
     assert memo[:2] == ((12, 9), occ_b.tobytes())
     assert memo[3] == np.pad(~occ_b, 1).tobytes()
     assert_tables_carry_no_goal()
+
+
+def test_query_on_a_held_map_copies_no_table():
+    # The search only reads the memo's tables: a second query on the same
+    # map allocates the memo key's one byte per cell, not a copy of the
+    # four stop tables (four bytes per padded cell).
+    rng = np.random.default_rng(25)
+    occ = rng.uniform(size=(512, 512)) < 0.2
+    occ[[0, -1], :] = occ[:, [0, -1]] = False
+    grid = grid_from_occ(occ)
+    assert jps_plan(grid, PlanRequest((0, 0), (511, 0))) is not None
+    assert planner_mod._map_memo[7] is not None
+    tracemalloc.start()
+    try:
+        path = jps_plan(grid, PlanRequest((0, 0), (0, 6)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.cost == 6.0
+    assert peak < 2 * 514 * 514
 
 
 # ----------------------------------------------------------- validate_path
