@@ -242,7 +242,7 @@ def rle_encode(occupancy: np.ndarray) -> list[int]:
         return []
     changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
     bounds = np.r_[0, changes, flat.size]
-    runs = [int(v) for v in np.diff(bounds)]
+    runs = np.diff(bounds).tolist()
     if bool(flat[0]):
         runs.insert(0, 0)
     return runs

@@ -14,6 +14,16 @@ each axis alone, so the cell faces at depth D are one table per axis of
 by a binary search in it, a leaf's split box is the two entries around its
 index, and dynamic_partition splits at entry 2 * index + 1 of the depth
 D + 1 table: the cells the per-level comparisons (upper iff p >= mid) reach.
+
+build walks the cloud in blocks of BLOCK_POINTS = 2^13 points, placing and
+encoding each block into preallocated index columns and codes.  A block's
+temporaries (64 KiB of int64 index per axis, 32 KiB of code) then stay in
+L2 and under malloc's initial 128 KiB mmap threshold, so a build neither
+streams whole-cloud temporaries through memory nor takes fresh pages that
+depend on what an earlier build freed.  morton_encode gathers codes with
+three in-place ufuncs per bit and axis, in an unsigned 32-bit accumulator
+up to 32 code bits (depth * d) and in int64 past that, since the narrow
+accumulator halves the bytes each ufunc streams.
 """
 from __future__ import annotations
 
@@ -28,6 +38,9 @@ from .geometry import Aabb, PointCloud, require_inside
 # Bounds every boundary table at 2^16 + 1 entries per axis and keeps codes
 # (depth * dim bits, dim <= 3) well inside int64.
 DEFAULT_DEPTH_CAP = 16
+
+# Points per block of build; the module docstring says why.
+BLOCK_POINTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -151,26 +164,37 @@ class OctoTree:
 
 
 def _run_starts(sorted_codes: np.ndarray) -> np.ndarray:
-    # Codes are non-negative, so a -1 ahead of them opens the first run.
-    return np.flatnonzero(np.diff(sorted_codes, prepend=-1))
+    # A run opens at the first code and at each code unlike the one before.
+    # A bool flag per code, not an int64 diff, keeps build's peak 8 B per
+    # point lower.
+    new = np.ones(len(sorted_codes), dtype=bool)
+    np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 def build(cloud: PointCloud, domain: Aabb, depth: int) -> OctoTree:
-    """Build a tree from a whole cloud at once: a binary search per axis in
-    the boundary table and one stable sort by leaf code.  The tree keeps its
-    own read-only copy of the points."""
+    """Build a tree from a whole cloud at once: block by block, a binary
+    search per axis in the boundary table and the Morton interleave, then
+    one stable sort by leaf code.  The tree keeps its own read-only copy of
+    the points."""
     tree = OctoTree(domain, depth)
     pts = np.array(cloud.points, dtype=float)
     require_inside(pts, domain)
     pts.flags.writeable = False
     tree._points = pts
-    index = np.column_stack([np.searchsorted(faces[1:-1], coord, side="right")
-                             for faces, coord in zip(tree.boundaries, pts.T)])
-    codes = morton_encode(index, depth)
+    n, d = pts.shape
+    index = np.empty((d, n), dtype=np.int64)
+    codes = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, BLOCK_POINTS):
+        block = slice(lo, lo + BLOCK_POINTS)
+        for a in range(d):
+            index[a, block] = np.searchsorted(
+                tree.boundaries[a, 1:-1], pts[block, a], side="right")
+        codes[block] = morton_encode(index[:, block].T, depth)
     order = np.argsort(codes, kind="stable")
-    codes = codes[order]
+    codes = codes.take(order)
     starts = _run_starts(codes)
-    tree._set_table(codes, order, starts, index[order[starts]])
+    tree._set_table(codes, order, starts, index.T[order[starts]])
     return tree
 
 
@@ -235,11 +259,16 @@ occupied_leaf_nodes = occupied_leaves
 
 
 def morton_encode(idx: np.ndarray, depth: int) -> np.ndarray:
-    """Morton codes of an (n, d) index array: bit b of axis a of a row's
-    index lands at bit b*d + a of its code."""
+    """Morton codes of an (n, d) index array, integer or bool: bit b of axis
+    a of a row's index lands at bit b*d + a of its code."""
     n, d = idx.shape
-    code = np.zeros(n, dtype=np.int64)
-    for b in range(depth):
-        for a in range(d):
-            code |= ((idx[:, a] >> b) & 1) << (b * d + a)
-    return code
+    width = np.uint32 if depth * d <= 32 else np.int64
+    code = np.zeros(n, dtype=width)
+    bit = np.empty_like(code)
+    for a in range(d):
+        col = idx[:, a].astype(width)
+        for b in range(depth):
+            np.bitwise_and(col, 1 << b, out=bit)
+            bit <<= b * (d - 1) + a
+            code |= bit
+    return code.astype(np.int64, copy=False)

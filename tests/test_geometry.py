@@ -236,10 +236,11 @@ def point_clouds(draw, d):
     return np.asarray(pts, dtype=float)
 
 
-# Known counterexamples, ROADMAP item 3: the hull keeps a vertex just off
-# the chord of its neighbours, which bary_contains, with its relative
-# coefficient tolerance, calls interior.
-HULL_2D_KNOWN = "ROADMAP item 3: bary_contains calls a kept vertex interior"
+# Known counterexamples, ROADMAP "Hulls: one certified tolerance": the hull
+# keeps a vertex just off the chord of its neighbours, which bary_contains,
+# with its relative coefficient tolerance, calls interior.
+HULL_2D_KNOWN = ('ROADMAP "Hulls: one certified tolerance": bary_contains '
+                 'calls a kept vertex interior')
 
 
 @settings(max_examples=60, deadline=None)
@@ -277,18 +278,20 @@ def test_hull_properties_2d(pts):
 # Rounding puts the second seed point 2.1e-8 off its own line: coplanar.
 @example(pts=np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 3.70355205e-153],
                        [0.0, 0.0, 3.3976855e-227], [0.0, 1.0, 1.0]]))
-# Known counterexamples, ROADMAP item 3: an input point near-duplicating a
-# kept vertex, and a face normal taken off a short edge, each leave an
-# input point just outside the hull.
+# Known counterexamples, ROADMAP "Hulls: one certified tolerance": an input
+# point near-duplicating a kept vertex, and a face normal taken off a short
+# edge, each leave an input point just outside the hull.
 @example(pts=np.array([[0.0, 0.0, 1.0], [0.0, 1e-9, -1.0],
                        [0.0, 2.22e-16, 1.0], [0.0, -1.0, 0.0],
                        [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
          ).xfail(raises=AssertionError,
-                 reason="ROADMAP item 3: near-duplicate vertex")
+                 reason='ROADMAP "Hulls: one certified tolerance": '
+                        'near-duplicate vertex')
 @example(pts=np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.19209290e-07],
                        [0.0, 1.0, 0.0], [-1.37114029, 1.0, 12.0]])
          ).xfail(raises=AssertionError,
-                 reason="ROADMAP item 3: normal off a short edge")
+                 reason='ROADMAP "Hulls: one certified tolerance": '
+                        'normal off a short edge')
 def test_hull_properties_3d(pts):
     try:
         hull = quickhull(PointCloud(pts))

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from octoplan.bench import BenchConfig
 from octoplan.errors import (DepthCapExceeded, InvalidSpec, PointOutOfDomain)
 from octoplan.geometry import Aabb, PointCloud
-from octoplan.tree import (DEFAULT_DEPTH_CAP, McrSpec, OctoTree, build,
-                           compute_depth, dynamic_partition, morton_encode,
-                           occupied_leaves)
+from octoplan.mapgen import gen_perlin_cloud, solid_cloud_near, solid_domain
+from octoplan.tree import (BLOCK_POINTS, DEFAULT_DEPTH_CAP, McrSpec, OctoTree,
+                           build, compute_depth, dynamic_partition,
+                           morton_encode, occupied_leaves)
 
 
 def unit_domain(d, edge=1.0):
@@ -76,10 +78,22 @@ def pushed_leaves(pts, domain, depth):
     return leaves
 
 
-def assert_matches_oracle(tree, pts):
+def descended_leaves(pts, domain, depth):
+    """Leaf code -> point ids, from one descent of the whole cloud: the
+    same comparisons as pushed_leaves, row by row, for clouds too large to
+    push one point at a time."""
+    leaves = {}
+    for i, code in enumerate(descend_codes(pts, domain, depth).tolist()):
+        leaves.setdefault(code, []).append(i)
+    return leaves
+
+
+def assert_matches_oracle(tree, pts, leaves=None):
     """Codes, grid indices, split boxes, point ids and tight boxes equal the
-    oracle's for the same points, domain and depth."""
-    leaves = pushed_leaves(pts, tree.domain, tree.depth)
+    oracle's for the same points, domain and depth (pushed_leaves unless
+    the leaves are given)."""
+    if leaves is None:
+        leaves = pushed_leaves(pts, tree.domain, tree.depth)
     codes = np.array(sorted(leaves), dtype=np.int64)
     index = decode_index(codes, tree.depth, tree.dim)
     lo, hi = split_boxes(tree.domain, codes, tree.depth)
@@ -254,6 +268,26 @@ def test_depth_cap_above_limit_is_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def traced_build_peak_per_point(cloud, domain, depth):
+    tracemalloc.start()
+    try:
+        build(cloud, domain, depth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / len(cloud.points)
+
+
+def test_build_peak_memory_per_point():
+    # Copy of the points, the (d, n) index columns, the codes, the sort's
+    # permutation and the sorted codes; the blocks' temporaries are small.
+    config = BenchConfig()
+    world = gen_perlin_cloud(config.noise_params(2))
+    assert traced_build_peak_per_point(world, config.domain, 8) <= 56.5
+    solids = solid_cloud_near(300_000)
+    assert traced_build_peak_per_point(solids, solid_domain(), 7) <= 72.5
 
 
 def test_domain_whose_midpoints_overflow_is_refused():
@@ -493,6 +527,22 @@ def test_tables_match_descent_oracle(d, depth, kind, n, seed):
         assert_matches_oracle(tree, pts)
 
 
+@pytest.mark.parametrize("depth", [0, 1, 8, DEFAULT_DEPTH_CAP])
+@pytest.mark.parametrize("d", [2, 3])
+def test_cloud_over_several_blocks_matches_descent_oracle(d, depth):
+    # Three whole blocks and five points of a fourth: leaves and their
+    # ascending point ids span block boundaries and a partial last block.
+    n = 3 * BLOCK_POINTS + 5
+    rng = np.random.default_rng([d, depth, 13])
+    dom = oracle_domain(rng, "mixed", d)
+    pts = snapped_points(rng, dom, depth, n)
+    tree = build(PointCloud(pts), dom, depth=depth)
+    for table in (tree.codes, tree.order, tree.offsets, tree.index):
+        assert table.dtype == np.int64
+    assert tree.index.flags.c_contiguous
+    assert_matches_oracle(tree, pts, descended_leaves(pts, dom, depth))
+
+
 def test_partition_respects_depth_cap():
     tree = build(PointCloud(np.array([[0.5, 0.5]])), unit_domain(2),
                  depth=DEFAULT_DEPTH_CAP)
@@ -587,10 +637,20 @@ def test_morton_key_interleave():
     idx = np.array([[0, 0], [1, 0], [0, 1], [2, 1]])
     assert morton_encode(idx, 2).tolist() == [0, 1, 2, 6]
     rng = np.random.default_rng(5)
-    for d, depth in ((2, 16), (3, 16), (2, 3)):
+    # 32, 6 and 30 code bits take the unsigned 32-bit accumulator, 48 and
+    # 33 the int64 one.
+    for d, depth in ((2, 16), (3, 16), (2, 3), (3, 10), (3, 11)):
         idx = rng.integers(0, 2 ** depth, (50, d))
-        assert morton_encode(idx, depth).tolist() == \
+        code = morton_encode(idx, depth)
+        assert code.dtype == np.int64
+        assert code.tolist() == \
             [morton_key(tuple(row), depth) for row in idx.tolist()]
+    # Orthant flags, as dynamic_partition and downsample pass them.
+    flags = rng.uniform(size=(50, 3)) < 0.5
+    assert morton_encode(flags, 1).tolist() == \
+        [morton_key(tuple(row), 1) for row in flags.astype(int).tolist()]
+    empty = morton_encode(np.empty((0, 3), dtype=np.int64), 11)
+    assert empty.dtype == np.int64 and empty.shape == (0,)
 
 
 def test_node_boundary_inside_split_boundary():
