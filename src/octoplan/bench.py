@@ -30,7 +30,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .errors import InvalidSpec, PlanningError
+from .errors import InvalidSpec, PlanningError, require_int
 from .geometry import Aabb
 from .gridmap import rasterize_fixed
 from .mapgen import PerlinParams, derive_seed, gen_perlin_cloud
@@ -60,8 +60,9 @@ class BenchConfig:
     refinement_rounds: int = 2
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise InvalidSpec(f"trials must be >= 1, got {self.trials}")
+        for name, least in (("trials", 1), ("refinement_rounds", 0),
+                            ("max_endpoint_attempts", 1)):
+            require_int(name, getattr(self, name), least)
         if not self.cell_sizes_m:
             raise InvalidSpec("cell_sizes_m must list at least one size")
         if not all(math.isfinite(v) and v > 0 for v in
@@ -70,10 +71,6 @@ class BenchConfig:
                               "and finite")
         if not 0 < self.min_separation_fraction < 1:
             raise InvalidSpec("min_separation_fraction must be in (0, 1)")
-        if self.refinement_rounds < 0:
-            raise InvalidSpec("refinement_rounds must be >= 0")
-        if self.max_endpoint_attempts < 1:
-            raise InvalidSpec("max_endpoint_attempts must be >= 1")
         # Validates the sensing-range pair even though the nominal cell
         # sizes drive the benchmark depths directly, and the noise settings
         # before any world is drawn.

@@ -24,7 +24,7 @@ from .downsample import (calibrate_voxel_size, downsample_tree, export_mesh,
                          metrics_csv, voxel_filter)
 from .errors import (CloudParseError, InvalidRequest, InvalidSpec,
                      NoPathAtMaxDepth, OctoplanError, PointOutOfDomain,
-                     StartOrGoalOccupied)
+                     StartOrGoalOccupied, require_int)
 from .geometry import Aabb, PointCloud, aabb_of, require_inside
 from .gridmap import (grid_to_json, grid_to_pgm, rasterize_adaptive,
                       rasterize_fixed)
@@ -326,8 +326,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_calibrate_perlin(args) -> int:
     domain = _parse_domain(args.domain)
-    if args.target < 1:
-        raise InvalidSpec(f"--target must be at least 1, got {args.target}")
+    require_int("--target", args.target, 1)
     if not 0 <= args.tolerance_pct <= 100:
         raise InvalidSpec("--tolerance-pct must be in [0, 100],"
                           f" got {args.tolerance_pct}")
@@ -446,8 +445,7 @@ _EXIT_CODES = (
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.workers < 1:
-            raise InvalidSpec(f"--workers must be >= 1, got {args.workers}")
+        require_int("--workers", args.workers, 1)
         os.makedirs(args.out_dir, exist_ok=True)
         return args.func(args)
     except (OctoplanError, OSError) as exc:

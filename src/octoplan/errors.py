@@ -1,5 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and one integer check."""
 import copyreg
+import operator
 
 
 class OctoplanError(Exception):
@@ -39,6 +40,17 @@ class DepthCapExceeded(OctoplanError):
 
 class InvalidSpec(OctoplanError, ValueError):
     """A caller-supplied value, config or generator spec is invalid."""
+
+
+def require_int(name, value, least=None) -> int:
+    """value as an int >= least (if given), numpy ints too; else InvalidSpec."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise InvalidSpec(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 class CloudParseError(OctoplanError):

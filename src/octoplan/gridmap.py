@@ -4,8 +4,7 @@ rasterize_fixed and index_of use half-open boxes [origin + i*cell,
 origin + (i+1)*cell) per axis, far faces closed so a point on the domain's
 maximal corner stays representable; such a cell is occupied iff a point
 falls in it.  An adaptive cell is a leaf slot (tree.index), occupied iff the
-leaf holds a point; its faces are the tree's midpoints, which can round off
-origin + i*cell, so index_of may put a face point one cell off its leaf.
+leaf holds a point; OctoTree.axis_cells, not index_of, places a point in it.
 """
 from __future__ import annotations
 
@@ -48,7 +47,7 @@ class UniformGridMap:
         return self.origin + np.asarray(self.dims) * self.cell_size
 
     def index_of(self, p) -> tuple[int, ...]:
-        """Cell containing a metric point (far faces closed).
+        """Cell of a fixed grid containing a metric point (far faces closed).
 
         A hair of slack absorbs the rounding of extent_max = dims * cell when
         the per-axis cell size is not exactly representable.  A NaN

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, require_int
 from .geometry import Aabb, PointCloud
 from .gridmap import MAX_RASTER_CELLS
 
@@ -209,8 +209,7 @@ class PerlinParams:
     samples_per_meter: float = 4.0
 
     def __post_init__(self):
-        if self.octaves < 1:
-            raise InvalidSpec(f"octaves must be >= 1, got {self.octaves}")
+        octaves = require_int("octaves", self.octaves, 1)
         if not math.isfinite(self.threshold):
             raise InvalidSpec(f"threshold must be finite, got {self.threshold}")
         if not 0.0 < self.persistence <= 1.0:
@@ -223,7 +222,7 @@ class PerlinParams:
         if np.any(self.domain.edges <= 0):
             raise InvalidSpec("noise domain must have positive extent")
         try:
-            top = math.ldexp(self.frequency, self.octaves - 1)
+            top = math.ldexp(self.frequency, octaves - 1)
         except OverflowError:
             top = math.inf
         reach = float(np.abs([self.domain.min, self.domain.max]).max())

@@ -68,7 +68,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import (InvalidRequest, InvalidSpec, NoPathAtMaxDepth,
-                     StartOrGoalOccupied, DepthCapExceeded)
+                     StartOrGoalOccupied, DepthCapExceeded, require_int)
 from .geometry import require_inside
 from .gridmap import UniformGridMap, free_components, rasterize_adaptive
 from .tree import OctoTree, dynamic_partition, morton_encode
@@ -108,15 +108,18 @@ def require_2d(dim: int) -> None:
 
 
 def _check_request(grid: UniformGridMap, req: PlanRequest):
+    """Start and goal as int tuples, or the error that refuses one."""
     require_2d(grid.dim)
-    for name, cell in (("start", req.start), ("goal", req.goal)):
+    cells = {name: tuple(require_int(f"{name} cell coordinate", v) for v in cell)
+             for name, cell in (("start", req.start), ("goal", req.goal))}
+    for name, cell in cells.items():
         if len(cell) != 2 or not grid.in_bounds(cell):
             raise InvalidRequest(f"{name}_out_of_bounds",
                                  f"{name} cell {cell} outside grid dims {grid.dims}")
-    if grid.is_occupied(req.start):
-        raise InvalidRequest("start_occupied", f"start cell {req.start} is occupied")
-    if grid.is_occupied(req.goal):
-        raise InvalidRequest("goal_occupied", f"goal cell {req.goal} is occupied")
+    for name, cell in cells.items():
+        if grid.is_occupied(cell):
+            raise InvalidRequest(f"{name}_occupied", f"{name} cell {cell} is occupied")
+    return cells.values()
 
 
 def _octile(a, b) -> float:
@@ -233,9 +236,7 @@ def release_map_tables() -> None:
 
 def jps_plan(grid: UniformGridMap, req: PlanRequest) -> GridPath | None:
     """Optimal path via jump point search, or None when disconnected."""
-    _check_request(grid, req)
-    start = (int(req.start[0]), int(req.start[1]))
-    goal = (int(req.goal[0]), int(req.goal[1]))
+    start, goal = _check_request(grid, req)
     if start == goal:
         return GridPath((start,), 0.0)
     memo = _map_tables(grid.occupancy)
@@ -355,9 +356,7 @@ def jps_plan(grid: UniformGridMap, req: PlanRequest) -> GridPath | None:
 
 def dijkstra_plan(grid: UniformGridMap, req: PlanRequest) -> GridPath | None:
     """Uniform-cost search over all free cells; the optimality reference."""
-    _check_request(grid, req)
-    start = (int(req.start[0]), int(req.start[1]))
-    goal = (int(req.goal[0]), int(req.goal[1]))
+    start, goal = _check_request(grid, req)
     if start == goal:
         return GridPath((start,), 0.0)
     occ = grid.occupancy
@@ -453,7 +452,8 @@ def plan_with_refinement(tree: OctoTree, start_point, goal_point,
     tree searched keeps its read-only raster as tree.raster.  A tree that
     is not 2-D (InvalidRequest), an endpoint that is not 2 numbers
     (InvalidSpec naming it) or one outside the domain's closed box or NaN
-    (PointOutOfDomain, row 0 start, row 1 goal) is refused first.
+    (PointOutOfDomain, row 0 start, row 1 goal) is refused first.  Each
+    depth places the endpoints by OctoTree.axis_cells, build's cloud rule.
 
     Raises StartOrGoalOccupied when every attempted depth left an endpoint
     in an occupied cell, NoPathAtMaxDepth when all attempts failed for lack
@@ -461,8 +461,7 @@ def plan_with_refinement(tree: OctoTree, start_point, goal_point,
     attempted depths exactly as RefinementResult.plan_seconds is; rasterize
     and partition time is left out of it either way.
     """
-    if max_rounds < 0:
-        raise InvalidSpec(f"max_rounds must be >= 0, got {max_rounds}")
+    require_int("max_rounds", max_rounds, 0)
     require_2d(tree.dim)
     ends = []
     for name, p in (("start", start_point), ("goal", goal_point)):
@@ -476,15 +475,12 @@ def plan_with_refinement(tree: OctoTree, start_point, goal_point,
 
     elapsed = 0.0
     endpoint_free_somewhere = False
-    last_grid = None
-    rounds = 0
     for rounds in range(max_rounds + 1):
         grid = tree.raster
         if grid is None:
             grid = tree.raster = rasterize_adaptive(tree)
             grid.occupancy.flags.writeable = False
-        last_grid = grid
-        s, t = (grid.index_of(p) for p in ends)
+        s, t = zip(*(tree.axis_cells(a, v).tolist() for a, v in enumerate(zip(*ends))))
         if not grid.is_occupied(s) and not grid.is_occupied(t):
             endpoint_free_somewhere = True
             t0 = time.perf_counter()
@@ -500,10 +496,10 @@ def plan_with_refinement(tree: OctoTree, start_point, goal_point,
     if endpoint_free_somewhere:
         raise NoPathAtMaxDepth(
             f"no route after {rounds} refinement rounds",
-            grid=last_grid, rounds_attempted=rounds, plan_seconds=elapsed)
+            grid=grid, rounds_attempted=rounds, plan_seconds=elapsed)
     raise StartOrGoalOccupied(
         "start or goal cell stayed occupied at every attempted depth",
-        grid=last_grid, rounds_attempted=rounds, plan_seconds=elapsed)
+        grid=grid, rounds_attempted=rounds, plan_seconds=elapsed)
 
 
 def path_to_json(path: GridPath, grid: UniformGridMap) -> str:

@@ -3,7 +3,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-from .errors import WorkerFailed
+from .errors import WorkerFailed, require_int
 
 
 def usable_cpus() -> int:
@@ -16,7 +16,8 @@ def ordered_map(fn, items, workers: int, chunksize: int) -> list:
     """[fn(item) for item in items] over a sequence, in at most `workers`
     processes: none past usable_cpus() or the chunks of chunksize items,
     and no pool when that is one.  A worker that dies raises WorkerFailed."""
-    procs = min(workers, usable_cpus(), -(-len(items) // chunksize))
+    procs = min(require_int("workers", workers), usable_cpus(),
+                -(-len(items) // chunksize))
     if procs <= 1:
         return [fn(item) for item in items]
     try:

@@ -10,10 +10,10 @@ box, which no other caller needs.
 Every axis is halved at mid = 0.5 * (lo + hi); a point on a midpoint goes to
 the upper half, and the domain's maximal faces are closed.  The rule treats
 each axis alone, so the cell faces at depth D are one table per axis of
-2^D + 1 non-decreasing boundaries (_boundaries).  build places a coordinate
-by a binary search in it, a leaf's split box is the two entries around its
-index, and dynamic_partition splits at entry 2 * index + 1 of the depth
-D + 1 table: the cells the per-level comparisons (upper iff p >= mid) reach.
+2^D + 1 non-decreasing boundaries (_boundaries).  OctoTree.axis_cells places a
+point by a binary search in it, a leaf's split box is the two entries around
+its index, and dynamic_partition splits at entry 2 * index + 1 of the
+depth D + 1 table: the cells the per-level comparisons (upper iff p >= mid) reach.
 
 build walks the cloud in blocks of BLOCK_POINTS = 2^13 points, placing and
 encoding each block into preallocated index columns and codes.  A block's
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthCapExceeded, InvalidSpec
+from .errors import DepthCapExceeded, InvalidSpec, require_int
 from .geometry import Aabb, PointCloud, require_inside
 
 # Bounds every boundary table at 2^16 + 1 entries per axis and keeps codes
@@ -126,8 +126,7 @@ class OctoTree:
     """
 
     def __init__(self, domain: Aabb, depth: int):
-        if depth < 0:
-            raise InvalidSpec(f"depth must be >= 0, got {depth}")
+        depth = require_int("depth", depth, 0)
         if depth > DEFAULT_DEPTH_CAP:
             raise DepthCapExceeded(
                 f"depth {depth} exceeds cap {DEFAULT_DEPTH_CAP}")
@@ -152,6 +151,10 @@ class OctoTree:
         self.offsets = np.r_[starts, len(order)].astype(np.int64)
         self.finer = None
         self.raster = None
+
+    def axis_cells(self, axis: int, coords) -> np.ndarray:
+        """Cells of coords on one axis: upper on a face, last on the far face."""
+        return np.searchsorted(self.boundaries[axis, 1:-1], coords, side="right")
 
     def points_array(self) -> np.ndarray:
         """The build's points, input order, as one read-only (n, d) array."""
@@ -188,8 +191,7 @@ def build(cloud: PointCloud, domain: Aabb, depth: int) -> OctoTree:
     for lo in range(0, n, BLOCK_POINTS):
         block = slice(lo, lo + BLOCK_POINTS)
         for a in range(d):
-            index[a, block] = np.searchsorted(
-                tree.boundaries[a, 1:-1], pts[block, a], side="right")
+            index[a, block] = tree.axis_cells(a, pts[block, a])
         codes[block] = morton_encode(index[:, block].T, depth)
     order = np.argsort(codes, kind="stable")
     codes = codes.take(order)

@@ -92,6 +92,12 @@ def test_config_validation():
         BenchConfig(cell_sizes_m=(2.0, -1.0))
     with pytest.raises(InvalidSpec):
         BenchConfig(min_separation_fraction=1.0)
+    # Counts that are not integers are refused before any world is drawn.
+    for field in ("trials", "refinement_rounds", "max_endpoint_attempts"):
+        for value in (1.5, "2"):
+            with pytest.raises(InvalidSpec, match=f"^{field} must be an int"):
+                BenchConfig(**{field: value})
+    assert BenchConfig(trials=np.int64(2)).trials == 2
     # Non-finite values are refused at construction, not inside a world.
     for value in (math.nan, math.inf):
         for field in ("domain_x_m", "domain_y_m", "noise_threshold"):
@@ -273,19 +279,21 @@ def test_campaign_rerun_is_deterministic():
     ({}, "29e7975e59e3d6fed354f3311fba295c58141119e3127d4261e534d713e4d2d1",
      "378163d8ab528523d05540ce5c5b690e3aed865f9e9dbc9de122280651716833"),
     # Cell edges 199.3 / 128 and 151.7 / 128 are not dyadic, so cell-centre
-    # differences round and the endpoint distances are not exact.
+    # differences round and the endpoint distances are not exact.  A cell
+    # centre drawn on the fixed grid can lie on a refined depth's face, where
+    # the tree's face table, not the fixed grid's floor, places it.
     (dict(domain_x_m=199.3, domain_y_m=151.7),
-     "c3373efbd2c948e49caea163cccbf1852f3a9e60a477326cc1cbc422e126710c",
+     "f04ef6cf756dc7b58bc91a1253f1b9b85d7f0a77b8a8187814d2ba0b3d95f470",
      "83964da5494e0038798eeb205bf36afb6cf899682f2a6f63e51e8ac8666e49c3"),
     # No pair is 0.97 of the diagonal apart: every row takes the farthest
     # pair drawn.
     (dict(domain_x_m=199.3, domain_y_m=151.7, min_separation_fraction=0.97),
-     "0fae29ad2d35f9ce9e32af659f675f8e9684a27a3987baa7ca44e224e47ede11",
+     "f6b24834987206c2ce80e330f06674e0eba2214ce58c3b73f3089dc9c89e67e7",
      "305c0ef96548472a73651727d0dd7765f0a9403c283023e37214d1ce93c7db70"),
 ], ids=["default", "non-dyadic", "non-dyadic-fallback"])
 def test_campaign_golden_digest(overrides, csv_digest, aggregate_digest):
-    # Digests of the first seven default worlds as earlier releases wrote
-    # them: the non-timing CSV columns and the aggregate JSON.
+    # Digests of the first seven worlds: the non-timing CSV columns and the
+    # aggregate JSON.
     records, aggregate = run_campaign(BenchConfig(trials=7, **overrides))
     text = strip_timing(records_to_csv(records))
     assert hashlib.sha256(text.encode()).hexdigest() == csv_digest
@@ -694,6 +702,22 @@ def test_cli_plan_occupied_endpoint_exits_3(tmp_path, capsys):
         "--start", "0.5,0.5", "--goal", "14,14")
     assert code == 3
     assert json.loads(err)["error"] == "start_or_goal_occupied"
+
+
+def test_cli_plan_start_on_an_occupied_leafs_face_exits_3(tmp_path, capsys):
+    # The start is the cloud's one point, on the faces of leaf (7, 7); the
+    # fixed grid's floor rule would put it in the free cell (6, 6).
+    cloud_path = tmp_path / "one.xyz"
+    p = "0.26249999999999996"
+    cloud_path.write_text(f"{p} {p} 0\n")
+    code, out, err = run_cli(
+        capsys, "--out-dir", str(tmp_path),
+        "plan", "--cloud", str(cloud_path), "--domain", "0,0:0.3,0.3",
+        "--depth", "3", "--max-rounds", "0",
+        "--start", f"{p},{p}", "--goal", "0.299,0.001")
+    assert code == 3
+    assert out == ""
+    assert one_error_line(err)["error"] == "start_or_goal_occupied"
 
 
 def test_cli_plan_fixed_occupied_start_exits_5(tmp_path, capsys):

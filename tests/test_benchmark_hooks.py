@@ -1,9 +1,11 @@
 """The benchmark's hooks into the package.
 
-benchmark/workloads.py wraps package functions by (module, attribute) and
-reads OctoTree.leaves to count a build's leaves. Deleting or renaming any
-of these breaks `benchmark/run.py --trace 1`, which no other test runs.
+benchmark/workloads.py wraps package functions by (module, attribute),
+reads OctoTree.leaves to count a build's leaves, and calls further package
+names by module attribute. Deleting or renaming any of these breaks
+`benchmark/run.py`, which no other test runs.
 """
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -75,3 +77,30 @@ def test_traced_campaign_sees_every_partition(workloads, spans):
         tracer.restore()
     assert sum(s.name == "tree.dynamic_partition"
                for s in tracer.spans) == 2 * config.trials
+
+
+def test_every_package_name_the_workloads_read_exists():
+    # workloads.py reaches the package by module attribute
+    # (planner_mod.validate_path, mapgen_mod.solid_domain, ...) outside the
+    # wrapped call sites, so a moved name would first fail in
+    # benchmark/run.py.  Walk its source and look every such name up.
+    tree = ast.parse((BENCHMARK / "workloads.py").read_text())
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update({alias.asname or alias.name: alias.name
+                            for alias in node.names
+                            if alias.name.startswith("octoplan")})
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and \
+                (node.module or "").startswith("octoplan"):
+            read.update((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and node.value.id in modules:
+            read.add((modules[node.value.id], node.attr))
+    assert {"octoplan.planner", "octoplan.mapgen", "octoplan.bench",
+            "octoplan.tree"} <= {module for module, _ in read}
+    missing = sorted(f"{module}.{name}" for module, name in read
+                     if not hasattr(importlib.import_module(module), name))
+    assert missing == []

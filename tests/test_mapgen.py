@@ -198,9 +198,11 @@ def test_overflowing_octave_count_is_rejected():
     small = Aabb(np.zeros(2), np.full(2, 100.0))
     far = Aabb(np.array([-1e10, 0.0]), np.array([0.0, 1.0]))
     PerlinParams(seed=1, domain=small, octaves=1020)
-    for domain, octaves in ((small, 1100), (far, 1020), (small, 10 ** 9)):
+    for domain, octaves in ((small, 1100), (far, 1020), (small, 10 ** 9),
+                            (small, 0), (small, 2.5), (small, "4")):
         with pytest.raises(InvalidSpec, match="octaves"):
             PerlinParams(seed=1, domain=domain, octaves=octaves)
+    assert PerlinParams(seed=1, domain=small, octaves=np.int64(2)).octaves == 2
 
 
 def campaign_world_params(trial):

@@ -684,6 +684,16 @@ def test_request_out_of_bounds_codes():
     with pytest.raises(InvalidRequest) as err:
         jps_plan(grid, PlanRequest((0, 0), (3, 0)))
     assert err.value.code == "goal_out_of_bounds"
+    # A cell coordinate that is not an integer is refused by name, and
+    # numpy integers, as argwhere gives them, are accepted.
+    for req in (PlanRequest((0.5, 0), (7, 7)), PlanRequest((0, 0), (1, "2"))):
+        for plan in (jps_plan, dijkstra_plan):
+            with pytest.raises(InvalidSpec, match="cell coordinate"):
+                plan(grid, req)
+    cells = np.argwhere(np.ones((3, 3), dtype=bool))
+    path = jps_plan(grid, PlanRequest(tuple(cells[0]), tuple(cells[-1])))
+    assert path.nodes[0] == (0, 0) and path.nodes[-1] == (2, 2)
+    assert all(type(v) is int for v in path.nodes[0] + path.nodes[-1])
 
 
 def test_request_occupied_codes():
@@ -722,6 +732,12 @@ def refinement_domain():
     return Aabb(np.zeros(2), np.full(2, 16.0))
 
 
+def leaf_of(point, domain, depth):
+    """The leaf index build gives a one-point cloud at point."""
+    return tuple(build(PointCloud(np.array([point])), domain,
+                       depth).index[0].tolist())
+
+
 def test_refinement_opens_subcell_gap():
     # The wall gap [8, 10) is one depth-3 cell wide: at depth 2 the coarse
     # cell [8, 12) still holds wall points, so round 0 fails and the split
@@ -732,8 +748,12 @@ def test_refinement_opens_subcell_gap():
     assert result.rounds_used == 1
     assert result.grid.dims == (8, 8)
     validate_path(result.grid, result.path)
-    assert result.path.nodes[0] == result.grid.index_of((2.0, 8.0))
-    assert result.path.nodes[-1] == result.grid.index_of((14.0, 8.0))
+    # Both endpoints lie on depth-3 faces; each path end is the leaf that
+    # the tree's face table gives a cloud point there.
+    assert result.path.nodes[0] == leaf_of((2.0, 8.0),
+                                           refinement_domain(), 3) == (1, 4)
+    assert result.path.nodes[-1] == leaf_of((14.0, 8.0),
+                                            refinement_domain(), 3) == (7, 4)
     assert result.plan_seconds >= 0.0
 
 
@@ -771,6 +791,39 @@ def test_refinement_reports_occupied_endpoint():
     assert err.value.rounds_attempted == 2
     assert err.value.code == "start_or_goal_occupied"
     assert err.value.plan_seconds == 0.0
+
+
+def test_endpoint_on_an_occupied_leafs_face_is_refused():
+    # floor((v - origin) / cell) puts p in cell (6, 6), but the face table
+    # that placed p as a cloud point puts it in leaf (7, 7).
+    p = (0.26249999999999996, 0.26249999999999996)
+    domain = Aabb(np.zeros(2), np.full(2, 0.3))
+    tree = build(PointCloud(np.array([p])), domain, depth=3)
+    assert leaf_of(p, domain, 3) == (7, 7)
+    assert rasterize_adaptive(tree).index_of(p) == (6, 6)
+    with pytest.raises(StartOrGoalOccupied) as err:
+        plan_with_refinement(tree, p, (0.299, 0.001), max_rounds=0)
+    assert err.value.rounds_attempted == 0
+
+
+def test_face_endpoints_that_are_cloud_points_are_refused_at_every_depth():
+    # A cloud point on interior faces of a non-dyadic domain, and the same
+    # point as the start: every attempted depth places the start in the
+    # leaf that holds the point, however the arithmetic rounds.  The goal
+    # at the domain's low corner is in free leaf (0, 0).
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        lo = rng.uniform(-50.0, 50.0, 2)
+        domain = Aabb(lo, lo + rng.uniform(0.1, 100.0, 2))
+        depth = int(rng.integers(1, 8))
+        faces = build(PointCloud(np.empty((0, 2))), domain, depth).boundaries
+        k = rng.integers(1, 1 << depth, size=2)
+        p = (faces[0, k[0]], faces[1, k[1]])
+        tree = build(PointCloud(np.array([p])), domain, depth)
+        rounds = int(rng.integers(0, 3))
+        with pytest.raises(StartOrGoalOccupied) as err:
+            plan_with_refinement(tree, p, domain.min, max_rounds=rounds)
+        assert err.value.rounds_attempted == rounds
 
 
 def same_grid(a, b):
@@ -915,6 +968,14 @@ def test_refinement_names_a_malformed_endpoint(start, goal, name):
     tree = build(wall_cloud(0.5), refinement_domain(), depth=2)
     with pytest.raises(InvalidSpec, match=f"^{name} point"):
         plan_with_refinement(tree, start, goal)
+    assert tree.raster is None
+
+
+@pytest.mark.parametrize("rounds", [1.5, "2", -1])
+def test_refinement_refuses_a_round_count_that_is_not_a_count(rounds):
+    tree = build(wall_cloud(0.5), refinement_domain(), depth=2)
+    with pytest.raises(InvalidSpec, match="^max_rounds"):
+        plan_with_refinement(tree, (1.0, 8.0), (14.0, 8.0), max_rounds=rounds)
     assert tree.raster is None
 
 

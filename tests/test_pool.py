@@ -5,8 +5,8 @@ import pickle
 import pytest
 
 import octoplan.pool as pool_mod
-from octoplan.errors import (InvalidRequest, OctoplanError, PointOutOfDomain,
-                             WorkerFailed)
+from octoplan.errors import (InvalidRequest, InvalidSpec, OctoplanError,
+                             PointOutOfDomain, WorkerFailed)
 from octoplan.pool import ordered_map, usable_cpus
 
 
@@ -46,6 +46,13 @@ def test_ordered_map_keeps_input_order(monkeypatch, workers):
     assert ordered_map(square, range(9), workers, 2) == \
         [x * x for x in range(9)]
     assert ordered_map(square, [], workers, 2) == []
+
+
+def test_a_worker_count_that_is_not_an_integer_is_refused(monkeypatch):
+    monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 2)
+    for workers in (1.5, "2"):
+        with pytest.raises(InvalidSpec, match="^workers must be an integer"):
+            ordered_map(square, range(4), workers, 1)
 
 
 def test_a_dead_worker_raises_worker_failed(monkeypatch):

@@ -255,6 +255,14 @@ def test_build_keeps_its_own_copy_of_the_points():
     assert recs[0].node_boundary.min.tolist() == [0.25, 0.25]
 
 
+def test_depth_that_is_not_a_count_is_refused():
+    cloud = PointCloud(np.array([[0.5, 0.5]]))
+    for depth in (-1, 2.5, 3.0, "3"):
+        with pytest.raises(InvalidSpec, match="^depth must be"):
+            build(cloud, unit_domain(2), depth=depth)
+    assert build(cloud, unit_domain(2), depth=np.int64(3)).depth == 3
+
+
 def test_depth_cap_above_limit_is_refused_before_allocating():
     dom = unit_domain(2)
     cloud = PointCloud(np.array([[0.5, 0.5]]))
