@@ -61,8 +61,10 @@ class BenchConfig:
 
     def __post_init__(self):
         for name, least in (("trials", 1), ("refinement_rounds", 0),
-                            ("max_endpoint_attempts", 1)):
-            require_int(name, getattr(self, name), least)
+                            ("max_endpoint_attempts", 1),
+                            ("campaign_seed", None)):
+            object.__setattr__(self, name,
+                               require_int(name, getattr(self, name), least))
         if not self.cell_sizes_m:
             raise InvalidSpec("cell_sizes_m must list at least one size")
         if not all(math.isfinite(v) and v > 0 for v in
@@ -206,9 +208,9 @@ def _world_maps(cloud, domain, depth, config, maps):
     time spent here: 0.0 when maps held the depth, next to none when a
     refinement made its tree."""
     seconds = 0.0
-    if not any(d <= depth for d in maps):
-        base = min([depth] + [compute_depth(float(domain.edges.max()), c)
-                              for c in config.cell_sizes_m])
+    if not maps:
+        base = min(compute_depth(float(domain.edges.max()), c)
+                   for c in config.cell_sizes_m)
         t0 = perf_counter()
         tree = build_tree(cloud, domain, base)
         seconds = perf_counter() - t0

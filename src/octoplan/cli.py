@@ -271,8 +271,9 @@ def _cmd_plan(args) -> int:
         grid = _fixed_grid(args, cloud, domain)
         report["build_seconds"] = perf_counter() - t0
         t0 = perf_counter()
-        path = jps_plan(grid, PlanRequest(grid.index_of(start),
-                                          grid.index_of(goal)))
+        s, t = zip(*(grid.axis_cells(a, v).tolist()
+                     for a, v in enumerate(zip(start, goal))))
+        path = jps_plan(grid, PlanRequest(s, t))
         report["plan_seconds"] = perf_counter() - t0
         if path is None:
             raise NoPathAtMaxDepth("no route on the fixed grid", grid=grid)

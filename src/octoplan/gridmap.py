@@ -1,10 +1,10 @@
 """Uniform occupancy grids rasterized from clouds or subdivision trees.
 
-rasterize_fixed and index_of use half-open boxes [origin + i*cell,
-origin + (i+1)*cell) per axis, far faces closed so a point on the domain's
-maximal corner stays representable; such a cell is occupied iff a point
-falls in it.  An adaptive cell is a leaf slot (tree.index), occupied iff the
-leaf holds a point; OctoTree.axis_cells, not index_of, places a point in it.
+A fixed cell is the half-open box [origin + i*cell, origin + (i+1)*cell) per
+axis, far faces closed so the domain's maximal corner stays representable,
+occupied iff a point falls in it; UniformGridMap.axis_cells places cloud
+and plan endpoints alike.  An adaptive cell is a leaf slot (tree.index),
+occupied iff the leaf holds a point; OctoTree.axis_cells places a point in it.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, PointOutOfDomain
+from .errors import InvalidSpec
 from .geometry import Aabb, PointCloud, require_inside
 from .tree import OctoTree
 
@@ -46,28 +46,13 @@ class UniformGridMap:
     def extent_max(self) -> np.ndarray:
         return self.origin + np.asarray(self.dims) * self.cell_size
 
-    def index_of(self, p) -> tuple[int, ...]:
-        """Cell of a fixed grid containing a metric point (far faces closed).
-
-        A hair of slack absorbs the rounding of extent_max = dims * cell when
-        the per-axis cell size is not exactly representable.  A NaN
-        coordinate is inside no box.  The axes run in Python floats through
-        the IEEE operations of extent_max and of the array expression
-        floor((q - origin) / cell), so the cell is the same bit for bit.
-        """
-        q = [float(v) for v in p]
-        if len(q) != self.dim:
-            raise InvalidSpec(f"point has {len(q)} coordinates, grid is"
-                              f" {self.dim}-D")
-        cell = []
-        for v, o, c, n in zip(q, self.origin.tolist(),
-                              self.cell_size.tolist(), self.dims):
-            e = o + n * c
-            tol = 1e-9 * max(1.0, abs(e - o))
-            if not o - tol <= v <= e + tol:
-                raise PointOutOfDomain(q, self.origin, self.extent_max)
-            cell.append(min(max(math.floor((v - o) / c), 0), n - 1))
-        return tuple(cell)
+    def axis_cells(self, axis: int, coords) -> np.ndarray:
+        """Cells of in-domain coords on one axis, last on the far face: the
+        rule of rasterize_fixed.  Adaptive raster cells come from the tree."""
+        idx = np.floor((coords - self.origin[axis]) / self.cell_size[axis])
+        idx = idx.astype(np.int64)
+        np.minimum(idx, self.dims[axis] - 1, out=idx)
+        return idx
 
     def cell_center(self, idx) -> np.ndarray:
         return self.origin + (np.asarray(idx, dtype=float) + 0.5) * self.cell_size
@@ -115,19 +100,16 @@ def rasterize_fixed(cloud: PointCloud, domain: Aabb, cell_size) -> UniformGridMa
     with np.errstate(over="ignore"):
         dims = tuple(max(1, math.ceil(min(e / c, 2.0 ** 62)))
                      for e, c in zip(domain.edges, cell))
-    occ = _dense_grid(dims)
+    grid = UniformGridMap(dims, cell, domain.min.copy(), _dense_grid(dims))
     pts = cloud.points
     require_inside(pts, domain)
     # One pass per axis column accumulates the row-major flat index.
     flat = np.zeros(len(pts), dtype=np.int64)
     for a, n in enumerate(dims):
-        idx = np.floor((pts[:, a] - domain.min[a]) / cell[a])
-        idx = idx.astype(np.int64)
-        np.minimum(idx, n - 1, out=idx)
         flat *= n
-        flat += idx
-    occ.reshape(-1)[flat] = True
-    return UniformGridMap(dims, cell, domain.min.copy(), occ)
+        flat += grid.axis_cells(a, pts[:, a])
+    grid.occupancy.reshape(-1)[flat] = True
+    return grid
 
 
 def rasterize_adaptive(tree: OctoTree) -> UniformGridMap:

@@ -209,6 +209,7 @@ class PerlinParams:
     samples_per_meter: float = 4.0
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", require_int("seed", self.seed))
         octaves = require_int("octaves", self.octaves, 1)
         if not math.isfinite(self.threshold):
             raise InvalidSpec(f"threshold must be finite, got {self.threshold}")

@@ -98,6 +98,11 @@ def test_config_validation():
             with pytest.raises(InvalidSpec, match=f"^{field} must be an int"):
                 BenchConfig(**{field: value})
     assert BenchConfig(trials=np.int64(2)).trials == 2
+    with pytest.raises(InvalidSpec, match="^campaign_seed must be an int"):
+        BenchConfig(campaign_seed=1.5)
+    config = BenchConfig(campaign_seed=np.int64(5))
+    assert type(config.campaign_seed) is int
+    assert config == BenchConfig(campaign_seed=5)
     # Non-finite values are refused at construction, not inside a world.
     for value in (math.nan, math.inf):
         for field in ("domain_x_m", "domain_y_m", "noise_threshold"):
@@ -730,6 +735,25 @@ def test_cli_plan_fixed_occupied_start_exits_5(tmp_path, capsys):
         "--start", "0.5,0.5", "--goal", "7.5,7.5")
     assert code == 5
     assert json.loads(err)["error"] == "start_occupied"
+
+
+def test_cli_plan_fixed_start_on_an_occupied_cells_face_exits_5(tmp_path,
+                                                                 capsys):
+    # The start is the cloud's one point, on cell (3, 3)'s low faces
+    # 3 * 0.7.  (3 * 0.7) / 0.7 rounds below 3, so rasterize_fixed marks
+    # cell (2, 2), and the start must be placed there too.
+    p = 3 * 0.7
+    assert p == 2.0999999999999996 and math.floor(p / 0.7) == 2
+    cloud_path = tmp_path / "one.xyz"
+    write_xyz(PointCloud(np.array([[p, p]])), cloud_path)
+    code, out, err = run_cli(
+        capsys, "--out-dir", str(tmp_path),
+        "plan", "--cloud", str(cloud_path), "--domain", "0,0:7,7",
+        "--mode", "fixed", "--cell", "0.7",
+        "--start", f"{p!r},{p!r}", "--goal", "6.5,6.5")
+    assert code == 5
+    assert out == ""
+    assert one_error_line(err)["error"] == "start_occupied"
 
 
 @pytest.mark.parametrize("mode_args", [

@@ -1,9 +1,10 @@
 """The benchmark's hooks into the package.
 
 benchmark/workloads.py wraps package functions by (module, attribute),
-reads OctoTree.leaves to count a build's leaves, and calls further package
-names by module attribute. Deleting or renaming any of these breaks
-`benchmark/run.py`, which no other test runs.
+reads members of the package's objects (OctoTree.leaves, a grid's fields,
+a RefinementResult) and calls further package names by module attribute.
+Deleting or renaming any of these breaks `benchmark/run.py`, which no other
+test runs.
 """
 import ast
 import importlib
@@ -15,6 +16,8 @@ import pytest
 
 from octoplan.bench import BenchConfig, run_campaign
 from octoplan.geometry import Aabb, PointCloud
+from octoplan.gridmap import UniformGridMap
+from octoplan.planner import plan_with_refinement
 from octoplan.tree import build
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
@@ -104,3 +107,24 @@ def test_every_package_name_the_workloads_read_exists():
     missing = sorted(f"{module}.{name}" for module, name in read
                      if not hasattr(importlib.import_module(module), name))
     assert missing == []
+
+
+def test_every_member_the_workloads_read_exists(workloads):
+    # workloads.py also reads members of the package's objects, which the
+    # walk above cannot see: a grid's dims, cell_size, origin and occupancy
+    # (snapshot), the UniformGridMap constructor (as_grid), cell_center
+    # (query endpoints), OctoTree.leaves (build counts) and a
+    # RefinementResult's grid, path and rounds_used (campaign probes).
+    cloud = PointCloud(np.array([[1.0, 1.0], [6.0, 3.0]]))
+    domain = Aabb(np.zeros(2), np.array([8.0, 4.0]))
+    tree = build(cloud, domain, 3)
+    assert len(tree.leaves) == 2
+    result = plan_with_refinement(tree, (0.5, 0.25), (7.5, 3.75),
+                                  max_rounds=0)
+    assert result.rounds_used == 0
+    snap = workloads.snapshot(result.grid)
+    assert workloads.path_problem(snap, result.path) is None
+    assert workloads.dijkstra_problem(snap, result.path) is None
+    grid = workloads.as_grid(snap)
+    assert isinstance(grid, UniformGridMap)
+    assert grid.cell_center((0, 0)).tolist() == [0.5, 0.25]

@@ -1,4 +1,5 @@
 """Occupancy grid tests: rasterization, gap checks, serialization."""
+import itertools
 import json
 import math
 import tracemalloc
@@ -147,32 +148,10 @@ def test_fixed_matches_row_expression(case):
     assert np.array_equal(grid.occupancy, expected)
 
 
-def test_index_of_far_face_closed():
+def test_axis_cells_far_face_closed():
     grid = rasterize_fixed(PointCloud(np.empty((0, 2))), domain2(), 1.0)
-    assert grid.index_of((10.0, 5.0)) == (9, 4)
-    with pytest.raises(PointOutOfDomain):
-        grid.index_of((10.5, 1.0))
-
-
-def test_index_of_refuses_a_nan_coordinate():
-    # NaN fails every comparison, so only a test for "inside" refuses it.
-    grid = rasterize_fixed(PointCloud(np.empty((0, 2))), domain2(), 1.0)
-    for p in ((math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)):
-        with pytest.raises(PointOutOfDomain):
-            grid.index_of(p)
-
-
-def numpy_index_of(grid, p):
-    """The array form of index_of, the reference for its cells and its
-    refusals."""
-    q = np.asarray(p, dtype=float)
-    tol = 1e-9 * np.maximum(1.0, np.abs(grid.extent_max - grid.origin))
-    if not (np.all(q >= grid.origin - tol)
-            and np.all(q <= grid.extent_max + tol)):
-        raise PointOutOfDomain(q, grid.origin, grid.extent_max)
-    idx = np.floor((q - grid.origin) / grid.cell_size).astype(np.int64)
-    idx = np.clip(idx, 0, np.asarray(grid.dims) - 1)
-    return tuple(int(i) for i in idx)
+    assert grid.axis_cells(0, np.array([10.0])).tolist() == [9]
+    assert grid.axis_cells(1, np.array([5.0])).tolist() == [4]
 
 
 @pytest.mark.parametrize("dims, cell, origin", [
@@ -182,50 +161,36 @@ def numpy_index_of(grid, p):
     ((3, 1), (2e9, 1e-12), (1e9, -1e-12)),
     ((4, 6, 5), (0.7, 1 / 7, 3.0), (0.1, -0.2, 0.3)),
 ])
-def test_index_of_matches_the_array_form(dims, cell, origin):
-    # Points on every cell face, one ulp either side, within the tolerance
-    # and just past it, NaN, and of the wrong length: the same cell or the
-    # same refusal as the array form.
-    grid = UniformGridMap(dims, np.array(cell), np.array(origin),
-                          np.zeros(dims, dtype=bool))
-    tol = 1e-9 * np.maximum(1.0, np.abs(grid.extent_max - grid.origin))
+def test_axis_cells_is_the_cell_rasterize_fixed_marks(dims, cell, origin):
+    # Points on every cell face, one ulp either side, on the far face and
+    # at the domain's corners: axis_cells gives each the floor rule's cell,
+    # the one rasterize_fixed marks for it as a one-point cloud.  On the
+    # second grid the domain's edge rounds to a hair over 7 cells of 0.1,
+    # so rasterize_fixed adds an eighth column that overhangs the domain.
+    lo = np.array(origin)
+    domain = Aabb(lo, lo + np.array(dims) * np.array(cell))
+    grid = rasterize_fixed(PointCloud(np.empty((0, len(dims)))), domain, cell)
     per_axis = []
-    for a, n in enumerate(dims):
-        faces = [grid.origin[a] + k * grid.cell_size[a] for k in range(n)]
-        faces += [grid.extent_max[a]]
-        values = [f for face in faces
+    for a, n in enumerate(grid.dims):
+        faces = [lo[a] + k * grid.cell_size[a] for k in range(n)]
+        values = {f for face in faces + [domain.max[a]]
                   for f in (face, np.nextafter(face, -np.inf),
-                            np.nextafter(face, np.inf))]
-        for edge, sign in ((grid.origin[a], -1), (grid.extent_max[a], 1)):
-            values += [edge + sign * t for t in (0.5 * tol[a], tol[a],
-                                                  2 * tol[a])]
-        per_axis.append(values + [math.nan])
+                            np.nextafter(face, np.inf))}
+        per_axis.append(sorted(v for v in values
+                               if domain.min[a] <= v <= domain.max[a]))
     rng = np.random.default_rng(len(dims))
     points = [[v[rng.integers(len(v))] for v in per_axis]
               for _ in range(3000)]
-    # One coordinate broadcast over every axis in the array form, so the
-    # short points keep two (see the test below).
-    points += [list(p) + [0.0] for p in points[:20]] + [[]]
-    points += [p[:-1] for p in points[:20] if len(dims) > 2]
-    outcomes = set()
-    for p in points:
-        try:
-            old = numpy_index_of(grid, p)
-        except (PointOutOfDomain, ValueError) as exc:
-            with pytest.raises(type(exc)):
-                grid.index_of(p)
-            outcomes.add(type(exc))
-        else:
-            assert grid.index_of(p) == old
-            outcomes.add(tuple)
-    assert outcomes == {tuple, PointOutOfDomain, ValueError}
-
-
-def test_index_of_refuses_one_coordinate_on_a_2d_grid():
-    # The array form broadcast a 1-coordinate point over both axes.
-    grid = rasterize_fixed(PointCloud(np.empty((0, 2))), domain2(), 1.0)
-    with pytest.raises(InvalidSpec):
-        grid.index_of((1.0,))
+    points += itertools.product(*zip(domain.min, domain.max))
+    points = np.array(points)
+    cells = np.stack([grid.axis_cells(a, points[:, a])
+                      for a in range(len(dims))], axis=1)
+    for p, c in zip(points.tolist(), cells.tolist()):
+        assert c == [min(math.floor((v - o) / w), n - 1) for v, o, w, n
+                     in zip(p, lo.tolist(), grid.cell_size.tolist(),
+                            grid.dims)]
+        one = rasterize_fixed(PointCloud(np.array([p])), domain, cell)
+        assert np.argwhere(one.occupancy).tolist() == [c]
 
 
 # --------------------------------------------------------- rasterize_adaptive

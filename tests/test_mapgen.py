@@ -175,6 +175,16 @@ def test_perlin_params_validation():
     for threshold in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidSpec, match="threshold"):
             PerlinParams(seed=1, domain=noise_domain(), threshold=threshold)
+    # A seed must be an integer; a numpy one is kept as the Python int, so
+    # it draws the same world.
+    for seed in (1.5, "3"):
+        with pytest.raises(InvalidSpec, match="^seed must be an int"):
+            PerlinParams(seed=seed, domain=noise_domain())
+    params = PerlinParams(seed=np.int64(5), domain=noise_domain())
+    assert type(params.seed) is int and params.seed == 5
+    assert np.array_equal(
+        gen_perlin_cloud(params).points,
+        gen_perlin_cloud(PerlinParams(seed=5, domain=noise_domain())).points)
 
 
 def test_noise_bound_holds_at_high_octave_counts():
