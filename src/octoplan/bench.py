@@ -30,7 +30,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .errors import InvalidSpec, PlanningError, require_int
+from .errors import InvalidSpec, PlanningError, require_int, require_real
 from .geometry import Aabb
 from .gridmap import rasterize_fixed
 from .mapgen import PerlinParams, derive_seed, gen_perlin_cloud
@@ -65,6 +65,17 @@ class BenchConfig:
                             ("campaign_seed", None)):
             object.__setattr__(self, name,
                                require_int(name, getattr(self, name), least))
+        for f in fields(self):
+            if f.type in ("float", float):
+                object.__setattr__(self, f.name,
+                                   require_real(f.name, getattr(self, f.name)))
+        try:
+            sizes = tuple(require_real("cell_sizes_m", v)
+                          for v in self.cell_sizes_m)
+        except TypeError:
+            raise InvalidSpec(f"cell_sizes_m must be a sequence of sizes, "
+                              f"got {self.cell_sizes_m!r}") from None
+        object.__setattr__(self, "cell_sizes_m", sizes)
         if not self.cell_sizes_m:
             raise InvalidSpec("cell_sizes_m must list at least one size")
         if not all(math.isfinite(v) and v > 0 for v in

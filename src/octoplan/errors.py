@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and one integer check."""
+"""Exception types shared across the package, and integer and real checks."""
 import copyreg
+import numbers
 import operator
 
 
@@ -51,6 +52,17 @@ def require_int(name, value, least=None) -> int:
     if least is not None and value < least:
         raise InvalidSpec(f"{name} must be >= {least}, got {value}")
     return value
+
+
+def require_real(name, value) -> float:
+    """value as a Python float, numpy reals too; else InvalidSpec."""
+    if not isinstance(value, numbers.Real):
+        raise InvalidSpec(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidSpec(
+            f"{name} is past the float range, got {value}") from None
 
 
 class CloudParseError(OctoplanError):

@@ -26,6 +26,22 @@ bool keep mask, the only array as large as the lattice; lattices over
 MAX_RASTER_CELLS (2^28) samples are refused with InvalidSpec before
 anything is allocated.
 
+A cloud keeps only each sample's threshold bit, so a floating-point filter
+with an exact fallback decides it (Shewchuk, Discrete Comput. Geom.
+18(3), 1997).  Inside one noise cell along axis 0 an octave is a sum of
+four products of an axis-0 factor and a factor of the other axes, so each
+run of axis-0 samples sharing a cell adds one matrix product to the
+block's sum (_factored_sum).  That sum lies within _margin(octaves) of the
+exact kernel's (_octave_sum): the comment above _margin derives the bound
+from the size of every operand and the roundings of both paths, which
+share _axis's fractions and fades.  A sample more than the margin from the
+threshold takes its bit from the factored sum, and a block holding any
+sample within it is decided again, whole, by _octave_sum, so every cloud
+is the exact kernel's by construction.  The product is the module's one
+BLAS call: however BLAS orders or fuses its sums, any sample whose
+decision that rounding could change is within the margin and sent to the
+exact kernel.
+
 The demo scene samples points exactly on four fixed analytic surfaces
 (cuboid, cylinder, arch, helix tube) on a parameter lattice with a
 deterministic in-surface jitter, so surface residuals stay at
@@ -39,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, require_int
+from .errors import InvalidSpec, require_int, require_real
 from .geometry import Aabb, PointCloud
 from .gridmap import MAX_RASTER_CELLS
 
@@ -210,6 +226,10 @@ class PerlinParams:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", require_int("seed", self.seed))
+        for name in ("frequency", "persistence", "threshold",
+                     "samples_per_meter"):
+            object.__setattr__(self, name,
+                               require_real(name, getattr(self, name)))
         octaves = require_int("octaves", self.octaves, 1)
         if not math.isfinite(self.threshold):
             raise InvalidSpec(f"threshold must be finite, got {self.threshold}")
@@ -280,16 +300,115 @@ def _blocks(shape: tuple[int, ...]):
         yield tuple(slice(b, b + s) for b, s in zip(start, step))
 
 
+# Why _margin bounds |_factored_sum - _octave_sum|, in units of 2^-53.
+# Before their one final division by the amplitude total A, both sums
+# approximate one real number: the sum over octaves k of a_k c N_k, N_k
+# the blend, in real arithmetic, of the same corner gradients (table
+# entries) at the same fractions and fades (the floats _axis returns),
+# with the floats a_k (amplitude) and c (2/sqrt(d)) both paths use.
+# Each rounding errs by at most one unit times its result, and reaches
+# the sum through lerp weights in [0, 1], coef entries in [0, 1] (a
+# shared fraction f - 1 through corner weights summing to at most 1) and
+# a_k c <= sqrt(2) a_k.  Every result either path rounds is at most 8.25
+# in size: fractions, fades, gradient components, |f - 1| and terms
+# g * (f - o) at most 1, corner dots sqrt(3), blend differences
+# 2 sqrt(3), psi entries 2 sqrt(2) + 1, and the |coef_p psi_p| of one
+# product add up to 8.25.  So one rounding adds below
+# 8.25 sqrt(2) a_k < 12 a_k units.  One octave of one sample rounds fewer
+# than 2^7 times per path: 86 times in _noise in 3-D; in _factored_sum 76
+# times for R and S, 10 for psi, its weight and coef, and 7 for the
+# 4-term product in whatever order BLAS sums it.  That is below 2^11 a_k
+# units, and the a_k add up to A.
+# Weighting by a_k and adding the octaves up, on totals at most A in
+# size, add below 2 A units per octave.  After the division, which rounds
+# once more, the paths so differ by less than 2^12 + 4 * octaves + 2
+# units; the margin doubles 2^12 + 4 * octaves, which also covers those 2,
+# second-order terms and subnormal rounding.
+def _margin(octaves: int) -> float:
+    """Distance from the threshold past which _factored_sum's decision is
+    _octave_sum's; the comment above derives it."""
+    return math.ldexp(2 ** 13 + 8 * octaves, -53)
+
+
+def _factored_sum(params: PerlinParams, tables,
+                  parts: list[np.ndarray]) -> np.ndarray:
+    """_octave_sum's value on a lattice block, within _margin(octaves),
+    from its factored form.
+
+    With f and u axis 0's fraction and fade, one octave inside one noise
+    cell along axis 0 is sum_p coef_p * psi_p: coef = (f, f*u, 1, u) and
+    psi = (R0, R1 - R0, S0, S1 - S0 - R1) times the octave's weight.  R_o
+    blends, over the other axes, the axis-0 gradient component of the
+    corners with axis-0 offset o; S_o blends the rest of those corners'
+    gradient dot.  Each run of axis-0 samples sharing a cell adds one
+    product coef[run] @ psi[cell] to the sum."""
+    perm, grads = tables
+    d = len(parts)
+    shape = np.broadcast_shapes(*(p.shape for p in parts))
+    width = math.prod(shape[1:])
+    total = np.zeros((shape[0], width))
+    amp = 1.0
+    amp_sum = 0.0
+    freq = params.frequency
+    for _ in range(params.octaves):
+        coords = [p * freq for p in parts]
+        weight = amp
+        amp_sum += amp
+        amp *= params.persistence
+        freq *= 2.0
+        cell0, f0, u0 = _axis(coords[0].reshape(-1))
+        # Run bounds: 0, every index where the cell changes, len(cell0).
+        bounds = np.flatnonzero(np.diff(cell0, prepend=-1, append=-1))
+        rest = [_axis(p.reshape(p.shape[1:])) for p in coords[1:]]
+        first = cell0[bounds[:-1]]
+        # Hash chains start at axis 0's cell + o, o = 0 and 1 stacked.
+        start = np.stack([first, first + 1]).reshape(
+            (2, len(first)) + (1,) * (d - 1))
+
+        def corner(offs):
+            h = start
+            for (cell, _, _), o in zip(rest, offs):
+                h = perm[h] + (cell + o)
+            dot = sum(g[h] * (f - o)
+                      for g, (_, f, _), o in zip(grads[1:], rest, offs))
+            return grads[0][h], dot
+
+        def blend(a, offs):
+            """(R, S) blended along rest axes 0..a, later ones at offs."""
+            if a < 0:
+                return corner(offs)
+            r0, s0 = blend(a - 1, (0,) + offs)
+            r1, s1 = blend(a - 1, (1,) + offs)
+            return _lerp(r0, r1, rest[a][2]), _lerp(s0, s1, rest[a][2])
+
+        r, s = (v.reshape(2, len(first), -1) for v in blend(d - 2, ()))
+        psi = np.stack([r[0], r[1] - r[0], s[0], s[1] - s[0] - r[1]], axis=1)
+        psi *= weight * (2.0 / math.sqrt(d))
+        coef = np.stack([f0, f0 * u0, np.ones_like(f0), u0], axis=1)
+        bounds = bounds.tolist()
+        for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            total[lo:hi] += coef[lo:hi] @ psi[j]
+    total /= amp_sum
+    return total.reshape(shape)
+
+
 def gen_perlin_cloud(params: PerlinParams) -> PointCloud:
     """Sample the noise field on its lattice and keep cells >= threshold."""
     axes = _lattice_axes(params.domain, params.samples_per_meter)
     d = len(axes)
     tables = _hash_tables(params.seed, d)
+    margin = _margin(params.octaves)
     keep = np.zeros(tuple(len(a) for a in axes), dtype=bool)
     for box in _blocks(keep.shape):
         parts = [a[s].reshape([-1 if j == k else 1 for j in range(d)])
                  for k, (a, s) in enumerate(zip(axes, box))]
-        keep[box] = _octave_sum(params, tables, parts) >= params.threshold
+        # fl(v - t) >= 0 exactly when v >= t, and rounding is monotone,
+        # so |fl(v - t)| > margin only where |v - t| > margin.
+        value = _factored_sum(params, tables, parts)
+        value -= params.threshold
+        keep[box] = value >= 0.0
+        if np.abs(value, out=value).min() <= margin:
+            keep[box] = _octave_sum(params, tables, parts) >= params.threshold
     hit = np.nonzero(keep)
     return PointCloud(np.stack([a[i] for a, i in zip(axes, hit)], axis=1))
 

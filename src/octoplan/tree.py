@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthCapExceeded, InvalidSpec, require_int
+from .errors import DepthCapExceeded, InvalidSpec, require_int, require_real
 from .geometry import Aabb, PointCloud, require_inside
 
 # Bounds every boundary table at 2^16 + 1 entries per axis and keeps codes
@@ -53,6 +53,9 @@ class McrSpec:
     k: float = 2.0
 
     def __post_init__(self):
+        for name in ("epsilon_max", "k"):
+            object.__setattr__(self, name,
+                               require_real(name, getattr(self, name)))
         if not (math.isfinite(self.epsilon_max) and self.epsilon_max > 0):
             raise InvalidSpec(f"epsilon_max must be positive, got {self.epsilon_max}")
         if not (math.isfinite(self.k) and self.k > 1.0):

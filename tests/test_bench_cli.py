@@ -110,6 +110,25 @@ def test_config_validation():
                 BenchConfig(**{field: value})
         with pytest.raises(InvalidSpec):
             BenchConfig(cell_sizes_m=(2.0, value))
+    # Real settings that are not real numbers are refused by name; numpy
+    # reals and ints are kept as Python floats.
+    for field, value in (("domain_x_m", "3"),
+                         ("min_separation_fraction", "0.5"),
+                         ("noise_threshold", "0.1"), ("epsilon_max_m", "1.3"),
+                         ("cell_sizes_m", ("2.6", 3.0))):
+        with pytest.raises(InvalidSpec, match=f"^{field} must be a real"):
+            BenchConfig(**{field: value})
+    with pytest.raises(InvalidSpec, match="^cell_sizes_m must be a sequence"):
+        BenchConfig(cell_sizes_m=3.0)
+    config = BenchConfig(domain_x_m=np.float32(200),
+                         cell_sizes_m=[np.float64(2.6), 3])
+    assert type(config.domain_x_m) is float
+    assert config.cell_sizes_m == (2.6, 3.0)
+    assert all(type(v) is float for v in config.cell_sizes_m)
+    with pytest.raises(InvalidSpec, match="^epsilon_max must be a real"):
+        tree_mod.McrSpec(epsilon_max="1.3")
+    with pytest.raises(InvalidSpec, match="^k must be a real"):
+        tree_mod.McrSpec(epsilon_max=1.3, k=None)
 
 
 # ----------------------------------------------------------- trial records

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,6 +186,23 @@ def test_perlin_params_validation():
     assert np.array_equal(
         gen_perlin_cloud(params).points,
         gen_perlin_cloud(PerlinParams(seed=5, domain=noise_domain())).points)
+    # Real settings must be real numbers; numpy ones are kept as Python
+    # floats, and an int past the float range is refused too.
+    for name, value in (("frequency", "0.03"), ("persistence", "0.5"),
+                        ("threshold", None), ("samples_per_meter", "4"),
+                        ("threshold", 10 ** 400)):
+        with pytest.raises(InvalidSpec, match=f"^{name} "):
+            PerlinParams(seed=1, domain=noise_domain(), **{name: value})
+    params = PerlinParams(seed=1, domain=noise_domain(),
+                          frequency=np.float32(0.25), threshold=np.int64(0),
+                          samples_per_meter=2)
+    assert all(type(v) is float for v in (
+        params.frequency, params.threshold, params.samples_per_meter))
+    assert np.array_equal(
+        gen_perlin_cloud(params).points,
+        gen_perlin_cloud(PerlinParams(seed=1, domain=noise_domain(),
+                                      frequency=0.25, threshold=0.0,
+                                      samples_per_meter=2.0)).points)
 
 
 def test_noise_bound_holds_at_high_octave_counts():
@@ -275,6 +293,71 @@ def test_lattice_cloud_equals_noise_on_explicit_coordinates(lo, hi):
     expected = coords[reference_noise(params, coords) >= 0.0]
     assert 0 < len(expected) < len(coords)
     assert cloud.points.tobytes() == expected.tobytes()
+
+
+def block_parts(axes):
+    d = len(axes)
+    return [a.reshape([-1 if j == k else 1 for j in range(d)])
+            for k, a in enumerate(axes)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_factored_sum_stays_a_hundredth_of_the_margin_from_the_kernel(d):
+    # Far out, the top octaves' scaled coordinates pass 2^53, where every
+    # fraction is 0.
+    rng = np.random.default_rng(30 + d)
+    tables = mapgen_mod._hash_tables(19, d)
+    for lo, hi in ((-100.0, 100.0), (1e7, 1e7 + 200.0), (1e12, 1e12 + 50.0)):
+        dom = Aabb(np.full(d, lo), np.full(d, hi))
+        parts = block_parts(random_axes(rng, lo, hi,
+                                        (100, 120) if d == 2 else (40, 12, 10)))
+        for octaves, persistence in itertools.product((1, 4, 64, 500),
+                                                      (0.5, 1.0)):
+            params = PerlinParams(seed=19, domain=dom, octaves=octaves,
+                                  persistence=persistence)
+            factored = mapgen_mod._factored_sum(params, tables, parts)
+            exact = mapgen_mod._octave_sum(params, tables, parts)
+            assert factored.shape == exact.shape
+            assert (np.abs(factored - exact).max()
+                    <= mapgen_mod._margin(octaves) / 100)
+
+
+@pytest.mark.parametrize("lo,hi", [
+    # 300 x 300: blocks of 218 and 82 rows.
+    ((-37.3, -12.1), (112.9, 138.2)),
+    # 7 x 100 x 100: blocks of 6 rows and 1.
+    ((-3.5, 0.0, -10.0), (0.0, 50.0, 40.0)),
+], ids=["2d", "3d"])
+def test_threshold_at_a_sample_sends_only_its_block_to_the_kernel(
+        monkeypatch, lo, hi):
+    domain = Aabb(np.array(lo), np.array(hi))
+    params = PerlinParams(seed=21, domain=domain, samples_per_meter=2.0)
+    axes = [a + (np.arange(math.floor(e * 2.0)) + 0.5) / 2.0
+            for a, e in zip(domain.min, domain.edges)]
+    coords = lattice_coords(axes)
+    values = reference_noise(params, coords)
+    # A sample in the last block.
+    sample = coords[len(coords) - 1234]
+    value = values[len(coords) - 1234]
+    blocks = []
+    kernel = mapgen_mod._octave_sum
+
+    def counted(params, tables, parts):
+        blocks.append([p.reshape(-1) for p in parts])
+        return kernel(params, tables, parts)
+
+    monkeypatch.setattr(mapgen_mod, "_octave_sum", counted)
+    for threshold in (np.nextafter(value, -np.inf), value,
+                      np.nextafter(value, np.inf)):
+        blocks.clear()
+        cloud = gen_perlin_cloud(replace(params, threshold=threshold))
+        expected = coords[values >= threshold]
+        assert cloud.points.tobytes() == expected.tobytes()
+        assert len(blocks) == 1
+        assert all(x in part for x, part in zip(sample, blocks[0]))
+    blocks.clear()
+    gen_perlin_cloud(params)
+    assert blocks == []
 
 
 def test_perlin_lattice_over_budget_is_refused_before_allocating():
