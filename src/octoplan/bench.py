@@ -34,10 +34,10 @@ from .errors import InvalidSpec, PlanningError, require_int, require_real
 from .geometry import Aabb
 from .gridmap import rasterize_fixed
 from .mapgen import PerlinParams, derive_seed, gen_perlin_cloud
-from .planner import (PlanRequest, jps_plan, plan_with_refinement, refined,
+from .planner import (PlanRequest, jps_plan, plan_with_refinement,
                       release_map_tables)
 from .pool import ordered_map
-from .tree import McrSpec, compute_depth
+from .tree import DEFAULT_DEPTH_CAP, McrSpec, coarser, compute_depth
 from .tree import build as build_tree
 
 
@@ -211,30 +211,27 @@ def _draw_endpoints(grid, rng, min_dist, attempts):
 
 
 def _world_maps(cloud, domain, depth, config, maps):
-    """(tree, fixed grid, seconds) at depth from maps, the world's dict of
-    both by depth, making what is missing: the world's one build runs at
-    the shallowest depth of its cell sizes, and a deeper depth walks the
-    refined() chain of the next shallower tree, which refinement shares, so
-    each depth is partitioned once.  seconds is the build and partition
-    time spent here: 0.0 when maps held the depth, next to none when a
-    refinement made its tree."""
+    """(tree, fixed grid, seconds) at depth, one of config's cell depths,
+    from maps, the world's dict of both by depth.  The first call fills
+    maps for every cell depth: the world's one build runs at the deepest
+    depth its refinement can reach, and each shallower tree is the coarser
+    view of the next deeper one, so refinement walks a refined() chain of
+    views and no point is sorted twice.  seconds is the build and view
+    time, spent in the first call; later calls spend 0.0."""
     seconds = 0.0
     if not maps:
-        base = min(compute_depth(float(domain.edges.max()), c)
-                   for c in config.cell_sizes_m)
+        longest = float(domain.edges.max())
+        depths = {compute_depth(longest, c) for c in config.cell_sizes_m}
+        deep = min(max(depths) + config.refinement_rounds, DEFAULT_DEPTH_CAP)
         t0 = perf_counter()
-        tree = build_tree(cloud, domain, base)
+        trees = [build_tree(cloud, domain, deep)]
+        while trees[-1].depth > min(depths):
+            trees.append(coarser(trees[-1]))
         seconds = perf_counter() - t0
-        maps[base] = tree, rasterize_fixed(cloud, domain,
-                                           domain.edges / 2.0 ** base)
-    if depth not in maps:
-        t0 = perf_counter()
-        tree = maps[max(d for d in maps if d < depth)][0]
-        while tree.depth < depth:
-            tree = refined(tree)
-        seconds += perf_counter() - t0
-        maps[depth] = tree, rasterize_fixed(cloud, domain,
-                                            domain.edges / 2.0 ** depth)
+        for tree in trees:
+            if tree.depth in depths:
+                maps[tree.depth] = tree, rasterize_fixed(
+                    cloud, domain, domain.edges / 2.0 ** tree.depth)
     return *maps[depth], seconds
 
 
@@ -244,8 +241,8 @@ def run_trial_cell(cloud, domain, cell, trial_index, trial_seed, cell_index,
 
     maps is the world's dict of trees and fixed grids by depth, shared by
     its cells (_world_maps); build_seconds is the tree time this cell
-    spent, 0.0 where its depth's tree already existed.  Refinement shares
-    the world's refined trees and leaves the held tree as made."""
+    spent, all of it in the world's first cell and 0.0 in the others.
+    Refinement walks the world's chain of trees and leaves each as made."""
     longest = float(domain.edges.max())
     depth = compute_depth(longest, cell)
     tree, fixed_grid, build_seconds = _world_maps(cloud, domain, depth,

@@ -246,12 +246,15 @@ def grid_to_pgm(grid: UniformGridMap, path_cells=None) -> str:
     if grid.dim != 2:
         raise InvalidSpec("PGM export is only defined for 2-D grids")
     w, h = grid.dims
-    shade = np.where(grid.occupancy, 255, 0).astype(np.int64)
+    # Each cell's code picks its text from one table, a row at a time; an
+    # object table hands join the same str objects without converting any.
+    names = np.array(["0", "255", "128"], dtype=object)
+    shade = grid.occupancy.astype(np.int8)
     if path_cells is not None:
         for idx in path_cells:
-            shade[tuple(idx)] = 128
+            shade[tuple(idx)] = 2
     lines = ["P2", f"{w} {h}", "255"]
-    for j in range(h - 1, -1, -1):
-        lines.append(" ".join(str(int(v)) for v in shade[:, j]))
+    lines += [" ".join(names[shade[:, j]].tolist())
+              for j in range(h - 1, -1, -1)]
     return "\n".join(lines) + "\n"
 

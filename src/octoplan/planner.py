@@ -52,8 +52,9 @@ stop tables, 4 of hit tables, 1 of free bytes and 1 of key.
 
 plan_with_refinement keeps each tree's adaptive raster, read-only, as
 tree.raster, so a long-lived tree is rasterized once however many queries
-it answers.  OctoTree._set_table drops it, so an in-place
-dynamic_partition or a refined() copy never plans on a stale raster.
+it answers.  OctoTree._set_table drops it and tree.coarser starts a view
+without one, so an in-place dynamic_partition, a refined() copy or a view
+never plans on a stale raster.
 """
 from __future__ import annotations
 
@@ -434,9 +435,11 @@ class RefinementResult:
 
 
 def refined(tree: OctoTree) -> OctoTree:
-    """The tree one level deeper: on the first call a partition of a shallow
-    copy, which equals a fresh build and writes into no array of tree, kept
-    as tree.finer, so every holder of tree shares it."""
+    """The tree one level deeper: tree.finer when set, as it is on a
+    tree.coarser view, whose finer is the tree it was taken from.  Else a
+    partition of a shallow copy, which equals a fresh build and writes into
+    no array of tree, kept as tree.finer, so every holder of tree shares
+    it."""
     if tree.finer is None:
         tree.finer = dynamic_partition(copy.copy(tree))
     return tree.finer

@@ -3,9 +3,11 @@
 The tree is a linear quadtree/octree (Gargantini, CACM 1982): one table of
 occupied leaves sorted by Morton code, inner nodes implicit as code
 prefixes.  A leaf row holds its code, its grid index and a slice of one
-permutation of the point ids (ascending within a leaf).  OctoTree._set_table
-writes the table; occupied_leaves reads it and computes each leaf's tight
-box, which no other caller needs.
+permutation of the point ids (ascending within a leaf after build and
+dynamic_partition; a coarser view keeps its deeper tree's order).
+OctoTree._set_table writes the table; occupied_leaves reads it and computes
+each leaf's tight box, which no other caller needs.  A shallower table is a
+prefix of a deeper one, so coarser takes it from the deeper sort.
 
 Every axis is halved at mid = 0.5 * (lo + hi); a point on a midpoint goes to
 the upper half, and the domain's maximal faces are closed.  The rule treats
@@ -27,6 +29,7 @@ accumulator halves the bytes each ufunc streams.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -122,10 +125,11 @@ class OctoTree:
 
     Leaf k has code codes[k] and grid index index[k] and owns the point ids
     order[offsets[k]:offsets[k + 1]].  boundaries[a] holds the cell faces on
-    axis a (_boundaries).  finer is None or the tree one level deeper that
-    planner.refined made from this one, and raster None or the read-only
-    adaptive raster that planner.plan_with_refinement made of this table;
-    the tree keeps both until _set_table writes a new table.
+    axis a (_boundaries).  finer is None or the tree one level deeper: the
+    tree a coarser view was taken from, or the partition planner.refined
+    made from this one.  raster is None or the read-only adaptive raster
+    that planner.plan_with_refinement made of this table; the tree keeps
+    both until _set_table writes a new table.
     """
 
     def __init__(self, domain: Aabb, depth: int):
@@ -201,6 +205,28 @@ def build(cloud: PointCloud, domain: Aabb, depth: int) -> OctoTree:
     starts = _run_starts(codes)
     tree._set_table(codes, order, starts, index.T[order[starts]])
     return tree
+
+
+def coarser(tree: OctoTree) -> OctoTree:
+    """The tree one level shallower, as a view of tree's sort: a leaf is a
+    run of tree's leaves whose codes agree but for the last dim bits, and
+    its index is theirs halved.  Codes, index, offsets and boundaries equal
+    a fresh build's; within a leaf the point ids keep tree's order, not
+    input order.  The view shares tree's points and order; its finer is
+    tree."""
+    if tree.depth == 0:
+        raise InvalidSpec("a depth-0 tree has no coarser level")
+    codes = tree.codes >> tree.dim
+    starts = _run_starts(codes)
+    view = copy.copy(tree)
+    view.depth = tree.depth - 1
+    view.boundaries = tree.boundaries[:, ::2]
+    view.codes = codes[starts]
+    view.index = tree.index[starts] >> 1
+    view.offsets = tree.offsets[np.r_[starts, len(tree.codes)]]
+    view.finer = tree
+    view.raster = None
+    return view
 
 
 def dynamic_partition(tree: OctoTree) -> OctoTree:

@@ -198,23 +198,25 @@ def test_failed_adaptive_trial_records_search_time(monkeypatch):
     assert records[0].adaptive_plan_seconds == 0.125
 
 
-@pytest.mark.parametrize("cells,threshold,held", [
-    ((3.0, 6.0, 2.0), 0.1, [False, True, False]),
-    ((3.0, 6.0, 2.0), 1.5, [False, True, False]),
-    ((6.0, 2.0), 0.1, [False, False]),
+@pytest.mark.parametrize("cells,threshold", [
+    ((3.0, 6.0, 2.0), 0.1),
+    ((3.0, 6.0, 2.0), 1.5),
+    ((6.0, 2.0), 0.1),
 ], ids=["noise", "empty", "refined-first"])
 def test_world_builds_once_and_rows_equal_fresh_builds(monkeypatch, cells,
-                                                       threshold, held):
+                                                       threshold):
     # 3.0, 6.0 and 2.0 m resolve to depths 4, 3 and 5 on the 40 m edge:
-    # deep, shallow, deeper.  The world builds depth 3 once and partitions
-    # it; every non-timing column must equal a row built fresh at its depth.
-    # In "refined-first" the depth-3 cell fails twice, so its refinement
-    # makes the depth-5 tree before the 2.0 m cell asks for it.  held marks
-    # the cells whose depth the world's dict already held.
+    # deep, shallow, deeper.  The world builds once, at depth 5 plus its 2
+    # refinement rounds, and takes every shallower tree as a coarser view;
+    # every non-timing column must equal a row planned on a tree built fresh
+    # at its depth and refined by partitions.  In "refined-first" the
+    # depth-3 cell fails twice, so its refinement reaches depth 5 through
+    # the views before the 2.0 m cell asks for it.
     config = small_config(cell_sizes_m=cells, noise_threshold=threshold)
     depth_of = {3.0: 4, 6.0: 3, 2.0: 5}
     assert [compute_depth(40.0, c) for c in cells] == \
         [depth_of[c] for c in cells]
+    deep = 5 + config.refinement_rounds
     clouds, depths = [], []
 
     def world(params):
@@ -228,8 +230,10 @@ def test_world_builds_once_and_rows_equal_fresh_builds(monkeypatch, cells,
     monkeypatch.setattr(bench_mod, "gen_perlin_cloud", world)
     monkeypatch.setattr(bench_mod, "build_tree", build)
     records, _ = run_campaign(config)
-    assert depths == [3] * config.trials
-    assert [r.build_seconds == 0 for r in records] == held * config.trials
+    assert depths == [deep] * config.trials
+    # The first cell of a world makes every tree and fixed raster.
+    assert [r.build_seconds == 0 for r in records] == \
+        ([False] + [True] * (len(cells) - 1)) * config.trials
     assert (records[0].n_points == 0) == (threshold > 1)
     if cells == (6.0, 2.0):
         assert [r.adaptive_rounds for r in records[::2]] == \
@@ -239,38 +243,39 @@ def test_world_builds_once_and_rows_equal_fresh_builds(monkeypatch, cells,
     for trial, cloud in enumerate(clouds):
         seed = derive_seed(config.campaign_seed, trial)
         for k, cell in enumerate(config.cell_sizes_m):
-            one = replace(config, cell_sizes_m=(cell,))
+            d = depth_of[cell]
+            cell_edges = config.domain.edges / 2.0 ** d
+            maps = {d: (tree_mod.build(cloud, config.domain, d),
+                        gridmap_mod.rasterize_fixed(cloud, config.domain,
+                                                    cell_edges))}
             fresh.append(bench_mod.run_trial_cell(
-                cloud, config.domain, cell, trial, seed, k, one, {}))
-    assert depths == [3] * config.trials + \
-        [depth_of[c] for c in cells] * config.trials
+                cloud, config.domain, cell, trial, seed, k, config, maps))
+    assert depths == [deep] * config.trials
     assert [r.to_row()[:-TIMING_COLUMNS] for r in records] == \
         [r.to_row()[:-TIMING_COLUMNS] for r in fresh]
 
 
 def test_campaign_partitions_each_world_depth_once(monkeypatch):
     # The cells of a default world are at depths 7, 7 and 6, and failing
-    # cells refine up to two levels.  The world's own 6 -> 7 partition and
-    # every refinement take trees from one refined() chain, so each
-    # (world, depth) is partitioned once, all through planner's
-    # dynamic_partition.
-    worlds, made = [], []
-    partition = planner_mod.dynamic_partition
+    # cells refine up to two levels.  The world builds once at depth 9 and
+    # takes depths 8, 7 and 6 as coarser views, whose refined() chain
+    # leads back to the deeper trees: refinement partitions nothing.
+    builds, made = [], []
 
-    def world(params):
-        worlds.append(params.seed)
-        return mapgen_mod.gen_perlin_cloud(params)
+    def build(cloud, domain, depth):
+        builds.append(depth)
+        return tree_mod.build(cloud, domain, depth)
 
     def counted(tree):
-        made.append((len(worlds) - 1, tree.depth))
-        return partition(tree)
+        made.append(tree.depth)
+        return tree_mod.dynamic_partition(tree)
 
-    monkeypatch.setattr(bench_mod, "gen_perlin_cloud", world)
+    monkeypatch.setattr(bench_mod, "build_tree", build)
     monkeypatch.setattr(planner_mod, "dynamic_partition", counted)
     records, _ = run_campaign(BenchConfig(trials=4))
     assert any(r.adaptive_rounds for r in records)
-    assert len(made) == len(set(made))
-    assert {w for w, depth in made if depth == 6} == set(range(4))
+    assert builds == [9] * 4
+    assert made == []
 
 
 def test_campaign_releases_map_tables_between_worlds(monkeypatch):

@@ -63,23 +63,24 @@ def test_every_wrapped_call_site_exists(workloads, tmp_path):
     assert builds >= 1
 
 
-def test_traced_campaign_sees_every_partition(workloads, spans):
+def test_traced_campaign_sees_every_partition(workloads, spans, tmp_path):
     # 3.0, 6.0 and 2.0 m are depths 4, 3 and 5 on the 40 m edge: each world
-    # builds depth 3 and partitions it to 4 and then 5.  With no refinement
-    # those are all the partitions, and the planner's wrapped
-    # dynamic_partition must see them.
+    # builds depth 5 once and takes depths 4 and 3 as coarser views.  The
+    # campaign workload's wrapped build_tree must see that one build per
+    # world, and the planner's wrapped dynamic_partition no partition.
     config = BenchConfig(domain_x_m=40.0, domain_y_m=30.0,
                          cell_sizes_m=(3.0, 6.0, 2.0), trials=3,
                          refinement_rounds=0)
     tracer = spans.Tracer()
-    for entry in workloads.PLANNER_LAYERS:
+    for entry in workloads.Campaign(1, str(tmp_path)).layers():
         tracer.wrap(*entry)
     try:
         run_campaign(config)
     finally:
         tracer.restore()
-    assert sum(s.name == "tree.dynamic_partition"
-               for s in tracer.spans) == 2 * config.trials
+    names = [s.name for s in tracer.spans]
+    assert names.count("tree.build") == config.trials
+    assert "tree.dynamic_partition" not in names
 
 
 def test_every_package_name_the_workloads_read_exists():

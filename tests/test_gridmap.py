@@ -503,6 +503,44 @@ def test_pgm_path_overlay_and_round_trip():
     assert set(np.unique(shade)) <= {0, 128, 255}
 
 
+def pgm_pixel_by_pixel(grid, path_cells=None):
+    """The P2 text formatted one pixel at a time, as a reference."""
+    w, h = grid.dims
+    shade = np.where(grid.occupancy, 255, 0).astype(np.int64)
+    for idx in path_cells or ():
+        shade[tuple(idx)] = 128
+    lines = ["P2", f"{w} {h}", "255"]
+    for j in range(h - 1, -1, -1):
+        lines.append(" ".join(str(int(v)) for v in shade[:, j]))
+    return "\n".join(lines) + "\n"
+
+
+def border_path(w, h):
+    """Every cell of the grid's border, once, walked around it."""
+    ring = ([(i, 0) for i in range(w)] + [(w - 1, j) for j in range(1, h)]
+            + [(i, h - 1) for i in range(w - 2, -1, -1)]
+            + [(0, j) for j in range(h - 2, 0, -1)])
+    return list(dict.fromkeys(ring))
+
+
+@pytest.mark.parametrize("dims,fill,path", [
+    ((1, 9), 0.4, "border"),
+    ((9, 1), 0.4, "border"),
+    ((1, 1), 0.0, "border"),
+    ((7, 5), 0.3, "border"),
+    ((6, 4), 1.0, None),
+    ((6, 4), 1.0, "border"),
+    ((33, 17), 0.5, None),
+], ids=["1xN", "Nx1", "1x1", "border", "all-occupied", "all-occupied-path",
+        "random"])
+def test_pgm_rows_equal_pixel_by_pixel_text(dims, fill, path):
+    rng = np.random.default_rng(list(dims))
+    occ = rng.uniform(size=dims) < fill
+    grid = UniformGridMap(dims, np.ones(2), np.zeros(2), occ)
+    cells = border_path(*dims) if path else None
+    assert grid_to_pgm(grid, cells) == pgm_pixel_by_pixel(grid, cells)
+
+
 def test_pgm_rejects_3d():
     occ = np.zeros((2, 2, 2), dtype=bool)
     grid = UniformGridMap((2, 2, 2), np.ones(3), np.zeros(3), occ)

@@ -3,15 +3,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from octoplan.bench import BenchConfig
 from octoplan.errors import (DepthCapExceeded, InvalidSpec, PointOutOfDomain)
 from octoplan.geometry import Aabb, PointCloud
 from octoplan.mapgen import gen_perlin_cloud, solid_cloud_near, solid_domain
+from octoplan.planner import refined
 from octoplan.tree import (BLOCK_POINTS, DEFAULT_DEPTH_CAP, McrSpec, OctoTree,
-                           build, compute_depth, dynamic_partition,
+                           build, coarser, compute_depth, dynamic_partition,
                            morton_encode, occupied_leaves)
 
 
@@ -533,6 +534,44 @@ def test_tables_match_descent_oracle(d, depth, kind, n, seed):
     if depth < DEFAULT_DEPTH_CAP:
         dynamic_partition(tree)
         assert_matches_oracle(tree, pts)
+
+
+def leaf_id_sets(tree):
+    return [sorted(ids.tolist())
+            for ids in np.split(tree.order, tree.offsets[1:-1])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    depth=st.integers(min_value=1, max_value=8),
+    kind=st.sampled_from(["mixed", "negative", "tiny", "ulp"]),
+    n=st.integers(min_value=0, max_value=300),
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+)
+@example(d=3, depth=4, kind="mixed", n=0, seed=0)
+def test_coarser_views_equal_fresh_builds(d, depth, kind, n, seed):
+    # Every view down the chain from one deep build has a fresh build's
+    # table; only the order of ids within a leaf may differ.
+    rng = np.random.default_rng(seed)
+    dom = oracle_domain(rng, kind, d)
+    pts = snapped_points(rng, dom, depth, n)
+    deep = build(PointCloud(pts), dom, depth=depth)
+    tree = deep
+    while tree.depth > 0:
+        view = coarser(tree)
+        assert refined(view) is tree
+        assert view.order is deep.order
+        assert view.points_array() is deep.points_array()
+        fresh = build(PointCloud(pts), dom, depth=tree.depth - 1)
+        assert view.depth == fresh.depth
+        for table in ("codes", "index", "offsets", "boundaries"):
+            assert np.array_equal(getattr(view, table),
+                                  getattr(fresh, table)), table
+        assert leaf_id_sets(view) == leaf_id_sets(fresh)
+        tree = view
+    with pytest.raises(InvalidSpec):
+        coarser(tree)
 
 
 @pytest.mark.parametrize("depth", [0, 1, 8, DEFAULT_DEPTH_CAP])
